@@ -4,17 +4,17 @@ comparisons against reference densities."""
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientSampleError, ModelDomainError
-from .numerics import IntegratorConfig, Trajectory, integrate_ode
+from .numerics import IntegratorConfig, Trajectory, integrate_ode, sample_grid
 
 # Counter-based generator, so samples are reproducible from the seed alone.
 PRNG_ID = "numpy-philox-4x64"
@@ -28,16 +28,31 @@ ENSEMBLE_CSV_COLUMNS = ("member_id", "t", "x1", "y1", "z1", "x2", "y2", "z2",
 
 @dataclass
 class Ensemble:
-    """A set of trajectories sharing one model, seed, and integrator setup."""
+    """A set of trajectories sharing one model, seed, and integrator setup,
+    stored as arrays over the shared sample times.
+
+    ``states`` and ``velocities`` have shape ``(len(times), size, dim)``.
+    Member ``i`` holds ``lengths[i]`` samples; past a truncation its states
+    and velocities are NaN and ``terminations[i]`` names the reason.  The
+    arrays are read-only.
+    """
 
     model: Any
     seed: int
     sampling: str                      # "density" or "user"
     t0: float
-    members: list[Trajectory]
+    times: np.ndarray
+    states: np.ndarray
+    velocities: np.ndarray
+    lengths: np.ndarray
+    terminations: tuple[str, ...]
     integrator: IntegratorConfig | None = None
     acceptance_rate: float | None = None
     prng_id: str = PRNG_ID
+
+    def __post_init__(self) -> None:
+        for array in (self.times, self.states, self.velocities, self.lengths):
+            array.flags.writeable = False
 
     @property
     def model_tag(self) -> str:
@@ -45,26 +60,54 @@ class Ensemble:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.states.shape[1]
 
     @property
     def survival_fraction(self) -> float:
-        if not self.members:
+        if not self.size:
             return 0.0
-        return sum(m.complete for m in self.members) / len(self.members)
+        return np.count_nonzero(self.lengths == len(self.times)) / self.size
+
+    @property
+    def members(self) -> Sequence[Trajectory]:
+        """Read-only per-member view; each access builds a :class:`Trajectory`."""
+        return _Members(self)
+
+    def _member(self, i: int) -> Trajectory:
+        i = range(self.size)[i]
+        k = self.lengths[i]
+        return Trajectory(times=self.times[:k], states=self.states[:k, i],
+                          velocities=self.velocities[:k, i],
+                          complete=bool(k == len(self.times)),
+                          termination=self.terminations[i])
 
     def states_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
         """Configurations of every member holding a sample at time ``t``
         (truncated members are skipped past their last sample)."""
-        rows = []
-        for m in self.members:
-            idx = np.argmin(np.abs(m.times - t))
-            if abs(m.times[idx] - t) <= tol:
-                rows.append(m.states[idx])
-        return np.asarray(rows, dtype=float)
+        idx = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[idx] - t) > tol:
+            return np.empty((0, self.states.shape[2]))
+        return self.states[idx, self.lengths > idx]
 
     def initial_states(self) -> np.ndarray:
-        return np.asarray([m.states[0] for m in self.members], dtype=float)
+        return self.states[0]
+
+
+class _Members(Sequence):
+    """Sequence of an ensemble's members, built one by one on access."""
+
+    __slots__ = ("_ensemble",)
+
+    def __init__(self, ensemble: Ensemble) -> None:
+        self._ensemble = ensemble
+
+    def __len__(self) -> int:
+        return self._ensemble.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._ensemble._member(j) for j in range(self._ensemble.size)[i]]
+        return self._ensemble._member(i)
 
 
 @dataclass(frozen=True)
@@ -209,31 +252,27 @@ def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
         points = np.atleast_2d(np.asarray(initial_states, dtype=float))
         rate = None
         sampling = "user"
-    members = []
-    for row in points:
-        try:
-            vel = np.asarray(model.rhs(t0, row), dtype=float)
-        except ModelDomainError:
-            vel = np.full(len(row), np.nan)
-        members.append(Trajectory(times=np.array([t0]),
-                                  states=row[None, :].copy(),
-                                  velocities=vel[None, :]))
+    # Own copy: the caller keeps its array, and the sampler's rows are a view
+    # of a larger buffer.
+    points = np.array(points, dtype=float)
+    try:
+        vel = np.asarray(model.batch_rhs(t0, points.ravel()), dtype=float)
+        vel = vel.reshape(points.shape)
+    except ModelDomainError:
+        vel = np.full(points.shape, np.nan)
+        for i, row in enumerate(points):
+            try:
+                vel[i] = model.rhs(t0, row)
+            except ModelDomainError:
+                pass
+    n = len(points)
     return Ensemble(model=model, seed=seed, sampling=sampling, t0=t0,
-                    members=members, acceptance_rate=rate)
+                    times=np.array([float(t0)]), states=points[None], velocities=vel[None],
+                    lengths=np.ones(n, dtype=np.intp), terminations=("completed",) * n,
+                    acceptance_rate=rate)
 
 
 # -- evolution ----------------------------------------------------------------
-
-def _split_batch(trajectory: Trajectory, n: int, dim: int) -> list[Trajectory]:
-    states = trajectory.states.reshape(len(trajectory), n, dim)
-    vels = trajectory.velocities.reshape(len(trajectory), n, dim)
-    return [Trajectory(times=trajectory.times,
-                       states=states[:, i, :].copy(),
-                       velocities=vels[:, i, :].copy(),
-                       complete=trajectory.complete,
-                       termination=trajectory.termination)
-            for i in range(n)]
-
 
 def evolve_ensemble(ensemble: Ensemble, t_end: float,
                     config: IntegratorConfig | None = None,
@@ -253,20 +292,31 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
     if sample_times is None:
         sample_times = [ensemble.t0, t_end]
 
-    members: list[Trajectory] | None = None
-    try:
-        batch = integrate_ode(lambda t, y: model.batch_rhs(t, y), y0.ravel(),
-                              ensemble.t0, t_end, cfg, sample_times)
-        if batch.complete:
-            members = _split_batch(batch, n, dim)
-    except ModelDomainError:
-        members = None
-    if members is None:
-        members = [integrate_ode(model.rhs, row, ensemble.t0, t_end, cfg, sample_times)
-                   for row in y0]
+    batch = integrate_ode(lambda t, y: model.batch_rhs(t, y), y0.ravel(),
+                          ensemble.t0, t_end, cfg, sample_times)
+    if batch.complete:
+        times = batch.times
+        states = batch.states.reshape(len(times), n, dim)
+        velocities = batch.velocities.reshape(len(times), n, dim)
+        lengths = np.full(n, len(times), dtype=np.intp)
+        terminations = (batch.termination,) * n
+    else:
+        times = sample_grid(ensemble.t0, t_end, sample_times)
+        states = np.full((len(times), n, dim), np.nan)
+        velocities = np.full((len(times), n, dim), np.nan)
+        lengths = np.empty(n, dtype=np.intp)
+        terminations = []
+        for i, row in enumerate(y0):
+            m = integrate_ode(model.rhs, row, ensemble.t0, t_end, cfg, sample_times)
+            states[:len(m), i] = m.states
+            velocities[:len(m), i] = m.velocities
+            lengths[i] = len(m)
+            terminations.append(m.termination)
+        terminations = tuple(terminations)
 
     return Ensemble(model=model, seed=ensemble.seed, sampling=ensemble.sampling,
-                    t0=ensemble.t0, members=members, integrator=cfg,
+                    t0=ensemble.t0, times=times, states=states, velocities=velocities,
+                    lengths=lengths, terminations=terminations, integrator=cfg,
                     acceptance_rate=ensemble.acceptance_rate,
                     prng_id=ensemble.prng_id)
 
@@ -369,32 +419,38 @@ def global_constraint_analysis(ensemble: Ensemble) -> GlobalConstraintReport:
 
 # -- serialization --------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# Rows converted to Python floats at once.  Rows are written one by one as
+# they are formatted: a joined block of text, or larger blocks, leave their
+# freed memory resident and raise the peak RSS of later stages.
+CSV_BLOCK_ROWS = 256
 
 
 def write_ensemble_csv(path, ensemble: Ensemble) -> None:
     """One row per member per sample; shortest round-trip decimals; the y/z
     columns stay empty for one-dimensional models.  No timestamps, so equal
-    configurations and seeds give byte-identical files."""
-    one_dimensional = ensemble.model.dimension == 2
+    configurations and seeds give byte-identical files.
+
+    The bytes are those of ``csv.writer`` (``\\r\\n`` line ends) fed the
+    member id, ``repr`` of each float and the truncation flag row by row."""
+    T, n, dim = ensemble.states.shape
+    # Positions or velocities of both particles; y/z empty in one dimension.
+    floats = "%r,,,%r,," if dim == 2 else ",".join(["%r"] * dim)
+    row = f"%d,%r,{floats},{floats},%d\r\n"
+    sample = np.arange(T)
+    per_block = max(1, CSV_BLOCK_ROWS // T)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENSEMBLE_CSV_COLUMNS)
-        for member_id, m in enumerate(ensemble.members):
-            truncated = int(not m.complete)
-            for i, t in enumerate(m.times):
-                s, v = m.states[i], m.velocities[i]
-                if one_dimensional:
-                    row = [member_id, _fmt(t), _fmt(s[0]), "", "", _fmt(s[1]), "", "",
-                           _fmt(v[0]), "", "", _fmt(v[1]), "", "", truncated]
-                else:
-                    row = [member_id, _fmt(t),
-                           _fmt(s[0]), _fmt(s[1]), _fmt(s[2]),
-                           _fmt(s[3]), _fmt(s[4]), _fmt(s[5]),
-                           _fmt(v[0]), _fmt(v[1]), _fmt(v[2]),
-                           _fmt(v[3]), _fmt(v[4]), _fmt(v[5]), truncated]
-                writer.writerow(row)
+        fh.write(",".join(ENSEMBLE_CSV_COLUMNS) + "\r\n")
+        for lo in range(0, n, per_block):
+            hi = min(n, lo + per_block)
+            lengths = ensemble.lengths[lo:hi]
+            held = sample < lengths[:, None]                       # (members, T)
+            columns = [np.repeat(np.arange(lo, hi), lengths),
+                       np.broadcast_to(ensemble.times, held.shape)[held]]
+            for array in (ensemble.states, ensemble.velocities):
+                block = array[:, lo:hi].transpose(1, 0, 2)[held]   # (rows, dim)
+                columns.extend(block.T)
+            columns.append(np.repeat(lengths < T, lengths))
+            fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def ensemble_metadata(ensemble: Ensemble, extra: dict | None = None) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .errors import BracketError, ModelDomainError
@@ -149,11 +149,15 @@ def _advance_rk45(rhs, y, t_from, t_to, cfg, budget) -> np.ndarray:
         budget.charge()
         return rhs(t, yy)
 
-    sol = solve_ivp(counted, (t_from, t_to), y, method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    if not sol.success:
-        raise _SegmentFailure(sol.message)
-    return sol.y[:, -1]
+    # The stepping loop of solve_ivp(method="RK45") without its per-step
+    # history: same steps and evaluations, only the final state is kept.
+    solver = RK45(counted, float(t_from), y, float(t_to),
+                  rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status == "failed":
+        raise _SegmentFailure(message)
+    return solver.y
 
 
 def _advance_rk4(rhs, y, t_from, t_to, cfg, budget) -> np.ndarray:
@@ -171,7 +175,9 @@ def _advance_rk4(rhs, y, t_from, t_to, cfg, budget) -> np.ndarray:
     return y
 
 
-def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
+def sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
+    """Sample times of an integration from ``t0`` to ``t_end``: the requested
+    times in the direction of integration, framed by both end points."""
     if sample_times is None:
         return np.linspace(t0, t_end, 201) if t_end != t0 else np.array([t0])
     ts = np.unique(np.asarray(sample_times, dtype=float))
@@ -200,7 +206,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     """
     cfg = config or IntegratorConfig()
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    ts = _sample_grid(t0, t_end, sample_times)
+    ts = sample_grid(t0, t_end, sample_times)
     advance = _advance_rk45 if cfg.method == "rk45" else _advance_rk4
     evals = RK45_STAGES * cfg.max_steps if cfg.method == "rk45" else 4 * cfg.max_steps
     budget = _EvalBudget(evals)

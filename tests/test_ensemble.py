@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bohmpair.ensemble import (build_ensemble, compare_distribution, evolve_ensemble,
+from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensemble,
+                               compare_distribution, evolve_ensemble,
                                global_constraint_analysis, ks_critical_value,
                                ks_statistic, ks_two_sample, quadrature_cdf,
                                sample_configurations, separation_marginal,
@@ -23,6 +24,38 @@ from bohmpair.spherical import SlitPair
 @pytest.fixture(scope="module")
 def mild():
     return PlaneWavePair(a=1.0, b=0.2)
+
+
+NODE_MEMBER = 1
+
+
+@pytest.fixture(scope="module")
+def node_ensembles():
+    """Static (a == b) ensemble whose member NODE_MEMBER sits on a node of
+    the wavefunction, x1 - x2 = (pi/2) hbar/p: unevolved and evolved."""
+    m = PlaneWavePair(a=1.0, b=1.0)
+    states = np.array([[0.4, -0.1], [math.pi / 2, 0.0], [1.0, 0.5], [2.0, 1.2]])
+    ens = build_ensemble(m, len(states), seed=0, initial_states=states)
+    return ens, evolve_ensemble(ens, 1.0, sample_times=[0.0, 0.5, 1.0])
+
+
+def reference_csv(path, ensemble):
+    """Row-by-row csv.writer serializer over the member trajectories: the
+    reference the block writer must reproduce byte for byte."""
+    fmt = lambda value: repr(float(value))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ENSEMBLE_CSV_COLUMNS)
+        for member_id, m in enumerate(ensemble.members):
+            truncated = int(not m.complete)
+            for i, t in enumerate(m.times):
+                s, v = m.states[i], m.velocities[i]
+                if ensemble.model.dimension == 2:
+                    row = [member_id, fmt(t), fmt(s[0]), "", "", fmt(s[1]), "", "",
+                           fmt(v[0]), "", "", fmt(v[1]), "", "", truncated]
+                else:
+                    row = [member_id, fmt(t), *map(fmt, s), *map(fmt, v), truncated]
+                writer.writerow(row)
 
 
 class TestKsHelpers:
@@ -144,6 +177,45 @@ class TestEvolution:
             assert mild.residual_drift(m) < 1e-6
             assert mild.cm_drift(m) < 1e-8
 
+    def test_unevolved_velocities_match_evolved(self, mild):
+        # Both evaluate the t0 field with one batch_rhs call, so the first
+        # sample's velocities agree to the last bit.
+        ens = build_ensemble(mild, 20_000, seed=3)
+        evolved = evolve_ensemble(ens, 0.1)
+        assert np.array_equal(ens.velocities[0], evolved.velocities[0])
+
+    def test_arrays_read_only(self, mild):
+        ens = build_ensemble(mild, 10, seed=31)
+        evolved = evolve_ensemble(ens, 1.0, sample_times=[0.0, 0.5, 1.0])
+        assert evolved.states.shape == evolved.velocities.shape == (3, 10, 2)
+        with pytest.raises(ValueError):
+            evolved.initial_states()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            evolved.members[0].states[0, 0] = 1.0
+
+    def test_members_view(self, mild):
+        evolved = evolve_ensemble(build_ensemble(mild, 5, seed=31), 1.0)
+        members = evolved.members
+        assert len(members) == 5 and len(list(members)) == 5
+        assert np.array_equal(members[-1].states, evolved.states[:, 4])
+        assert [len(m) for m in members[1:3]] == [2, 2]
+        with pytest.raises(IndexError):
+            members[5]
+
+    def test_failing_member_truncated_alone(self, node_ensembles):
+        ens, evolved = node_ensembles
+        n = ens.size
+        regular = [i for i in range(n) if i != NODE_MEMBER]
+        assert np.all(np.isnan(ens.velocities[0, NODE_MEMBER]))
+        assert np.all(np.isfinite(ens.velocities[0, regular]))
+        assert evolved.terminations[NODE_MEMBER].startswith("domain_error")
+        assert all(evolved.terminations[i] == "completed" for i in regular)
+        assert [m.complete for m in evolved.members] == [i != NODE_MEMBER for i in range(n)]
+        assert evolved.members[NODE_MEMBER].final_time == 0.0
+        assert np.all(np.isnan(evolved.states[1:, NODE_MEMBER]))
+        assert np.array_equal(evolved.states_at(1.0), ens.initial_states()[regular])
+        assert evolved.survival_fraction == (n - 1) / n
+
     def test_members_carry_velocities(self, mild):
         ens = build_ensemble(mild, 10, seed=31)
         evolved = evolve_ensemble(ens, 1.0)
@@ -239,6 +311,37 @@ class TestSerialization:
         assert got == [float(v) for v in first.states[:, 0]]  # exact round trip
         assert all(r["y1"] == "" for r in rows[:5])
         assert all(r["truncated"] == "0" for r in rows)
+
+    def test_truncated_member_flagged(self, node_ensembles, tmp_path):
+        _, evolved = node_ensembles
+        path = tmp_path / "t.csv"
+        write_ensemble_csv(path, evolved)
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        flags = {(r["member_id"], r["truncated"]) for r in rows}
+        assert flags == {(str(i), str(int(i == NODE_MEMBER))) for i in range(evolved.size)}
+        assert sum(r["member_id"] == str(NODE_MEMBER) for r in rows) == 1
+
+    @pytest.mark.parametrize("case", ["planewave", "spherical", "spherical_unevolved",
+                                      "truncated", "blocks", "blocks_unevolved"])
+    def test_csv_matches_row_writer(self, case, mild, node_ensembles, tmp_path):
+        n_blocks = 3 * CSV_BLOCK_ROWS + 7    # several blocks, not a multiple
+        sphere = SlitPair(wavenumber=1.0, slit_offset=0.5)
+        ensemble = {
+            "planewave": lambda: evolve_ensemble(build_ensemble(mild, 50, seed=71), 1.0,
+                                                 sample_times=[0.0, 0.5, 1.0]),
+            "spherical": lambda: evolve_ensemble(build_ensemble(sphere, 20, seed=73), 0.5,
+                                                 sample_times=[0.0, 0.25, 0.5]),
+            "spherical_unevolved": lambda: build_ensemble(sphere, 20, seed=73),
+            "truncated": lambda: node_ensembles[1],
+            "blocks": lambda: evolve_ensemble(build_ensemble(mild, n_blocks, seed=79), 0.5,
+                                              sample_times=[0.0, 0.25, 0.5]),
+            "blocks_unevolved": lambda: build_ensemble(mild, n_blocks, seed=79),
+        }[case]()
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_ensemble_csv(ours, ensemble)
+        reference_csv(ref, ensemble)
+        assert ours.read_bytes() == ref.read_bytes()
 
     def test_spherical_csv_columns(self, tmp_path):
         m = SlitPair(wavenumber=5.0, slit_offset=0.5)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from bohmpair.ensemble import sample_configurations
 from bohmpair.errors import BracketError, ModelDomainError
 from bohmpair.numerics import (IntegratorConfig, bracketed_root, central_gradient,
                                integrate_ode, scan_roots)
+from bohmpair.planewave import PlaneWavePair
+from bohmpair.spherical import SlitPair
 
 
 class TestCentralGradient:
@@ -108,6 +112,40 @@ class TestIntegrateOde:
             IntegratorConfig(rel_tol=-1e-9)
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
+
+
+class TestRk45MatchesSolveIvp:
+    """The adaptive stepper is solve_ivp's RK45 loop without the history."""
+
+    @pytest.mark.parametrize("model, t_end", [(PlaneWavePair(a=1.0, b=0.2), 2.0),
+                                              (SlitPair(wavenumber=1.0, slit_offset=0.5), 1.0)])
+    def test_bitwise_final_state(self, model, t_end):
+        cfg = IntegratorConfig()
+        y0 = sample_configurations(model, 8, seed=5)[0].ravel()
+        calls = {"ours": 0, "solve_ivp": 0}
+
+        def counted(key):
+            def rhs(t, y):
+                calls[key] += 1
+                return model.batch_rhs(t, y)
+            return rhs
+
+        traj = integrate_ode(counted("ours"), y0, 0.0, t_end, cfg, sample_times=[0.0, t_end])
+        sol = solve_ivp(counted("solve_ivp"), (0.0, t_end), y0, method="RK45",
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        assert traj.complete and sol.success
+        assert np.array_equal(traj.final_state, sol.y[:, -1])
+        # integrate_ode evaluates the field once more per sample for velocities.
+        assert calls["ours"] == calls["solve_ivp"] + 2
+
+    def test_failing_segment_truncates(self):
+        # A jump of 1e10 in the field cannot meet the tolerance at any step
+        # size the time spacing allows.
+        rhs = lambda t, y: np.array([1e10 if t > 0.5 else 0.0])
+        traj = integrate_ode(rhs, [0.0], 0.0, 1.0, sample_times=[0.0, 0.25, 1.0])
+        sol = solve_ivp(rhs, (0.25, 1.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11)
+        assert not traj.complete and traj.final_time == 0.25
+        assert traj.termination == f"integration_failure: {sol.message}"
 
 
 class TestRootFinding:
