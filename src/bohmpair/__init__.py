@@ -10,9 +10,9 @@ from .numerics import (IntegratorConfig, RootScanReport, Trajectory, bracketed_r
 from .planewave import PairState1D, PhaseValue, PlaneWavePair, UniquenessReport
 from .spherical import ConstraintReadings, PairState3D, PhaseParts, SlitPair
 from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
-                       build_ensemble, compare_distribution, evolve_ensemble,
-                       global_constraint_analysis, ks_critical_value, ks_statistic,
-                       ks_two_sample, quadrature_cdf, sample_configurations,
+                       SamplerReport, build_ensemble, compare_distribution,
+                       evolve_ensemble, global_constraint_analysis, ks_critical_value,
+                       ks_statistic, ks_two_sample, quadrature_cdf, sample_configurations,
                        separation_marginal, write_ensemble_csv, write_metadata)
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "bracketed_root", "central_gradient", "integrate_ode", "scan_roots",
     "PairState1D", "PhaseValue", "PlaneWavePair", "UniquenessReport",
     "ConstraintReadings", "PairState3D", "PhaseParts", "SlitPair",
-    "DistributionReport", "Ensemble", "GlobalConstraintReport",
+    "DistributionReport", "Ensemble", "GlobalConstraintReport", "SamplerReport",
     "build_ensemble", "compare_distribution", "evolve_ensemble",
     "global_constraint_analysis", "ks_critical_value", "ks_statistic",
     "ks_two_sample", "quadrature_cdf", "sample_configurations",

@@ -223,12 +223,15 @@ def run(config: RunConfig) -> int:
         json.dump([c.to_dict() for c in claims], fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    extra = {"config": config.to_dict(), "package_version": __version__}
+    # The spherical norm is reported only if the run needed it.
+    norm = model.computed_norm() if model.tag == "spherical" else None
+    if norm is not None:
+        extra["norm"] = norm
     if ensemble_for_meta is not None:
-        write_metadata(out / "meta.json", ensemble_for_meta,
-                       extra={"config": config.to_dict(),
-                              "package_version": __version__})
+        write_metadata(out / "meta.json", ensemble_for_meta, extra=extra)
     else:
-        meta = {"config": config.to_dict(), "package_version": __version__,
+        meta = {**extra,
                 "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
         with open(out / "meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

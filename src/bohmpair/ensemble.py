@@ -8,7 +8,7 @@ import datetime
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -22,8 +22,37 @@ PRNG_ID = "numpy-philox-4x64"
 # One-sample Kolmogorov-Smirnov critical coefficient at 99% confidence.
 KS_COEFF_99 = 1.63
 
+# A density above the sampler's envelope by less than this relative amount
+# is rounding (the plane-wave density reaches its bound exactly), not clipping.
+ENVELOPE_RTOL = 1e-12
+
 ENSEMBLE_CSV_COLUMNS = ("member_id", "t", "x1", "y1", "z1", "x2", "y2", "z2",
                         "v1x", "v1y", "v1z", "v2x", "v2y", "v2z", "truncated")
+
+
+@dataclass(frozen=True)
+class SamplerReport:
+    """What one :func:`sample_configurations` call did.
+
+    ``draws`` counts every proposal draw, those the model's proposal put
+    outside its box included; ``accepted`` counts the accepted draws (the
+    surplus of the last round beyond the rows asked for included).
+    ``envelope_violations`` counts in-box draws whose density exceeded
+    bound x weight beyond rounding (``ENVELOPE_RTOL``), where the envelope
+    clips the density: 0 for an exact envelope.
+    """
+
+    proposal: str
+    draws: int
+    accepted: int
+    envelope_violations: int
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.draws
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "acceptance_rate": self.acceptance_rate}
 
 
 @dataclass
@@ -47,7 +76,7 @@ class Ensemble:
     lengths: np.ndarray
     terminations: tuple[str, ...]
     integrator: IntegratorConfig | None = None
-    acceptance_rate: float | None = None
+    sampler: SamplerReport | None = None   # None for user-supplied states
     prng_id: str = PRNG_ID
 
     def __post_init__(self) -> None:
@@ -57,6 +86,10 @@ class Ensemble:
     @property
     def model_tag(self) -> str:
         return self.model.tag
+
+    @property
+    def acceptance_rate(self) -> float | None:
+        return None if self.sampler is None else self.sampler.acceptance_rate
 
     @property
     def size(self) -> int:
@@ -204,31 +237,42 @@ def quadrature_cdf(density: Callable[[np.ndarray], np.ndarray], lo: float, hi: f
 def sample_configurations(model, n: int, seed: int,
                           density_bound: float | None = None,
                           min_efficiency: float = 1e-4):
-    """Draw ``n`` configurations from the model density by rejection with a
-    uniform proposal over the model's box.
+    """Draw ``n`` configurations from the model density by rejection from the
+    model's own proposal.
 
-    Returns ``(points, acceptance_rate)`` where ``points`` has shape
-    ``(n, model.dimension)``.  The seed fully determines the sample.  If the
-    acceptance rate falls below ``min_efficiency`` the box/envelope setup is
-    considered pathological and a :class:`ConfigurationError` is raised.
+    Each round, ``model.propose(rng, m)`` makes ``m`` draws and returns the
+    ones inside the model's box with their proposal weights; a point is kept
+    when ``u * bound * weight < model.density_batch(point)`` with ``u``
+    uniform on [0, 1) and ``bound = model.density_bound()`` unless given.
+    Kept points follow the density exactly wherever it stays below
+    bound x weight.  The plane-wave model proposes uniformly over its box
+    (weight 1); the spherical one from a mixture about the sources.
+
+    Returns ``(points, report)``: ``points`` has shape
+    ``(n, model.dimension)`` and ``report`` is a :class:`SamplerReport`.
+    The seed fully determines the sample.  If the acceptance rate falls
+    below ``min_efficiency`` the proposal/envelope setup is considered
+    pathological and a :class:`ConfigurationError` is raised.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     bound = model.density_bound() if density_bound is None else float(density_bound)
     if bound <= 0:
         raise ConfigurationError("density bound must be positive")
-    box = np.asarray(model.sampling_box(), dtype=float)
-    dim = len(box)
     rng = np.random.Generator(np.random.Philox(seed))
 
     accepted: list[np.ndarray] = []
     got = 0
     proposed = 0
+    violations = 0
     chunk = max(4096, min(n, 1 << 18))
     while got < n:
-        pts = rng.uniform(box[:, 0], box[:, 1], size=(chunk, dim))
-        u = rng.uniform(size=chunk)
-        keep = u * bound < model.density_batch(pts)
+        pts, weight = model.propose(rng, chunk)
+        u = rng.uniform(size=len(pts))
+        density = model.density_batch(pts)
+        envelope = bound * weight
+        keep = u * envelope < density
+        violations += int(np.count_nonzero(density > envelope * (1.0 + ENVELOPE_RTOL)))
         proposed += chunk
         kept = pts[keep]
         accepted.append(kept)
@@ -236,9 +280,9 @@ def sample_configurations(model, n: int, seed: int,
         if proposed >= max(100_000, 20 * n) and got / proposed < min_efficiency:
             raise ConfigurationError(
                 f"rejection efficiency {got / proposed:.2e} below {min_efficiency}; "
-                "the sampling box or density envelope is pathological")
+                "the proposal or density envelope is pathological")
     points = np.concatenate(accepted, axis=0)[:n]
-    return points, got / proposed
+    return points, SamplerReport(model.proposal, proposed, got, violations)
 
 
 def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
@@ -246,11 +290,11 @@ def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
     """Create an unevolved ensemble, sampling initial configurations from the
     model density unless explicit states are supplied."""
     if initial_states is None:
-        points, rate = sample_configurations(model, n, seed)
+        points, report = sample_configurations(model, n, seed)
         sampling = "density"
     else:
         points = np.atleast_2d(np.asarray(initial_states, dtype=float))
-        rate = None
+        report = None
         sampling = "user"
     # Own copy: the caller keeps its array, and the sampler's rows are a view
     # of a larger buffer.
@@ -269,7 +313,7 @@ def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
     return Ensemble(model=model, seed=seed, sampling=sampling, t0=t0,
                     times=np.array([float(t0)]), states=points[None], velocities=vel[None],
                     lengths=np.ones(n, dtype=np.intp), terminations=("completed",) * n,
-                    acceptance_rate=rate)
+                    sampler=report)
 
 
 # -- evolution ----------------------------------------------------------------
@@ -317,8 +361,7 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
     return Ensemble(model=model, seed=ensemble.seed, sampling=ensemble.sampling,
                     t0=ensemble.t0, times=times, states=states, velocities=velocities,
                     lengths=lengths, terminations=terminations, integrator=cfg,
-                    acceptance_rate=ensemble.acceptance_rate,
-                    prng_id=ensemble.prng_id)
+                    sampler=ensemble.sampler, prng_id=ensemble.prng_id)
 
 
 # -- distribution comparison ---------------------------------------------------
@@ -465,6 +508,7 @@ def ensemble_metadata(ensemble: Ensemble, extra: dict | None = None) -> dict:
         "size": ensemble.size,
         "t0": ensemble.t0,
         "acceptance_rate": ensemble.acceptance_rate,
+        "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
         "survival_fraction": ensemble.survival_fraction,
         "integrator": None if ensemble.integrator is None else {
             "method": ensemble.integrator.method,

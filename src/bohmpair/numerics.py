@@ -144,35 +144,50 @@ class _EvalBudget:
             raise _BudgetExhausted
 
 
-def _advance_rk45(rhs, y, t_from, t_to, cfg, budget) -> np.ndarray:
+# Each stepper advances y from t_from to t_to and returns (y, f_start, f_end):
+# the field it evaluated at the start and at the end of the segment, f_end
+# None where the field is undefined there.  ``f`` is the field at the start
+# when the caller already has it.
+
+def _advance_rk45(rhs, y, f, t_from, t_to, cfg, budget):
     def counted(t, yy):
         budget.charge()
         return rhs(t, yy)
 
     # The stepping loop of solve_ivp(method="RK45") without its per-step
     # history: same steps and evaluations, only the final state is kept.
+    # The solver evaluates the start field itself (``f`` goes unused); its
+    # last stage is the field at the end (first same as last).
     solver = RK45(counted, float(t_from), y, float(t_to),
                   rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    f_start = solver.f
     while solver.status == "running":
         message = solver.step()
     if solver.status == "failed":
         raise _SegmentFailure(message)
-    return solver.y
+    return solver.y, f_start, solver.f
 
 
-def _advance_rk4(rhs, y, t_from, t_to, cfg, budget) -> np.ndarray:
+def _advance_rk4(rhs, y, f, t_from, t_to, cfg, budget):
     span = t_to - t_from
     n = max(1, math.ceil(abs(span) / cfg.step))
     h = span / n
+    f_start = f = np.asarray(rhs(t_from, y)) if f is None else f
     for i in range(n):
+        # Four evaluations a step: k2, k3, k4 and the next step's k1.
         budget.charge(4)
         t = t_from + i * h
-        k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
+        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * f))
         k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
         k4 = np.asarray(rhs(t + h, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+        y = y + (h / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
+        if i < n - 1:
+            f = np.asarray(rhs(t_from + (i + 1) * h, y))
+    try:
+        f_end = np.asarray(rhs(t_to, y))
+    except ModelDomainError:
+        f_end = None
+    return y, f_start, f_end
 
 
 def sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
@@ -203,6 +218,13 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     :class:`ModelDomainError`, the step budget runs out, or the adaptive
     stepper stalls, the trajectory is truncated at the last completed sample
     and the reason is recorded in ``termination``.
+
+    Sample velocities are field values the steppers evaluated anyway: RK45's
+    first and last stages, RK4's k1 and segment-end evaluation.  The field is
+    taken to be autonomous (both models' fields ignore ``t``): RK45's last
+    stage is evaluated at its own step end, which may differ from the sample
+    time in the last bit.  A sample whose field no stepper evaluated gets it
+    evaluated here, NaN where it is undefined.
     """
     cfg = config or IntegratorConfig()
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
@@ -212,11 +234,13 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     budget = _EvalBudget(evals)
 
     states = [y.copy()]
+    fields = [None]
     kept = [ts[0]]
+    f = None
     complete, termination = True, "completed"
     for target in ts[1:]:
         try:
-            y = advance(rhs, y, kept[-1], target, cfg, budget)
+            y, f_start, f = advance(rhs, y, f, kept[-1], target, cfg, budget)
         except _BudgetExhausted:
             complete, termination = False, "max_steps"
             break
@@ -226,15 +250,18 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         except ModelDomainError as exc:
             complete, termination = False, f"domain_error: {exc}"
             break
+        if fields[-1] is None:
+            fields[-1] = f_start
         states.append(np.asarray(y, dtype=float).copy())
+        fields.append(f)
         kept.append(float(target))
 
     times = np.asarray(kept, dtype=float)
     states_arr = np.asarray(states, dtype=float)
     velocities = np.full_like(states_arr, np.nan)
-    for i, t in enumerate(times):
+    for i, field in enumerate(fields):
         try:
-            velocities[i] = np.asarray(rhs(t, states_arr[i]), dtype=float)
+            velocities[i] = rhs(times[i], states_arr[i]) if field is None else field
         except ModelDomainError:
             pass
     return Trajectory(times=times, states=states_arr, velocities=velocities,

@@ -78,6 +78,7 @@ class PlaneWavePair:
 
     dimension = 2
     tag = "planewave"
+    proposal = "uniform_box"
 
     def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0:
@@ -348,9 +349,14 @@ class PlaneWavePair:
         """Per-coordinate bounds of the normalization box."""
         return [(0.0, self.box_length)] * 2
 
+    def propose(self, rng: np.random.Generator, m: int):
+        """``m`` draws uniform over the box, each of weight 1."""
+        box = np.asarray(self.sampling_box(), dtype=float)
+        return rng.uniform(box[:, 0], box[:, 1], size=(m, len(box))), 1.0
+
     def density_bound(self) -> float:
         """Exact upper bound of the density over the box (attained where the
-        interference term is maximal)."""
+        interference term is maximal); the envelope of the uniform proposal."""
         return 1.0 / self.norm
 
     def density_batch(self, points: np.ndarray) -> np.ndarray:

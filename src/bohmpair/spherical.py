@@ -70,8 +70,9 @@ class SlitPair:
     ``slit_offset`` is the source half-separation d.  States closer than
     ``slit_exclusion`` to a source, or with a scale-aware wavefunction
     modulus below ``node_threshold``, are rejected as domain errors.
-    Normalization over the finite box is estimated once by Monte Carlo
-    (seeded, with a reported standard error) the first time it is needed.
+    Normalization over the finite box is estimated once by importance
+    sampling from the source-mixture proposal (seeded, with a reported
+    standard error) the first time it is needed.
     """
 
     wavenumber: float
@@ -86,6 +87,7 @@ class SlitPair:
 
     dimension = 6
     tag = "spherical"
+    proposal = "source_mixture"
 
     def __post_init__(self) -> None:
         for name in ("wavenumber", "slit_offset", "mass", "hbar"):
@@ -296,28 +298,30 @@ class SlitPair:
 
     @cached_property
     def _norm_estimate(self) -> tuple[float, float]:
-        """Monte Carlo estimate of the box integral of the unnormalized
-        density, excluding the singular source balls; returns (value, se)."""
+        """Importance-sampled box integral of the unnormalized density,
+        excluding the singular source balls; returns (value, se).
+
+        Draws come from :meth:`propose`, whose density on the box is
+        q = (u^2 + v^2) / (2 (2 pi R)^2); the estimate is the mean of
+        1_box f / q over all draws.  f / q is at most 4 (2 pi R)^2, so the
+        variance is finite, unlike that of uniform Monte Carlo, whose
+        integrand f^2 diverges at the sources.
+        """
         rng = np.random.Generator(np.random.Philox(self.norm_seed))
-        box = np.array(self.sampling_box())
-        volume = float(np.prod(box[:, 1] - box[:, 0]))
         total = 0.0
         total_sq = 0.0
         n = 0
         chunk = 50_000
         while n < self.norm_samples:
             m = min(chunk, self.norm_samples - n)
-            pts = rng.uniform(box[:, 0], box[:, 1], size=(m, 6))
-            r1a, r1b, r2a, r2b = self.distances_of(pts[:, :3], pts[:, 3:])
-            ok = np.minimum(np.minimum(r1a, r1b), np.minimum(r2a, r2b)) > self.slit_exclusion
-            vals = np.zeros(m)
-            vals[ok] = np.abs(self._bracket(r1a[ok], r1b[ok], r2a[ok], r2b[ok])) ** 2
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
+            pts, weight = self.propose(rng, m)
+            ratio = self.density_batch(pts) / weight   # out-of-box draws add 0
+            total += float(np.sum(ratio))
+            total_sq += float(np.sum(ratio * ratio))
             n += m
         mean = total / n
         var = max(total_sq / n - mean * mean, 0.0)
-        return volume * mean, volume * math.sqrt(var / n)
+        return self._proposal_scale * mean, self._proposal_scale * math.sqrt(var / n)
 
     @property
     def norm(self) -> float:
@@ -326,6 +330,15 @@ class SlitPair:
     @property
     def norm_standard_error(self) -> float:
         return self._norm_estimate[1]
+
+    def computed_norm(self) -> dict | None:
+        """The norm, its standard error and the draws behind them if this
+        instance has estimated the norm already, else None (never forces the
+        estimate)."""
+        if "_norm_estimate" not in vars(self):
+            return None
+        value, se = self._norm_estimate
+        return {"value": value, "standard_error": se, "samples": self.norm_samples}
 
     def sampling_box(self) -> list[tuple[float, float]]:
         """Per-coordinate bounds: x in [0, L], y and z in [-L/2, L/2] for
@@ -345,23 +358,65 @@ class SlitPair:
         out[ok] = np.abs(self._bracket(r1a[ok], r1b[ok], r2a[ok], r2b[ok])) ** 2
         return out
 
-    def density_bound(self, probe_points: int = 20_000, safety: float = 1.5,
-                      seed: int = 1) -> float:
-        """Envelope for rejection sampling, estimated from a seeded probe of
-        the box and inflated by ``safety``.
+    @cached_property
+    def _proposal_radius(self) -> float:
+        """R: the largest distance from a source to a corner of the box
+        (the same for both sources, by the y -> -y symmetry)."""
+        L = self.box_length
+        return math.sqrt(L * L + (0.5 * L + self.slit_offset) ** 2 + 0.25 * L * L)
 
-        The true supremum diverges near the sources, so a uniform-proposal
-        envelope is necessarily an estimate; the probe max governs the bulk
-        of the density and the safety factor covers the probe gap.
+    @cached_property
+    def _proposal_scale(self) -> float:
+        """2 (2 pi R)^2: proposal weight over the proposal's density q on
+        the box (the mixture of two products of 1/(2 pi R r^2) densities)."""
+        return 2.0 * (2.0 * math.pi * self._proposal_radius) ** 2
+
+    def propose(self, rng: np.random.Generator, m: int):
+        """``m`` draws from the source mixture g ~ u^2 + v^2, with
+        u = 1/(r1A r2B) and v = 1/(r1B r2A).
+
+        A draw picks one pairing with probability 1/2 (particle 1 about A and
+        particle 2 about B, or the exchange) and places each particle about
+        its source with density 1/(2 pi R r^2): a uniform direction in the
+        x >= 0 hemisphere and a radius uniform on [0, R], where R reaches
+        every corner of the box.  Returns the draws inside the box, shape
+        (k, 6), and their weights u^2 + v^2; draws outside the box are
+        dropped (they count as rejections).
         """
-        rng = np.random.Generator(np.random.Philox(seed))
-        box = np.array(self.sampling_box())
-        pts = rng.uniform(box[:, 0], box[:, 1], size=(probe_points, 6))
-        return safety * float(np.max(self.density_batch(pts)))
+        draws = rng.uniform(size=(m, 7))
+        pts = np.empty((m, 6))
+        for j in (0, 3):   # x cosine, azimuth and radius of each particle
+            c, phi, r = draws[:, 1 + j:4 + j].T
+            s = np.sqrt(1.0 - c * c)
+            r = self._proposal_radius * r
+            phi = 2.0 * math.pi * phi
+            pts[:, j] = r * c
+            pts[:, j + 1] = r * s * np.cos(phi)
+            pts[:, j + 2] = r * s * np.sin(phi)
+        # Particle 1 about A = (0, d, 0) and 2 about B, or the exchange.
+        d = np.where(draws[:, 0] < 0.5, self.slit_offset, -self.slit_offset)
+        pts[:, 1] += d
+        pts[:, 4] -= d
+        box = np.asarray(self.sampling_box())
+        pts = pts[np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)]
+        return pts, self.proposal_weight(pts)
+
+    def proposal_weight(self, points: np.ndarray) -> np.ndarray:
+        """u^2 + v^2 at an (n, 6) array of configurations: the density of
+        :meth:`propose` on the box, up to the factor 1 / (2 (2 pi R)^2)."""
+        pts = np.asarray(points, dtype=float)
+        r1a, r1b, r2a, r2b = self.distances_of(pts[:, :3], pts[:, 3:])
+        return 1.0 / (r1a * r2b) ** 2 + 1.0 / (r1b * r2a) ** 2
+
+    def density_bound(self) -> float:
+        """Envelope of :meth:`density_batch` relative to the proposal
+        weight: |u e^{ik alpha} + v e^{ik beta}|^2 <= (u + v)^2
+        <= 2 (u^2 + v^2), so the density never exceeds 2 x weight."""
+        return 2.0
 
     def density(self, state: PairState3D) -> float:
-        """Normalized density (triggers the Monte Carlo normalization on
-        first use)."""
+        """Normalized density (triggers the normalization estimate on first
+        use)."""
         return float(abs(self.psi(state)) ** 2)
 
     def state_vector(self, state: PairState3D) -> np.ndarray:

@@ -84,9 +84,9 @@ class TestKsHelpers:
 
 class TestSampling:
     def test_deterministic(self, mild):
-        a, rate_a = sample_configurations(mild, 5000, seed=123)
-        b, rate_b = sample_configurations(mild, 5000, seed=123)
-        assert np.array_equal(a, b) and rate_a == rate_b
+        a, report_a = sample_configurations(mild, 5000, seed=123)
+        b, report_b = sample_configurations(mild, 5000, seed=123)
+        assert np.array_equal(a, b) and report_a == report_b
 
     def test_seed_changes_sample(self, mild):
         a, _ = sample_configurations(mild, 1000, seed=1)
@@ -94,10 +94,10 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_inside_box(self, mild):
-        pts, rate = sample_configurations(mild, 2000, seed=7)
+        pts, report = sample_configurations(mild, 2000, seed=7)
         assert pts.shape == (2000, 2)
         assert np.all(pts >= 0.0) and np.all(pts <= mild.box_length)
-        assert 0.0 < rate <= 1.0
+        assert 0.0 < report.acceptance_rate <= 1.0
 
     def test_flat_density_separation_marginal(self):
         # With b = 0 the configuration density is flat: each coordinate is

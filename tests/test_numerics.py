@@ -135,8 +135,8 @@ class TestRk45MatchesSolveIvp:
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         assert traj.complete and sol.success
         assert np.array_equal(traj.final_state, sol.y[:, -1])
-        # integrate_ode evaluates the field once more per sample for velocities.
-        assert calls["ours"] == calls["solve_ivp"] + 2
+        # Sample velocities reuse the solver's own evaluations.
+        assert calls["ours"] == calls["solve_ivp"]
 
     def test_failing_segment_truncates(self):
         # A jump of 1e10 in the field cannot meet the tolerance at any step
@@ -146,6 +146,98 @@ class TestRk45MatchesSolveIvp:
         sol = solve_ivp(rhs, (0.25, 1.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11)
         assert not traj.complete and traj.final_time == 0.25
         assert traj.termination == f"integration_failure: {sol.message}"
+
+
+def reevaluated_velocities(rhs, traj):
+    """Sample velocities as integrate_ode used to fill them: the field
+    evaluated once more at every kept sample, NaN where it is undefined."""
+    out = np.full_like(traj.states, np.nan)
+    for i, (t, y) in enumerate(zip(traj.times, traj.states)):
+        try:
+            out[i] = rhs(t, y)
+        except ModelDomainError:
+            pass
+    return out
+
+
+def rk4_reference(rhs, y0, times, step):
+    """The former fixed-step loop: four fresh evaluations per step, restarted
+    at every sample time.  Returns (states, rhs evaluations)."""
+    calls = 0
+    y = np.asarray(y0, dtype=float)
+    states = [y]
+    for t_from, t_to in zip(times[:-1], times[1:]):
+        n = max(1, math.ceil(abs(t_to - t_from) / step))
+        h = (t_to - t_from) / n
+        for i in range(n):
+            t = t_from + i * h
+            k1 = np.asarray(rhs(t, y))
+            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
+            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
+            k4 = np.asarray(rhs(t + h, y + h * k3))
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            calls += 4
+        states.append(y)
+    return np.array(states), calls
+
+
+MODELS = [(PlaneWavePair(a=1.0, b=0.2), 2.0), (SlitPair(wavenumber=1.0, slit_offset=0.5), 1.0)]
+
+
+class TestSampleVelocities:
+    """Sample velocities reuse the steppers' own evaluations; both models'
+    fields ignore t, so they equal a fresh evaluation at each sample."""
+
+    @staticmethod
+    def field_and_start(model):
+        y0 = sample_configurations(model, 8, seed=5)[0].ravel()
+        return (lambda t, y: model.batch_rhs(t, y)), y0
+
+    @pytest.mark.parametrize("model, t_end", MODELS)
+    @pytest.mark.parametrize("cfg", [IntegratorConfig(),
+                                     IntegratorConfig(method="rk4", step=0.05),
+                                     IntegratorConfig(max_steps=20),
+                                     IntegratorConfig(method="rk4", step=0.05, max_steps=7)],
+                             ids=["rk45", "rk4", "rk45-max-steps", "rk4-max-steps"])
+    def test_bitwise_equal_to_reevaluation(self, model, t_end, cfg):
+        rhs, y0 = self.field_and_start(model)
+        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg, sample_times=np.linspace(0, t_end, 11))
+        assert traj.complete == (cfg.max_steps > 100) and len(traj) > 1
+        assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj))
+
+    @pytest.mark.parametrize("model, t_end", MODELS)
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_domain_truncated_trajectory(self, model, t_end, method):
+        field, y0 = self.field_and_start(model)
+
+        def rhs(t, y):  # undefined once any coordinate moved 0.2 from its start
+            if np.max(np.abs(y - y0)) > 0.2:
+                raise ModelDomainError("left the region")
+            return field(t, y)
+
+        cfg = IntegratorConfig(method=method, step=0.05)
+        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg, sample_times=np.linspace(0, t_end, 21))
+        assert traj.termination.startswith("domain_error") and len(traj) > 1
+        assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("model, t_end", MODELS)
+    def test_rk4_states_and_evaluation_count(self, model, t_end):
+        field, y0 = self.field_and_start(model)
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return field(t, y)
+
+        times = np.linspace(0.0, t_end, 11)
+        traj = integrate_ode(rhs, y0, 0.0, t_end, IntegratorConfig(method="rk4", step=0.03),
+                             sample_times=times)
+        states, reference_calls = rk4_reference(field, y0, times, 0.03)
+        assert np.array_equal(traj.states, states)
+        # One evaluation to start, then four per step: each step's k1 is the
+        # previous step's end evaluation, and the sample velocities come free.
+        assert calls[0] == 1 + reference_calls
 
 
 class TestRootFinding:
