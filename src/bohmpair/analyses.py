@@ -14,13 +14,12 @@ import numpy as np
 
 from .ensemble import (Ensemble, build_ensemble, compare_distribution, evolve_ensemble,
                        global_constraint_analysis, ks_critical_value, ks_statistic,
-                       ks_two_sample, quadrature_cdf, sample_configurations,
-                       separation_marginal)
+                       ks_two_sample, sample_configurations, separation_cdf)
 from .errors import InsufficientSampleError
 from .numerics import IntegratorConfig, integrate_ode
 from .oracles import phase_gradient, velocity_from_psi
 from .planewave import PlaneWavePair
-from .spherical import PairState3D, SlitPair
+from .spherical import PairState3D, SlitPair, nearest_source
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,11 @@ def _measured(claim_id: str, anchor: str, value) -> ClaimCheck:
 
 # -- random valid states -------------------------------------------------------
 
-def random_valid_states(model, count: int, seed: int,
-                        relative_density_floor: float = 1e-3) -> np.ndarray:
+# Relative density or node measure below which stencils are untrustworthy.
+STENCIL_DENSITY_FLOOR = 1e-3
+
+
+def random_valid_states(model, count: int, seed: int) -> np.ndarray:
     """Seeded configurations uniform over the model box, rejecting states too
     close to a node (or, for the spherical model, to a source or the support
     boundary) for finite-difference stencils to be trustworthy."""
@@ -68,13 +70,11 @@ def random_valid_states(model, count: int, seed: int,
         if model.tag == "spherical":
             pts[:, 0] = np.maximum(pts[:, 0], 0.05)
             pts[:, 3] = np.maximum(pts[:, 3], 0.05)
-            r1a, r1b, r2a, r2b = model.distances_of(pts[:, :3], pts[:, 3:])
-            near = np.abs(model._bracket(r1a, r1b, r2a, r2b)) * (r1a * r2b + r1b * r2a) / 2.0
-            ok = (np.minimum(np.minimum(r1a, r1b), np.minimum(r2a, r2b)) > 0.05) \
-                & (near > relative_density_floor)
+            dist = model.distances_of(pts[:, :3], pts[:, 3:])
+            ok = ((nearest_source(*dist) > 0.05)
+                  & (model.node_measure_of(*dist) > STENCIL_DENSITY_FLOOR))
         else:
-            rel = model._density_shape(pts[:, 0] - pts[:, 1])
-            ok = rel > relative_density_floor
+            ok = model._density_shape(pts[:, 0] - pts[:, 1]) > STENCIL_DENSITY_FLOOR
         kept = pts[ok]
         rows.append(kept)
         have += len(kept)
@@ -252,9 +252,7 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
     if model.tag == "planewave":
         initial = ens0.initial_states()
         deltas = initial[:, 0] - initial[:, 1]
-        L = model.box_length
-        cdf = quadrature_cdf(separation_marginal(model), -L, L)
-        ks0 = ks_statistic(deltas, cdf)
+        ks0 = ks_statistic(deltas, separation_cdf(model))
         claims.append(_tolerance_claim(
             "initial_sampling_ks",
             "prescription (3): P_t0 = |psi|^2 (separation marginal)",
@@ -301,13 +299,11 @@ def global_constraint_claims(ens0: Ensemble) -> list[ClaimCheck]:
                   "KS(point mass, separation marginal)", report.point_mass_ks),
     ]
     initial = ens0.initial_states()
-    deltas = initial[:, 0] - initial[:, 1]
     shift = 64.0
     shifted = (initial[:, 0] + shift) - (initial[:, 1] + shift)
-    base = ens0.t0 - np.asarray(model.trajectory_invariant(deltas)) / (2 * model.speed)
-    moved = ens0.t0 - np.asarray(model.trajectory_invariant(shifted)) / (2 * model.speed)
+    moved = model.zero_separation_times(shifted, ens0.t0)
     claims.append(_tolerance_claim(
         "zero_time_translation_invariance",
         "Eq. (13) involves the separation only: t0 unchanged by shifting the pair",
-        float(np.max(np.abs(moved - base))), 1e-9))
+        float(np.max(np.abs(moved - report.zero_times))), 1e-9))
     return claims

@@ -70,22 +70,69 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
+@dataclass(frozen=True)
+class FieldRule:
+    """One :class:`RunConfig` field's ``bohmpair run`` flag (``flag``, else
+    the field name with ``-`` for ``_``) and checks: ``kind`` is ``float`` or
+    ``int`` (a finite number), a tuple of choices, or ``str`` (checked by hand
+    in ``validate_config``); ``minimum``, ``positive`` (> 0) and ``nullable``
+    (None allowed) bound it."""
+
+    kind: object
+    minimum: int | None = None
+    positive: bool = False
+    nullable: bool = False
+    flag: str | None = None
+    help: str | None = None
+
+    def check(self, name: str, value):
+        """``value`` converted to the field's kind; raises naming the field."""
+        if (value is None and self.nullable) or self.kind is str:
+            return value
+        if isinstance(self.kind, tuple):
+            if value not in self.kind:
+                raise ConfigurationError(f"{name}: must be one of {self.kind}, got {value!r}")
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{name}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:   # NaN, +-inf, or an int past float range
+            raise ConfigurationError(f"{name}: must be finite")
+        if self.kind is int and int(value) != value:
+            raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
+        if self.positive and not value > 0:
+            raise ConfigurationError(f"{name}: must be > 0 (got {value})")
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigurationError(f"{name}: must be >= {self.minimum} (got {value})")
+        return self.kind(value)
 
 
-def _check_number(name: str, value, *, positive=False, nonnegative=False,
-                  integer=False, minimum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{name}: expected a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigurationError(f"{name}: must be > 0 (got {value})")
-    if nonnegative and value < 0:
-        raise ConfigurationError(f"{name}: must be >= 0 (got {value})")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{name}: must be >= {minimum} (got {value})")
-    return int(value) if integer else float(value)
+# One rule per RunConfig field, in field order; ``sample_times`` is set from
+# a config file only.
+FIELD_RULES = {
+    "model": FieldRule(MODELS),
+    "a": FieldRule(float, minimum=0),
+    "b": FieldRule(float, minimum=0),
+    "momentum": FieldRule(float, positive=True),
+    "wavenumber": FieldRule(float, positive=True),
+    "slit_offset": FieldRule(float, positive=True),
+    "mass": FieldRule(float, positive=True),
+    "hbar": FieldRule(float, positive=True),
+    "box_length": FieldRule(float, positive=True, nullable=True),
+    "n": FieldRule(int, minimum=1),
+    "seed": FieldRule(int, minimum=0),
+    "t0": FieldRule(float),
+    "t_end": FieldRule(float),
+    "trajectory_count": FieldRule(int, minimum=1),
+    "trajectory_samples": FieldRule(int, minimum=2),
+    "method": FieldRule(("rk45", "rk4")),
+    "step": FieldRule(float, positive=True),
+    "rel_tol": FieldRule(float, positive=True),
+    "abs_tol": FieldRule(float, positive=True),
+    "max_steps": FieldRule(int, minimum=1),
+    "analyses": FieldRule(str, flag="--analysis",
+                          help="comma-separated subset of: " + ", ".join(ANALYSES)),
+    "output_dir": FieldRule(str),
+}
 
 
 def validate_config(raw) -> RunConfig:
@@ -102,42 +149,21 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
 
-    unknown = set(raw) - set(_FIELD_TYPES)
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    cfg = RunConfig()
-    data = {**cfg.to_dict(), **raw}
-
-    if data["model"] not in MODELS:
-        raise ConfigurationError(f"model: must be one of {MODELS}, got {data['model']!r}")
-    data["a"] = _check_number("a", data["a"], nonnegative=True)
-    data["b"] = _check_number("b", data["b"], nonnegative=True)
+    data = {**RunConfig().to_dict(), **raw}
+    for name, rule in FIELD_RULES.items():
+        data[name] = rule.check(name, data[name])
     if data["model"] == "planewave" and data["a"] + data["b"] <= 0:
         raise ConfigurationError("a, b: at least one amplitude must be positive")
-    for name in ("momentum", "wavenumber", "slit_offset", "mass", "hbar"):
-        data[name] = _check_number(name, data[name], positive=True)
-    if data["box_length"] is not None:
-        data["box_length"] = _check_number("box_length", data["box_length"], positive=True)
-    data["n"] = _check_number("n", data["n"], integer=True, minimum=1)
-    data["seed"] = _check_number("seed", data["seed"], integer=True)
-    data["t0"] = _check_number("t0", data["t0"])
-    data["t_end"] = _check_number("t_end", data["t_end"])
-    data["trajectory_count"] = _check_number("trajectory_count", data["trajectory_count"],
-                                             integer=True, minimum=1)
-    data["trajectory_samples"] = _check_number("trajectory_samples", data["trajectory_samples"],
-                                               integer=True, minimum=2)
-    if data["method"] not in ("rk45", "rk4"):
-        raise ConfigurationError(f"method: must be 'rk45' or 'rk4', got {data['method']!r}")
-    data["step"] = _check_number("step", data["step"], positive=True)
-    data["rel_tol"] = _check_number("rel_tol", data["rel_tol"], positive=True)
-    data["abs_tol"] = _check_number("abs_tol", data["abs_tol"], positive=True)
-    data["max_steps"] = _check_number("max_steps", data["max_steps"], integer=True, minimum=1)
 
     if data["sample_times"] is not None:
         if not isinstance(data["sample_times"], (list, tuple)):
             raise ConfigurationError("sample_times: expected a list of numbers")
-        data["sample_times"] = [_check_number("sample_times", v) for v in data["sample_times"]]
+        data["sample_times"] = [FieldRule(float).check("sample_times", v)
+                                for v in data["sample_times"]]
         lo, hi = sorted((data["t0"], data["t_end"]))
         for v in data["sample_times"]:
             if v < lo or v > hi:
@@ -164,18 +190,14 @@ def validate_config(raw) -> RunConfig:
 
 
 def build_model(config: RunConfig):
-    if config.model == "planewave":
-        return PlaneWavePair(a=config.a, b=config.b, momentum=config.momentum,
-                             mass=config.mass, hbar=config.hbar,
-                             box_length=config.box_length)
-    return SlitPair(wavenumber=config.wavenumber, slit_offset=config.slit_offset,
-                    mass=config.mass, hbar=config.hbar, box_length=config.box_length)
+    """The configured model, given every config field it has a parameter for."""
+    cls = PlaneWavePair if config.model == "planewave" else SlitPair
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if hasattr(config, f.name)})
 
 
 def integrator_config(config: RunConfig) -> IntegratorConfig:
-    return IntegratorConfig(method=config.method, step=config.step,
-                            rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-                            max_steps=config.max_steps)
+    return IntegratorConfig(**{f.name: getattr(config, f.name)
+                                for f in fields(IntegratorConfig)})
 
 
 def run(config: RunConfig) -> int:
@@ -255,29 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="run analyses from a config file and/or flag overrides")
     p.add_argument("--config", help="path to a flat JSON config file")
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--wavenumber", type=float)
-    p.add_argument("--slit-offset", dest="slit_offset", type=float)
-    p.add_argument("--mass", type=float)
-    p.add_argument("--hbar", type=float)
-    p.add_argument("--box-length", dest="box_length", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--trajectory-count", dest="trajectory_count", type=int)
-    p.add_argument("--trajectory-samples", dest="trajectory_samples", type=int)
-    p.add_argument("--method", choices=("rk45", "rk4"))
-    p.add_argument("--step", type=float)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--analysis", dest="analyses",
-                   help="comma-separated subset of: " + ", ".join(ANALYSES))
-    p.add_argument("--output-dir", dest="output_dir")
+    for name, rule in FIELD_RULES.items():
+        kind = {"choices": rule.kind} if isinstance(rule.kind, tuple) else {"type": rule.kind}
+        p.add_argument(rule.flag or "--" + name.replace("_", "-"), dest=name,
+                       help=rule.help, **kind)
     return parser
 
 
@@ -286,10 +289,11 @@ def main(argv=None) -> int:
     try:
         raw: dict = {}
         if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigurationError(f"config: file not found: {path}")
-            raw = json.loads(path.read_text()) if path.read_text().strip() else {}
+            try:
+                text = Path(args.config).read_text(encoding="utf-8")
+                raw = json.loads(text) if text.strip() else {}
+            except (OSError, ValueError) as exc:   # unreadable, not UTF-8, or not JSON
+                raise ConfigurationError(f"config: cannot load {args.config}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigurationError("config: file must contain a JSON object")
         overrides = {k: v for k, v in vars(args).items()
@@ -297,9 +301,6 @@ def main(argv=None) -> int:
         config = validate_config({**raw, **overrides})
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"configuration error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:
         return run(config)

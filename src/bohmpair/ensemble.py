@@ -22,6 +22,12 @@ PRNG_ID = "numpy-philox-4x64"
 # One-sample Kolmogorov-Smirnov critical coefficient at 99% confidence.
 KS_COEFF_99 = 1.63
 
+# Histogram bins of a DistributionReport.
+REPORT_BINS = 64
+
+# Acceptance rate below which the sampler's proposal is taken as pathological.
+MIN_SAMPLER_EFFICIENCY = 1e-4
+
 # A density above the sampler's envelope by less than this relative amount
 # is rounding (the plane-wave density reaches its bound exactly), not clipping.
 ENVELOPE_RTOL = 1e-12
@@ -235,8 +241,7 @@ def quadrature_cdf(density: Callable[[np.ndarray], np.ndarray], lo: float, hi: f
 # -- sampling ----------------------------------------------------------------
 
 def sample_configurations(model, n: int, seed: int,
-                          density_bound: float | None = None,
-                          min_efficiency: float = 1e-4):
+                          density_bound: float | None = None):
     """Draw ``n`` configurations from the model density by rejection from the
     model's own proposal.
 
@@ -251,8 +256,8 @@ def sample_configurations(model, n: int, seed: int,
     Returns ``(points, report)``: ``points`` has shape
     ``(n, model.dimension)`` and ``report`` is a :class:`SamplerReport`.
     The seed fully determines the sample.  If the acceptance rate falls
-    below ``min_efficiency`` the proposal/envelope setup is considered
-    pathological and a :class:`ConfigurationError` is raised.
+    below ``MIN_SAMPLER_EFFICIENCY`` the proposal/envelope setup is
+    considered pathological and a :class:`ConfigurationError` is raised.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -277,9 +282,9 @@ def sample_configurations(model, n: int, seed: int,
         kept = pts[keep]
         accepted.append(kept)
         got += len(kept)
-        if proposed >= max(100_000, 20 * n) and got / proposed < min_efficiency:
+        if proposed >= max(100_000, 20 * n) and got / proposed < MIN_SAMPLER_EFFICIENCY:
             raise ConfigurationError(
-                f"rejection efficiency {got / proposed:.2e} below {min_efficiency}; "
+                f"rejection efficiency {got / proposed:.2e} below {MIN_SAMPLER_EFFICIENCY}; "
                 "the proposal or density envelope is pathological")
     points = np.concatenate(accepted, axis=0)[:n]
     return points, SamplerReport(model.proposal, proposed, got, violations)
@@ -366,34 +371,37 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
 
 # -- distribution comparison ---------------------------------------------------
 
-def separation_marginal(model, reference: Callable | None = None) -> Callable:
-    """Density of the separation x1 - x2 induced on the box: the reference
-    density (the model's own by default) times the box overlap width."""
+def separation_marginal(model) -> Callable:
+    """Density of the separation x1 - x2 induced on the box: the model
+    density times the box overlap width."""
     L = model.box_length
-    shape = reference if reference is not None else model._density_shape
 
     def marginal(d):
         d = np.asarray(d, dtype=float)
-        return np.asarray(shape(d), dtype=float) * np.clip(L - np.abs(d), 0.0, None)
+        return (np.asarray(model._density_shape(d), dtype=float)
+                * np.clip(L - np.abs(d), 0.0, None))
 
     return marginal
 
 
+def separation_cdf(model) -> Callable:
+    """Quadrature CDF of :func:`separation_marginal` on [-L, L]."""
+    L = model.box_length
+    return quadrature_cdf(separation_marginal(model), -L, L)
+
+
 def compare_distribution(ensemble: Ensemble, t: float,
-                         reference: Callable | None = None,
-                         coordinate: str | None = None,
-                         bins: int = 64,
                          min_survivors: int = 100) -> DistributionReport:
-    """Kolmogorov-Smirnov comparison of the ensemble at time ``t`` against a
-    reference density.
+    """Kolmogorov-Smirnov comparison of the ensemble at time ``t`` against the
+    model density.
 
     Plane-wave ensembles compare the separation marginal: each sample is
     pulled back to the sampling time along the exact conserved relation (the
     flow transports the separation monotonically), and the pulled-back
-    sample is tested against the quadrature CDF of the reference marginal on
-    the initial box.  Spherical ensembles compare a single coordinate
-    marginal against a fresh reference sample by the two-sample statistic,
-    since no closed transport is available in six dimensions.
+    sample is tested against the quadrature CDF of the marginal on the
+    initial box.  Spherical ensembles compare the x1 marginal against a
+    fresh reference sample by the two-sample statistic, since no closed
+    transport is available in six dimensions.
     """
     model = ensemble.model
     states = ensemble.states_at(t)
@@ -402,30 +410,23 @@ def compare_distribution(ensemble: Ensemble, t: float,
             f"only {len(states)} members have a sample at t={t} (need {min_survivors})")
 
     if model.tag == "planewave":
-        coordinate = coordinate or "separation"
-        if coordinate != "separation":
-            raise ValueError("plane-wave comparisons use the separation marginal")
+        coordinate = "separation"
         samples = states[:, 0] - states[:, 1]
         pulled = np.asarray(model.inverse_flow(samples, t - ensemble.t0))
-        L = model.box_length
-        cdf = quadrature_cdf(separation_marginal(model, reference), -L, L)
-        ks = ks_statistic(pulled, cdf)
-        hist, edges = np.histogram(samples, bins=bins)
+        ks = ks_statistic(pulled, separation_cdf(model))
+        hist, edges = np.histogram(samples, bins=REPORT_BINS)
         centres = 0.5 * (edges[:-1] + edges[1:])
         back = np.asarray(model.inverse_flow(centres, t - ensemble.t0))
-        marg = separation_marginal(model, reference)
-        ref_density = marg(back)
+        ref_density = separation_marginal(model)(back)
         method = "pullback-quadrature"
     else:
-        coordinate = coordinate or "x1"
-        axis = {"x1": 0, "y1": 1, "z1": 2, "x2": 3, "y2": 4, "z2": 5}[coordinate]
-        samples = states[:, axis]
+        coordinate = "x1"
+        samples = states[:, 0]
         ref_points, _ = sample_configurations(model, max(2 * len(samples), 10_000),
                                               seed=ensemble.seed + 1)
-        ref_samples = ref_points[:, axis]
+        ref_samples = ref_points[:, 0]
         ks = ks_two_sample(samples, ref_samples)
-        hist, edges = np.histogram(samples, bins=bins)
-        centres = 0.5 * (edges[:-1] + edges[1:])
+        hist, edges = np.histogram(samples, bins=REPORT_BINS)
         ref_density, _ = np.histogram(ref_samples, bins=edges)
         ref_density = ref_density / max(len(ref_samples), 1)
         method = "two-sample"
@@ -446,11 +447,8 @@ def global_constraint_analysis(ensemble: Ensemble) -> GlobalConstraintReport:
         raise ValueError("the constraint analysis applies to the plane-wave model")
     initial = ensemble.initial_states()
     deltas = initial[:, 0] - initial[:, 1]
-    zero_times = ensemble.t0 - np.asarray(model.trajectory_invariant(deltas)) / (2.0 * model.speed)
-
-    L = model.box_length
-    cdf = quadrature_cdf(separation_marginal(model), -L, L)
-    at_zero = float(cdf(np.array([0.0]))[0])
+    zero_times = model.zero_separation_times(deltas, ensemble.t0)
+    at_zero = float(separation_cdf(model)(np.array([0.0]))[0])
     point_mass_ks = max(at_zero, 1.0 - at_zero)
 
     return GlobalConstraintReport(zero_times=zero_times,
@@ -510,13 +508,7 @@ def ensemble_metadata(ensemble: Ensemble, extra: dict | None = None) -> dict:
         "acceptance_rate": ensemble.acceptance_rate,
         "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
         "survival_fraction": ensemble.survival_fraction,
-        "integrator": None if ensemble.integrator is None else {
-            "method": ensemble.integrator.method,
-            "step": ensemble.integrator.step,
-            "rel_tol": ensemble.integrator.rel_tol,
-            "abs_tol": ensemble.integrator.abs_tol,
-            "max_steps": ensemble.integrator.max_steps,
-        },
+        "integrator": None if ensemble.integrator is None else asdict(ensemble.integrator),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if extra:

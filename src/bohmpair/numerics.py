@@ -98,18 +98,23 @@ class RootScanReport:
         return len(self.roots)
 
 
+def stencil_steps(x: np.ndarray) -> np.ndarray:
+    """Default central-difference steps max(1e-6, 1e-8 |x_i|), balancing
+    truncation against round-off."""
+    return np.maximum(1e-6, 1e-8 * np.abs(x))
+
+
 def central_gradient(f: Callable, x, h=None) -> np.ndarray:
     """Central-difference gradient of a scalar field at the point ``x``.
 
     Component ``i`` is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i), accurate
-    to second order in the step.  By default h_i = max(1e-6, 1e-8 |x_i|),
-    balancing truncation against round-off; pass ``h`` (scalar or
-    per-component) to override.  Evaluation failures at a stencil point
-    propagate to the caller.
+    to second order in the step.  The steps are :func:`stencil_steps` by
+    default; pass ``h`` (scalar or per-component) to override.  Evaluation
+    failures at a stencil point propagate to the caller.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if h is None:
-        steps = np.maximum(1e-6, 1e-8 * np.abs(x))
+        steps = stencil_steps(x)
     else:
         steps = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
         if np.any(steps <= 0):

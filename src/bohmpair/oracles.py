@@ -11,33 +11,35 @@ import math
 
 import numpy as np
 
+from .numerics import stencil_steps
+
 TWO_PI = 2.0 * math.pi
 
 
-def _stencil_steps(points: np.ndarray, h) -> np.ndarray:
-    if h is None:
-        return np.maximum(1e-6, 1e-8 * np.abs(points))
-    return np.broadcast_to(np.asarray(h, dtype=float), points.shape).copy()
+def _stencil(f, points):
+    """Central differences of ``f`` over an (n, dim) array of configurations:
+    returns the points, f(x + h_i e_i) - f(x - h_i e_i) for each coordinate
+    i, and the steps h from :func:`stencil_steps`, the last two (n, dim)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    steps = stencil_steps(pts)
+    diffs = []
+    for i in range(pts.shape[1]):
+        shift = np.zeros_like(pts)
+        shift[:, i] = steps[:, i]
+        diffs.append(f(pts + shift) - f(pts - shift))
+    return pts, np.column_stack(diffs), steps
 
 
-def velocity_from_psi(model, points: np.ndarray, t=0.0, h=None) -> np.ndarray:
+def velocity_from_psi(model, points: np.ndarray, t=0.0) -> np.ndarray:
     """(hbar/m) Im(grad psi / psi) by central differences of the wavefunction.
 
     ``points`` is an (n, dim) array of flat configurations; returns (n, dim)
     velocities.  The model only needs ``psi_values`` plus the geometry of its
     configuration vector.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = pts.shape
-    steps = _stencil_steps(pts, h)
-    psi0 = _psi_flat(model, pts, t)
-    grad = np.empty((n, dim), dtype=complex)
-    for i in range(dim):
-        shift = np.zeros_like(pts)
-        shift[:, i] = steps[:, i]
-        grad[:, i] = (_psi_flat(model, pts + shift, t)
-                      - _psi_flat(model, pts - shift, t)) / (2.0 * steps[:, i])
-    return (model.hbar / model.mass) * np.imag(grad / psi0[:, None])
+    pts, diffs, steps = _stencil(lambda p: _psi_flat(model, p, t), points)
+    grad = diffs / (2.0 * steps)
+    return (model.hbar / model.mass) * np.imag(grad / _psi_flat(model, pts, t)[:, None])
 
 
 def _psi_flat(model, pts: np.ndarray, t):
@@ -47,25 +49,17 @@ def _psi_flat(model, pts: np.ndarray, t):
     return model.psi_values(pts[:, :half], pts[:, half:], t)
 
 
-def phase_gradient(model, points: np.ndarray, t=0.0, h=None) -> np.ndarray:
+def phase_gradient(model, points: np.ndarray, t=0.0) -> np.ndarray:
     """Central differences of the phase with wrap handling.
 
     The phase is defined modulo 2 pi hbar, so each difference is reduced to
     the nearest equivalent before dividing; for small steps the true
     difference is far below the wrap scale and the reduction is exact.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = pts.shape
-    steps = _stencil_steps(pts, h)
+    _, diffs, steps = _stencil(lambda p: _phase_flat(model, p, t), points)
     wrap = TWO_PI * model.hbar
-    out = np.empty((n, dim), dtype=float)
-    for i in range(dim):
-        shift = np.zeros_like(pts)
-        shift[:, i] = steps[:, i]
-        diff = _phase_flat(model, pts + shift, t) - _phase_flat(model, pts - shift, t)
-        diff -= wrap * np.round(diff / wrap)
-        out[:, i] = diff / (2.0 * steps[:, i])
-    return out
+    diffs -= wrap * np.round(diffs / wrap)
+    return diffs / (2.0 * steps)
 
 
 def _phase_flat(model, pts: np.ndarray, t):

@@ -214,6 +214,19 @@ class PlaneWavePair:
             raise DegenerateParametersError(
                 "the separation relation divides by a^2 - b^2; it requires a != b")
 
+    def _relation_coefficients(self) -> tuple[float, float]:
+        """(lin, amp): the coefficients of delta and of sin(2 p delta / hbar)
+        in the conserved separation relation."""
+        self._require_nondegenerate()
+        a, b = self.a, self.b
+        return ((a * a + b * b) / (a * a - b * b),
+                (self.hbar / self.momentum) * a * b / (a * a - b * b))
+
+    def _relation(self, delta, linear_scale: float):
+        lin, amp = self._relation_coefficients()
+        d = np.asarray(delta, dtype=float)
+        return linear_scale * lin * d + amp * np.sin(2.0 * self.momentum * d / self.hbar)
+
     def trajectory_invariant(self, delta):
         """Left-hand side of the conserved separation relation.
 
@@ -222,12 +235,7 @@ class PlaneWavePair:
         = 2 v t + beta, so this expression minus 2 v t is constant along any
         exact trajectory.
         """
-        self._require_nondegenerate()
-        a, b = self.a, self.b
-        lin = (a * a + b * b) / (a * a - b * b)
-        amp = (self.hbar / self.momentum) * a * b / (a * a - b * b)
-        d = np.asarray(delta, dtype=float)
-        return lin * d + amp * np.sin(2.0 * self.momentum * d / self.hbar)
+        return self._relation(delta, 1.0)
 
     def constraint_lhs(self, delta):
         """Separation-constraint expression scanned by the uniqueness
@@ -236,12 +244,7 @@ class PlaneWavePair:
         positive everywhere exactly when 4ab < a^2 + b^2; only the unhalved
         form is conserved by the flow (the claims report measures both).
         """
-        self._require_nondegenerate()
-        a, b = self.a, self.b
-        lin = 0.5 * (a * a + b * b) / (a * a - b * b)
-        amp = (self.hbar / self.momentum) * a * b / (a * a - b * b)
-        d = np.asarray(delta, dtype=float)
-        return lin * d + amp * np.sin(2.0 * self.momentum * d / self.hbar)
+        return self._relation(delta, 0.5)
 
     def beta_for(self, state: PairState1D) -> float:
         """Integration constant fixed by one point of a trajectory."""
@@ -279,7 +282,12 @@ class PlaneWavePair:
         Follows from the conserved relation; depends on the separation only,
         not on the centre of mass.
         """
-        return state.t - float(self.trajectory_invariant(state.separation)) / (2.0 * self.speed)
+        return float(self.zero_separation_times(state.separation, state.t))
+
+    def zero_separation_times(self, delta, t: float):
+        """:meth:`zero_separation_time` of trajectories with separation(s)
+        ``delta`` at time ``t`` (vectorised)."""
+        return t - np.asarray(self.trajectory_invariant(delta)) / (2.0 * self.speed)
 
     def inverse_flow(self, delta, elapsed: float):
         """Separation(s) a time ``elapsed`` earlier on the same trajectory.
@@ -294,9 +302,7 @@ class PlaneWavePair:
                     else float(delta))
         d = np.atleast_1d(np.asarray(delta, dtype=float))
         target = np.asarray(self.trajectory_invariant(d)) - 2.0 * self.speed * elapsed
-        a, b = self.a, self.b
-        lin = (a * a + b * b) / (a * a - b * b)
-        amp = (self.hbar / self.momentum) * a * b / (a * a - b * b)
+        lin, amp = self._relation_coefficients()
         w = 2.0 * self.momentum / self.hbar
         edge_a = (target - abs(amp)) / lin
         edge_b = (target + abs(amp)) / lin
@@ -317,7 +323,6 @@ class PlaneWavePair:
         return x if np.ndim(delta) else float(x[0])
 
     def uniqueness_analysis(self, t: float = 0.0, t0: float = 0.0,
-                            interval: tuple[float, float] | None = None,
                             grid: int = 100_000) -> UniquenessReport:
         """Scan the separation constraint at time ``t`` for roots and report
         the two candidate uniqueness conditions side by side.
@@ -326,15 +331,13 @@ class PlaneWavePair:
         monotone condition 4ab < a^2 + b^2 is exactly the positivity of its
         slope; b < a/3 is the looser amplitude-ratio condition.  The two
         disagree on part of parameter space, which the report exposes rather
-        than resolves.
+        than resolves.  The scan covers |delta| <= 4 pi hbar / p.
         """
         self._require_nondegenerate()
-        if interval is None:
-            half_width = 4.0 * math.pi * self.hbar / self.momentum
-            interval = (-half_width, half_width)
+        half_width = 4.0 * math.pi * self.hbar / self.momentum
         offset = 2.0 * self.speed * (t - t0)
         scan = scan_roots(lambda d: self.constraint_lhs(d) - offset,
-                          interval[0], interval[1], grid=grid)
+                          -half_width, half_width, grid=grid)
         a, b = self.a, self.b
         monotone_condition = 4 * a * b < a * a + b * b
         ratio_condition = b < a / 3

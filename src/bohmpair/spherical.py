@@ -63,6 +63,12 @@ def _norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(v * v, axis=-1))
 
 
+def nearest_source(r1a, r1b, r2a, r2b):
+    """Distance from each configuration to the nearest source, over both
+    particles (elementwise over the four source distances)."""
+    return np.minimum(np.minimum(r1a, r1b), np.minimum(r2a, r2b))
+
+
 @dataclass(frozen=True)
 class SlitPair:
     """Model parameters for the two-source spherical-wave pair.
@@ -127,13 +133,16 @@ class SlitPair:
         return tuple(float(v) for v in self.distances_of(np.asarray(state.r1),
                                                          np.asarray(state.r2)))
 
-    def _check_support(self, r1, r2, r1a, r1b, r2a, r2b) -> None:
+    def _supported_distances(self, r1, r2):
+        """:meth:`distances_of`, raising :class:`ModelDomainError` outside the
+        x >= 0 half-space or within ``slit_exclusion`` of a source."""
+        distances = self.distances_of(r1, r2)
         if np.any(np.asarray(r1)[..., 0] < -1e-12) or np.any(np.asarray(r2)[..., 0] < -1e-12):
             raise ModelDomainError("the model is supported on the x >= 0 half-space")
-        smallest = min(np.min(r1a), np.min(r1b), np.min(r2a), np.min(r2b))
-        if smallest < self.slit_exclusion:
+        if np.min(nearest_source(*distances)) < self.slit_exclusion:
             raise ModelDomainError(
                 f"configuration within {self.slit_exclusion} of a source point")
+        return distances
 
     # -- wavefunction and phase ----------------------------------------------
 
@@ -145,8 +154,7 @@ class SlitPair:
 
     def psi_values(self, r1, r2, t):
         """Wavefunction on arrays of positions of shape (..., 3)."""
-        r1a, r1b, r2a, r2b = self.distances_of(r1, r2)
-        self._check_support(r1, r2, r1a, r1b, r2a, r2b)
+        r1a, r1b, r2a, r2b = self._supported_distances(r1, r2)
         clock = np.exp(-1j * self.energy * np.asarray(t) / self.hbar)
         return self._bracket(r1a, r1b, r2a, r2b) * clock / math.sqrt(self.norm)
 
@@ -157,11 +165,17 @@ class SlitPair:
         """Scale-aware modulus |bracket| (r1A r2B + r1B r2A) / 2; the raw
         modulus decays with distance, so nodes are flagged relative to the
         local single-term scale."""
-        r1a, r1b, r2a, r2b = self.distances(state)
-        return float(abs(self._bracket(r1a, r1b, r2a, r2b))
-                     * (r1a * r2b + r1b * r2a) / 2.0)
+        return float(self.node_measure_of(*self.distances(state)))
 
-    def _phase_parts(self, r1a, r1b, r2a, r2b):
+    def node_measure_of(self, r1a, r1b, r2a, r2b):
+        """:meth:`node_measure` as a function of the four source distances
+        (vectorised)."""
+        return np.abs(self._bracket(r1a, r1b, r2a, r2b)) * (r1a * r2b + r1b * r2a) / 2.0
+
+    def _phase_terms(self, r1a, r1b, r2a, r2b):
+        """Distance products q = r1A r2B and rr = r1B r2A, phase arguments
+        alpha = r1A + r2B and beta = r1B + r2A, and the phase numerator and
+        denominator built from them."""
         k = self.wavenumber
         q = r1a * r2b
         rr = r1b * r2a
@@ -169,10 +183,10 @@ class SlitPair:
         beta = r1b + r2a
         nval = rr * np.sin(k * alpha) + q * np.sin(k * beta)
         dval = rr * np.cos(k * alpha) + q * np.cos(k * beta)
-        return nval, dval
+        return q, rr, alpha, beta, nval, dval
 
     def phase_parts(self, state: PairState3D) -> PhaseParts:
-        nval, dval = self._phase_parts(*self.distances(state))
+        *_, nval, dval = self._phase_terms(*self.distances(state))
         return PhaseParts(Nval=float(nval), Dval=float(dval))
 
     def phase_from_distances(self, r1a, r1b, r2a, r2b, t=0.0):
@@ -182,7 +196,7 @@ class SlitPair:
         including where the denominator alone vanishes; values are principal
         per call, to be unwrapped by continuity along sampled paths.
         """
-        nval, dval = self._phase_parts(r1a, r1b, r2a, r2b)
+        *_, nval, dval = self._phase_terms(r1a, r1b, r2a, r2b)
         if np.any(np.hypot(nval, dval) == 0.0):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
         return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
@@ -192,11 +206,8 @@ class SlitPair:
         return float(self.phase_from_distances(*self.distances(state), t=state.t))
 
     def _require_evaluable(self, state: PairState3D) -> None:
-        r1 = np.asarray(state.r1)
-        r2 = np.asarray(state.r2)
-        r1a, r1b, r2a, r2b = self.distances_of(r1, r2)
-        self._check_support(r1, r2, r1a, r1b, r2a, r2b)
-        if self.node_measure(state) < self.node_threshold:
+        distances = self._supported_distances(np.asarray(state.r1), np.asarray(state.r2))
+        if self.node_measure_of(*distances) < self.node_threshold:
             raise ModelDomainError("state lies on a node of the wavefunction")
 
     # -- phase derivatives and velocities --------------------------------------
@@ -218,12 +229,7 @@ class SlitPair:
 
     def _distance_derivatives(self, r1a, r1b, r2a, r2b):
         k = self.wavenumber
-        q = r1a * r2b
-        rr = r1b * r2a
-        alpha = r1a + r2b
-        beta = r1b + r2a
-        nval = rr * np.sin(k * alpha) + q * np.sin(k * beta)
-        dval = rr * np.cos(k * alpha) + q * np.cos(k * beta)
+        q, rr, alpha, beta, nval, dval = self._phase_terms(r1a, r1b, r2a, r2b)
         if np.any(nval * nval + dval * dval == 0.0):
             raise ModelDomainError("phase gradient undefined at a node")
         g1a = self._partial(k, self.hbar, nval, dval, rr, r2b, alpha, beta)
@@ -239,10 +245,8 @@ class SlitPair:
         return tuple(float(g) for g in self._distance_derivatives(*self.distances(state)))
 
     def _velocity_arrays(self, r1, r2):
-        r1a, r1b, r2a, r2b = self.distances_of(r1, r2)
-        self._check_support(r1, r2, r1a, r1b, r2a, r2b)
-        scale = np.abs(self._bracket(r1a, r1b, r2a, r2b)) * (r1a * r2b + r1b * r2a) / 2.0
-        if np.any(scale < self.node_threshold):
+        r1a, r1b, r2a, r2b = self._supported_distances(r1, r2)
+        if np.any(self.node_measure_of(r1a, r1b, r2a, r2b) < self.node_threshold):
             raise ModelDomainError("velocity undefined at a node of the wavefunction")
         g1a, g1b, g2a, g2b = self._distance_derivatives(r1a, r1b, r2a, r2b)
         u = lambda r, src, d: (r - src) / d[..., None]
@@ -353,7 +357,7 @@ class SlitPair:
         sampler, where the normalization constant cancels."""
         pts = np.asarray(points, dtype=float)
         r1a, r1b, r2a, r2b = self.distances_of(pts[:, :3], pts[:, 3:])
-        ok = np.minimum(np.minimum(r1a, r1b), np.minimum(r2a, r2b)) > self.slit_exclusion
+        ok = nearest_source(r1a, r1b, r2a, r2b) > self.slit_exclusion
         out = np.zeros(len(pts))
         out[ok] = np.abs(self._bracket(r1a[ok], r1b[ok], r2a[ok], r2b[ok])) ** 2
         return out

@@ -1,9 +1,12 @@
 """Configuration validation, the run orchestrator, exit codes, and artifacts."""
 
+import argparse
 import csv
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -62,6 +65,75 @@ class TestValidateConfig:
                                    "n": 500, "seed": 9,
                                    "analyses": ["uniqueness", "equivariance"]})
         assert cli.validate_config(cfg.serialize()) == cfg
+
+
+NUMERIC_FIELDS = [f.name for f in fields(cli.RunConfig)
+                  if f.type.split(" |")[0] in ("float", "int")]
+
+
+def _run_parser() -> argparse.ArgumentParser:
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["run"]
+
+
+def _other_value(name: str) -> str:
+    """A valid flag value for ``name`` that differs from its default."""
+    default = getattr(cli.RunConfig(), name)
+    if name == "model":
+        return "spherical"
+    if name == "method":
+        return "rk4"
+    if name == "analyses":
+        return "constraints"
+    if name == "output_dir":
+        return "runs/elsewhere"
+    return str(7 if default is None else default + 3)
+
+
+class TestFieldTable:
+    def test_every_field_but_sample_times_has_one_flag(self):
+        actions = [a for a in _run_parser()._actions if a.dest not in ("help", "config")]
+        dests = [a.dest for a in actions]
+        names = [f.name for f in fields(cli.RunConfig)]
+        assert sorted(dests) == sorted(n for n in names if n != "sample_times")
+        assert all(len(a.option_strings) == 1 for a in actions)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(cli.RunConfig)
+                                      if f.name != "sample_times"])
+    def test_flag_sets_field(self, name):
+        flag = next(a.option_strings[0] for a in _run_parser()._actions if a.dest == name)
+        args = cli.build_parser().parse_args(["run", flag, _other_value(name)])
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config") and v is not None}
+        assert set(overrides) == {name}
+        cfg = cli.validate_config(overrides)
+        assert getattr(cfg, name) != getattr(cli.RunConfig(), name)
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_numeric_field_rejects_wrong_type(self, name):
+        for bad in ("1.0", [1.0], True):
+            with pytest.raises(ConfigurationError, match=f"^{name}: expected a number"):
+                cli.validate_config({name: bad})
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_numeric_field_rejects_non_finite(self, name):
+        for bad in (math.nan, math.inf, -math.inf, 10 ** 400):
+            with pytest.raises(ConfigurationError, match=f"^{name}: must be finite"):
+                cli.validate_config({name: bad})
+
+    def test_non_finite_json_and_sample_times(self):
+        with pytest.raises(ConfigurationError, match="^t_end: must be finite"):
+            cli.validate_config('{"t_end": NaN}')
+        with pytest.raises(ConfigurationError, match="^a: must be finite"):
+            cli.validate_config('{"a": Infinity}')
+        with pytest.raises(ConfigurationError, match="^sample_times: must be finite"):
+            cli.validate_config({"sample_times": [1.0, math.nan]})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seed: must be >= 0"):
+            cli.validate_config({"seed": -1})
+        assert cli.validate_config({"seed": 0}).seed == 0
 
 
 class TestRun:
@@ -159,6 +231,22 @@ class TestMain:
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 1
+
+    @pytest.mark.parametrize("argv", [["--t-end", "nan"], ["--t-end", "inf"], ["--a", "inf"],
+                                      ["--seed", "-1", "--analysis", "trajectories"]])
+    def test_rejected_flag_values_exit_one(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("config accepted"))
+        assert cli.main(["run", *argv]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_unreadable_config_exits_one(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        for path in (tmp_path, not_utf8, bad_json):
+            assert cli.main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("configuration error: config: ")
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

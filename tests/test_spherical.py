@@ -150,7 +150,7 @@ class TestDistanceDerivatives:
         rng = np.random.default_rng(9)
         for _ in range(150):
             r = rng.uniform(0.5, 3.0, size=4)
-            nval, dval = model._phase_parts(*r)
+            *_, nval, dval = model._phase_terms(*r)
             if math.hypot(nval, dval) < 1e-3:
                 continue
             grads = model._distance_derivatives(*r)
