@@ -5,26 +5,27 @@ __version__ = "0.1.0"
 
 from .errors import (BracketError, ConfigurationError, DegenerateParametersError,
                      InsufficientSampleError, ModelDomainError)
-from .numerics import (IntegratorConfig, RootScanReport, Trajectory, bracketed_root,
-                       central_gradient, integrate_ode, scan_roots)
+from .numerics import (IntegratorConfig, RootScanReport, Trajectory, TrajectoryBatch,
+                       bracketed_root, central_gradient, integrate_ode, scan_roots)
 from .planewave import PairState1D, PhaseValue, PlaneWavePair, UniquenessReport
 from .spherical import ConstraintReadings, PairState3D, PhaseParts, SlitPair
 from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
                        SamplerReport, build_ensemble, compare_distribution,
                        evolve_ensemble, global_constraint_analysis, ks_critical_value,
-                       ks_statistic, ks_two_sample, quadrature_cdf, sample_configurations,
-                       separation_marginal, write_ensemble_csv, write_metadata)
+                       ks_critical_value_two_sample, ks_statistic, ks_two_sample,
+                       quadrature_cdf, sample_configurations, separation_marginal,
+                       write_ensemble_csv, write_metadata)
 
 __all__ = [
     "BracketError", "ConfigurationError", "DegenerateParametersError",
     "InsufficientSampleError", "ModelDomainError",
-    "IntegratorConfig", "RootScanReport", "Trajectory",
+    "IntegratorConfig", "RootScanReport", "Trajectory", "TrajectoryBatch",
     "bracketed_root", "central_gradient", "integrate_ode", "scan_roots",
     "PairState1D", "PhaseValue", "PlaneWavePair", "UniquenessReport",
     "ConstraintReadings", "PairState3D", "PhaseParts", "SlitPair",
     "DistributionReport", "Ensemble", "GlobalConstraintReport", "SamplerReport",
     "build_ensemble", "compare_distribution", "evolve_ensemble",
-    "global_constraint_analysis", "ks_critical_value", "ks_statistic",
-    "ks_two_sample", "quadrature_cdf", "sample_configurations",
+    "global_constraint_analysis", "ks_critical_value", "ks_critical_value_two_sample",
+    "ks_statistic", "ks_two_sample", "quadrature_cdf", "sample_configurations",
     "separation_marginal", "write_ensemble_csv", "write_metadata",
 ]

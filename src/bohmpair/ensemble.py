@@ -7,14 +7,13 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientSampleError, ModelDomainError
-from .numerics import IntegratorConfig, Trajectory, integrate_ode, sample_grid
+from .errors import ConfigurationError, InsufficientSampleError
+from .numerics import IntegratorConfig, TrajectoryBatch, integrate_ode
 
 # Counter-based generator, so samples are reproducible from the seed alone.
 PRNG_ID = "numpy-philox-4x64"
@@ -61,33 +60,18 @@ class SamplerReport:
         return {**asdict(self), "acceptance_rate": self.acceptance_rate}
 
 
-@dataclass
-class Ensemble:
-    """A set of trajectories sharing one model, seed, and integrator setup,
-    stored as arrays over the shared sample times.
-
-    ``states`` and ``velocities`` have shape ``(len(times), size, dim)``.
-    Member ``i`` holds ``lengths[i]`` samples; past a truncation its states
-    and velocities are NaN and ``terminations[i]`` names the reason.  The
-    arrays are read-only.
-    """
+@dataclass(frozen=True)
+class Ensemble(TrajectoryBatch):
+    """A :class:`TrajectoryBatch` whose members share one model, seed, and
+    integrator setup."""
 
     model: Any
     seed: int
     sampling: str                      # "density" or "user"
     t0: float
-    times: np.ndarray
-    states: np.ndarray
-    velocities: np.ndarray
-    lengths: np.ndarray
-    terminations: tuple[str, ...]
     integrator: IntegratorConfig | None = None
     sampler: SamplerReport | None = None   # None for user-supplied states
     prng_id: str = PRNG_ID
-
-    def __post_init__(self) -> None:
-        for array in (self.times, self.states, self.velocities, self.lengths):
-            array.flags.writeable = False
 
     @property
     def model_tag(self) -> str:
@@ -96,57 +80,6 @@ class Ensemble:
     @property
     def acceptance_rate(self) -> float | None:
         return None if self.sampler is None else self.sampler.acceptance_rate
-
-    @property
-    def size(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def survival_fraction(self) -> float:
-        if not self.size:
-            return 0.0
-        return np.count_nonzero(self.lengths == len(self.times)) / self.size
-
-    @property
-    def members(self) -> Sequence[Trajectory]:
-        """Read-only per-member view; each access builds a :class:`Trajectory`."""
-        return _Members(self)
-
-    def _member(self, i: int) -> Trajectory:
-        i = range(self.size)[i]
-        k = self.lengths[i]
-        return Trajectory(times=self.times[:k], states=self.states[:k, i],
-                          velocities=self.velocities[:k, i],
-                          complete=bool(k == len(self.times)),
-                          termination=self.terminations[i])
-
-    def states_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
-        """Configurations of every member holding a sample at time ``t``
-        (truncated members are skipped past their last sample)."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol:
-            return np.empty((0, self.states.shape[2]))
-        return self.states[idx, self.lengths > idx]
-
-    def initial_states(self) -> np.ndarray:
-        return self.states[0]
-
-
-class _Members(Sequence):
-    """Sequence of an ensemble's members, built one by one on access."""
-
-    __slots__ = ("_ensemble",)
-
-    def __init__(self, ensemble: Ensemble) -> None:
-        self._ensemble = ensemble
-
-    def __len__(self) -> int:
-        return self._ensemble.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._ensemble._member(j) for j in range(self._ensemble.size)[i]]
-        return self._ensemble._member(i)
 
 
 @dataclass(frozen=True)
@@ -215,6 +148,13 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> float:
 
 def ks_critical_value(n: int, coefficient: float = KS_COEFF_99) -> float:
     return coefficient / math.sqrt(n)
+
+
+def ks_critical_value_two_sample(n: int, m: int, coefficient: float = KS_COEFF_99) -> float:
+    """Critical value of the two-sample statistic for samples of sizes ``n``
+    and ``m``: coefficient x sqrt((n + m) / (n m)) (Smirnov, Ann. Math.
+    Statist. 19 (1948) 279-281)."""
+    return coefficient * math.sqrt((n + m) / (n * m))
 
 
 def quadrature_cdf(density: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -304,21 +244,12 @@ def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
     # Own copy: the caller keeps its array, and the sampler's rows are a view
     # of a larger buffer.
     points = np.array(points, dtype=float)
-    try:
-        vel = np.asarray(model.batch_rhs(t0, points.ravel()), dtype=float)
-        vel = vel.reshape(points.shape)
-    except ModelDomainError:
-        vel = np.full(points.shape, np.nan)
-        for i, row in enumerate(points):
-            try:
-                vel[i] = model.rhs(t0, row)
-            except ModelDomainError:
-                pass
+    velocities = model.batch_rhs(t0, points)    # NaN rows where undefined
     n = len(points)
     return Ensemble(model=model, seed=seed, sampling=sampling, t0=t0,
-                    times=np.array([float(t0)]), states=points[None], velocities=vel[None],
-                    lengths=np.ones(n, dtype=np.intp), terminations=("completed",) * n,
-                    sampler=report)
+                    times=np.array([float(t0)]), states=points[None],
+                    velocities=velocities[None], lengths=np.ones(n, dtype=np.intp),
+                    terminations=("completed",) * n, sampler=report)
 
 
 # -- evolution ----------------------------------------------------------------
@@ -328,44 +259,19 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
                     sample_times: Sequence[float] | None = None) -> Ensemble:
     """Integrate every member to ``t_end`` and return the evolved ensemble.
 
-    Members are integrated together as one stacked system when the whole
-    batch stays inside the field's domain (one vectorised right-hand side
-    evaluation per step); on any domain error the evolution falls back to
-    per-member integration so failing members are truncated and counted
-    individually rather than poisoning the batch.
+    One :func:`integrate_ode` call steps all members as a batch, each under
+    its own step control.  The model's ``batch_rhs`` returns a NaN row where
+    the field is undefined, so a member that meets a node or a source is
+    truncated there alone (``domain_error``) and the others run on.
     """
     cfg = config or IntegratorConfig()
     model = ensemble.model
-    n, dim = ensemble.size, model.dimension
-    y0 = ensemble.initial_states()
     if sample_times is None:
         sample_times = [ensemble.t0, t_end]
-
-    batch = integrate_ode(lambda t, y: model.batch_rhs(t, y), y0.ravel(),
-                          ensemble.t0, t_end, cfg, sample_times)
-    if batch.complete:
-        times = batch.times
-        states = batch.states.reshape(len(times), n, dim)
-        velocities = batch.velocities.reshape(len(times), n, dim)
-        lengths = np.full(n, len(times), dtype=np.intp)
-        terminations = (batch.termination,) * n
-    else:
-        times = sample_grid(ensemble.t0, t_end, sample_times)
-        states = np.full((len(times), n, dim), np.nan)
-        velocities = np.full((len(times), n, dim), np.nan)
-        lengths = np.empty(n, dtype=np.intp)
-        terminations = []
-        for i, row in enumerate(y0):
-            m = integrate_ode(model.rhs, row, ensemble.t0, t_end, cfg, sample_times)
-            states[:len(m), i] = m.states
-            velocities[:len(m), i] = m.velocities
-            lengths[i] = len(m)
-            terminations.append(m.termination)
-        terminations = tuple(terminations)
-
-    return Ensemble(model=model, seed=ensemble.seed, sampling=ensemble.sampling,
-                    t0=ensemble.t0, times=times, states=states, velocities=velocities,
-                    lengths=lengths, terminations=terminations, integrator=cfg,
+    flow = integrate_ode(model.batch_rhs, ensemble.initial_states(), ensemble.t0, t_end,
+                         cfg, sample_times)
+    return Ensemble(**vars(flow), model=model, seed=ensemble.seed,
+                    sampling=ensemble.sampling, t0=ensemble.t0, integrator=cfg,
                     sampler=ensemble.sampler, prng_id=ensemble.prng_id)
 
 
@@ -419,6 +325,7 @@ def compare_distribution(ensemble: Ensemble, t: float,
         back = np.asarray(model.inverse_flow(centres, t - ensemble.t0))
         ref_density = separation_marginal(model)(back)
         method = "pullback-quadrature"
+        critical = ks_critical_value(len(samples))
     else:
         coordinate = "x1"
         samples = states[:, 0]
@@ -430,13 +337,14 @@ def compare_distribution(ensemble: Ensemble, t: float,
         ref_density, _ = np.histogram(ref_samples, bins=edges)
         ref_density = ref_density / max(len(ref_samples), 1)
         method = "two-sample"
+        critical = ks_critical_value_two_sample(len(samples), len(ref_samples))
 
     return DistributionReport(ks_statistic=ks, histogram=hist, bin_edges=edges,
                               reference_density=np.asarray(ref_density, dtype=float),
                               sample_size=len(samples),
                               survival_fraction=len(samples) / max(ensemble.size, 1),
                               t=t, coordinate=coordinate, method=method,
-                              critical_value_99=ks_critical_value(len(samples)))
+                              critical_value_99=critical)
 
 
 def global_constraint_analysis(ensemble: Ensemble) -> GlobalConstraintReport:

@@ -1,31 +1,29 @@
 """Numerical kernel shared by the model modules: central-difference gradients,
-ODE integration with truncation-aware dense output, and bracketed root finding
-with a grid scanner for counting roots."""
+batched ODE integration with per-member step control, and bracketed root
+finding with a grid scanner for counting roots."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .errors import BracketError, ModelDomainError
-
-RK45_STAGES = 6  # right-hand-side evaluations per accepted adaptive step
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Settings for :func:`integrate_ode`.
 
-    ``method`` is ``"rk45"`` (adaptive, default) or ``"rk4"`` (fixed step).
-    ``step`` applies to the fixed-step method only; ``rel_tol``/``abs_tol``
-    to the adaptive one.  ``max_steps`` caps the work per call: it counts
-    fixed steps exactly and adaptive steps through the evaluation budget
-    of ``RK45_STAGES`` calls per step.
+    ``method`` is ``"rk45"`` (adaptive Dormand-Prince 5(4), default) or
+    ``"rk4"`` (classical fixed step).  ``step`` applies to the fixed-step
+    method only; ``rel_tol``/``abs_tol`` to the adaptive one.  ``max_steps``
+    caps one member's step attempts, rejected ones included.
     """
 
     method: str = "rk45"
@@ -65,10 +63,6 @@ class Trajectory:
         return len(self.times)
 
     @property
-    def initial_state(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
@@ -76,12 +70,86 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-    def sample_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the sample taken at time ``t`` (raises if absent)."""
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """Samples of a batch of trajectories at shared sample times.
+
+    ``states`` and ``velocities`` have shape ``(len(times), size, dim)``.
+    Member ``i`` holds ``lengths[i]`` samples; past a truncation its states
+    and velocities are NaN and ``terminations[i]`` names the reason
+    (``"completed"`` otherwise).  The arrays are read-only.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    velocities: np.ndarray
+    lengths: np.ndarray
+    terminations: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for array in (self.times, self.states, self.velocities, self.lengths):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @property
+    def size(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def complete(self) -> bool:
+        """True when every member reached the last sample time."""
+        return bool(np.all(self.lengths == len(self.times)))
+
+    @property
+    def survival_fraction(self) -> float:
+        if not self.size:
+            return 0.0
+        return np.count_nonzero(self.lengths == len(self.times)) / self.size
+
+    @property
+    def members(self) -> Sequence[Trajectory]:
+        """Read-only per-member view; each access builds a :class:`Trajectory`."""
+        return _Members(self)
+
+    def member(self, i: int) -> Trajectory:
+        """Member ``i`` as a :class:`Trajectory` of views into the arrays."""
+        i = range(self.size)[i]
+        k = self.lengths[i]
+        return Trajectory(times=self.times[:k], states=self.states[:k, i],
+                          velocities=self.velocities[:k, i],
+                          complete=bool(k == len(self.times)),
+                          termination=self.terminations[i])
+
+    def states_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
+        """Configurations of every member holding a sample at time ``t``
+        (truncated members are skipped past their last sample)."""
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > tol:
-            raise KeyError(f"no sample at t={t}")
-        return idx
+            return np.empty((0, self.states.shape[2]))
+        return self.states[idx, self.lengths > idx]
+
+    def initial_states(self) -> np.ndarray:
+        return self.states[0]
+
+
+class _Members(Sequence):
+    """Sequence of a batch's members, built one by one on access."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: TrajectoryBatch) -> None:
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return self._batch.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._batch.member(j) for j in range(self._batch.size)[i]]
+        return self._batch.member(i)
 
 
 @dataclass(frozen=True)
@@ -96,6 +164,15 @@ class RootScanReport:
     @property
     def root_count(self) -> int:
         return len(self.roots)
+
+
+def require_defined(values: np.ndarray, message: str) -> np.ndarray:
+    """``values`` unchanged, or :class:`ModelDomainError` with ``message``
+    if any of them is NaN: the raising form of a field that returns NaN rows
+    where it is undefined."""
+    if np.isnan(values).any():
+        raise ModelDomainError(message)
+    return values
 
 
 def stencil_steps(x: np.ndarray) -> np.ndarray:
@@ -127,75 +204,131 @@ def central_gradient(f: Callable, x, h=None) -> np.ndarray:
     return out
 
 
-class _BudgetExhausted(Exception):
-    pass
+# -- ODE integration -----------------------------------------------------------
+
+def _row(*coefficients: str) -> tuple[tuple[float, ...], float]:
+    """A tableau row as integer numerators over their common denominator."""
+    fractions = [Fraction(c) for c in coefficients]
+    den = math.lcm(*(f.denominator for f in fractions))
+    return tuple(float(f * den) for f in fractions), float(den)
 
 
-class _SegmentFailure(Exception):
-    pass
+# A method is (nodes, rows, error): the times t + c h and inputs
+# y + (h / den)(n_1 k_1 + n_2 k_2 + ...) of stages 2..s, the last row being
+# the solution weights, so the last stage is the field at the step's end and
+# the next step's first (first same as last); and the weights of the embedded
+# error estimate over all s stages, None for a fixed-step method.
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26: a fifth-order
+# solution with a fourth-order error estimate.
+DORMAND_PRINCE = (
+    (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    (_row("1/5"),
+     _row("3/40", "9/40"),
+     _row("44/45", "-56/15", "32/9"),
+     _row("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
+     _row("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
+     _row("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84")),
+    _row("71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525", "-1/40"))
+
+# Classical RK4: the solution row is exactly (h/6)(k1 + 2 k2 + 2 k3 + k4).
+RK4 = ((1 / 2, 1 / 2, 1.0, 1.0),
+       (_row("1/2"), _row("0", "1/2"), _row("0", "0", "1"), _row("1/6", "1/3", "1/3", "1/6")),
+       None)
+
+# Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I, II.4: the
+# initial-step rule, safety factor 0.9, at most a 5x shrink per rejection and
+# no growth right after one.  Growth is capped at 2x per step (scipy allows
+# 10x): with 10x, an error estimate that passes near zero lets a step grow
+# into an accept its true error does not earn, and about 0.1 % of plane-wave
+# members ended with a pull-back residual above 1e-6.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 2.0
+ERROR_EXPONENT = -1.0 / 5.0      # the error estimate is of fourth order
+
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# Why a member stopped, by code.
+_REASONS = ("completed", "domain_error: field undefined",
+            "max_steps", f"integration_failure: {TOO_SMALL_STEP}")
+_COMPLETED, _DOMAIN, _MAX_STEPS, _FAILED = range(len(_REASONS))
 
 
-class _EvalBudget:
-    """Caps right-hand-side work for one integrate_ode call."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, evaluations: int) -> None:
-        self.remaining = evaluations
-
-    def charge(self, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise _BudgetExhausted
+def _rms(x: np.ndarray) -> np.ndarray:
+    """Root mean square of each row, summed column by column so that a row's
+    value never depends on the other rows."""
+    total = x[:, 0] ** 2
+    for j in range(1, x.shape[1]):
+        total = total + x[:, j] ** 2
+    return np.sqrt(total / x.shape[1])
 
 
-# Each stepper advances y from t_from to t_to and returns (y, f_start, f_end):
-# the field it evaluated at the start and at the end of the segment, f_end
-# None where the field is undefined there.  ``f`` is the field at the start
-# when the caller already has it.
-
-def _advance_rk45(rhs, y, f, t_from, t_to, cfg, budget):
-    def counted(t, yy):
-        budget.charge()
-        return rhs(t, yy)
-
-    # The stepping loop of solve_ivp(method="RK45") without its per-step
-    # history: same steps and evaluations, only the final state is kept.
-    # The solver evaluates the start field itself (``f`` goes unused); its
-    # last stage is the field at the end (first same as last).
-    solver = RK45(counted, float(t_from), y, float(t_to),
-                  rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    f_start = solver.f
-    while solver.status == "running":
-        message = solver.step()
-    if solver.status == "failed":
-        raise _SegmentFailure(message)
-    return solver.y, f_start, solver.f
+def _nan_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` holding a NaN (or both infinities); a reduction over
+    each short row of a large batch is slower than this product."""
+    return np.isnan(x @ np.ones(x.shape[1]))
 
 
-def _advance_rk4(rhs, y, f, t_from, t_to, cfg, budget):
-    span = t_to - t_from
-    n = max(1, math.ceil(abs(span) / cfg.step))
-    h = span / n
-    f_start = f = np.asarray(rhs(t_from, y)) if f is None else f
-    for i in range(n):
-        # Four evaluations a step: k2, k3, k4 and the next step's k1.
-        budget.charge(4)
-        t = t_from + i * h
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * f))
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
-        y = y + (h / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
-        if i < n - 1:
-            f = np.asarray(rhs(t_from + (i + 1) * h, y))
-    try:
-        f_end = np.asarray(rhs(t_to, y))
-    except ModelDomainError:
-        f_end = None
-    return y, f_start, f_end
+def _initial_steps(field, t, y, f, span: float, cfg: IntegratorConfig):
+    """First step of each row, signed, by the rule of Hairer, Norsett & Wanner
+    (scipy's ``select_initial_step``), and the rows whose probe point the
+    field is undefined at."""
+    scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+    h0 = math.copysign(1.0, span) * np.minimum(h0, abs(span))
+    probe = field(t + h0, y + h0[:, None] * f)
+    d = np.maximum(d1, _rms((probe - f) / scale) / np.abs(h0))
+    h1 = np.where(d <= 1e-15, np.maximum(1e-6, np.abs(h0) * 1e-3),
+                  (0.01 / np.maximum(d, 1e-15)) ** -ERROR_EXPONENT)
+    h = np.minimum(np.minimum(100 * np.abs(h0), h1), abs(span))
+    return math.copysign(1.0, span) * h, _nan_rows(probe)
 
 
-def sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
+def _combine(row, stages, h: np.ndarray) -> np.ndarray:
+    """(h / den)(n_1 k_1 + n_2 k_2 + ...) per row, summed left to right over
+    the nonzero numerators."""
+    nums, den = row
+    total = None
+    for num, k in zip(nums, stages):
+        if num and total is None:
+            total = num * k
+        elif num:
+            total += num * k
+    total *= (h / den)[:, None]
+    return total
+
+
+def _attempt(field, method, t, y, f, h):
+    """One step of size ``h`` from each row: the new states, the field there,
+    the rows whose field was undefined at a stage, and the error estimate
+    (None for a fixed-step method)."""
+    nodes, rows, error_row = method
+    stages = [f]
+    for c, row in zip(nodes, rows):
+        y_new = _combine(row, stages, h)
+        y_new += y
+        stages.append(field(t + c * h, y_new))
+    undefined = np.any([_nan_rows(k) for k in stages[1:]], axis=0)
+    error = None if error_row is None else _combine(error_row, stages, h)
+    return y_new, stages[-1], undefined, error
+
+
+def _control(error, y, y_new, accept, rejected, land, h, step, cfg: IntegratorConfig):
+    """Accept each row's attempt by its own error norm and set its next step:
+    the controller's step after a rejection or a free step, the kept step
+    after an accepted landing."""
+    error = _rms(error / (cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol))
+    with np.errstate(divide="ignore"):
+        factor = np.minimum(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+    accept = accept & (error < 1.0)
+    factor = np.where(accept, np.where(rejected, np.minimum(1.0, factor), factor),
+                      np.maximum(MIN_FACTOR, factor))
+    return accept, np.where(accept & land, h, step * factor)
+
+
+def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
     """Sample times of an integration from ``t0`` to ``t_end``: the requested
     times in the direction of integration, framed by both end points."""
     if sample_times is None:
@@ -215,62 +348,105 @@ def sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
 
 def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
                   config: IntegratorConfig | None = None,
-                  sample_times: Sequence[float] | None = None) -> Trajectory:
-    """Integrate ``dy/dt = rhs(t, y)`` from ``t0`` to ``t_end`` (either
-    direction) and return samples at the requested times.
+                  sample_times: Sequence[float] | None = None):
+    """Integrate ``dy/dt = rhs(t, y)`` for a batch of states from ``t0`` to
+    ``t_end`` (either direction), sampling each member at the requested times.
 
-    The integrator lands exactly on each sample time.  If the field raises
-    :class:`ModelDomainError`, the step budget runs out, or the adaptive
-    stepper stalls, the trajectory is truncated at the last completed sample
-    and the reason is recorded in ``termination``.
+    ``y0`` of shape ``(n, dim)`` gives a :class:`TrajectoryBatch`: ``rhs``
+    gets the running members' times ``(m,)`` and rows ``(m, dim)`` and
+    returns a NaN row where the field is undefined.  A 1-D ``y0`` is one
+    state: ``rhs`` gets a float time and a 1-D state, and the result is a
+    :class:`Trajectory`.  A field that raises :class:`ModelDomainError`
+    marks every row of that call undefined.
 
-    Sample velocities are field values the steppers evaluated anyway: RK45's
-    first and last stages, RK4's k1 and segment-end evaluation.  The field is
-    taken to be autonomous (both models' fields ignore ``t``): RK45's last
-    stage is evaluated at its own step end, which may differ from the sample
-    time in the last bit.  A sample whose field no stepper evaluated gets it
-    evaluated here, NaN where it is undefined.
+    Each member has its own step size, error norm, step count and
+    termination, so its samples are bitwise the same in any batch.  It lands
+    on a sample time by clipping its step to it, then keeps its controller's
+    step.  It stops at its last sample when the field is undefined at one of
+    its stages (``domain_error``), after ``max_steps`` step attempts, or when
+    its adaptive step falls below ten float spacings (``integration_failure``).
+    Sample velocities are the field at ``t0`` and the last stage of each
+    landing step, at the sample state (at a time that may differ from the
+    sample time in the last bit; both models' fields ignore ``t``).
     """
     cfg = config or IntegratorConfig()
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    ts = sample_grid(t0, t_end, sample_times)
-    advance = _advance_rk45 if cfg.method == "rk45" else _advance_rk4
-    evals = RK45_STAGES * cfg.max_steps if cfg.method == "rk45" else 4 * cfg.max_steps
-    budget = _EvalBudget(evals)
+    method = DORMAND_PRINCE if cfg.method == "rk45" else RK4
+    adaptive = method[2] is not None
+    y0 = np.asarray(y0, dtype=float)
+    single = y0.ndim == 1
+    y = np.array(y0, ndmin=2)
+    n, dim = y.shape
+    ts = _sample_grid(t0, t_end, sample_times)
 
-    states = [y.copy()]
-    fields = [None]
-    kept = [ts[0]]
-    f = None
-    complete, termination = True, "completed"
-    for target in ts[1:]:
+    def field(t, x):
         try:
-            y, f_start, f = advance(rhs, y, f, kept[-1], target, cfg, budget)
-        except _BudgetExhausted:
-            complete, termination = False, "max_steps"
-            break
-        except _SegmentFailure as exc:
-            complete, termination = False, f"integration_failure: {exc}"
-            break
-        except ModelDomainError as exc:
-            complete, termination = False, f"domain_error: {exc}"
-            break
-        if fields[-1] is None:
-            fields[-1] = f_start
-        states.append(np.asarray(y, dtype=float).copy())
-        fields.append(f)
-        kept.append(float(target))
-
-    times = np.asarray(kept, dtype=float)
-    states_arr = np.asarray(states, dtype=float)
-    velocities = np.full_like(states_arr, np.nan)
-    for i, field in enumerate(fields):
-        try:
-            velocities[i] = rhs(times[i], states_arr[i]) if field is None else field
+            f = rhs(float(t[0]), x[0]) if single else rhs(t, x)
         except ModelDomainError:
-            pass
-    return Trajectory(times=times, states=states_arr, velocities=velocities,
-                      complete=complete, termination=termination)
+            return np.full_like(x, np.nan)
+        return np.asarray(f, dtype=float).reshape(x.shape)
+
+    f = field(np.full(n, ts[0]), y)
+    states = np.full((len(ts), n, dim), np.nan)
+    velocities = np.full_like(states, np.nan)
+    states[0], velocities[0] = y, f
+    lengths = np.ones(n, dtype=np.intp)
+    code = np.where(_nan_rows(f), _DOMAIN, _COMPLETED)
+
+    # One entry per running member: id, time, state, field, samples held,
+    # step attempts, fixed steps taken into the current sample gap, adaptive
+    # step, and whether the last attempt met an undefined field or was
+    # rejected.
+    ids = np.flatnonzero(code == _COMPLETED) if len(ts) > 1 else np.empty(0, np.intp)
+    m = len(ids)
+    t, y, f = np.full(m, ts[0]), y[ids], f[ids]
+    held, tries, taken = np.ones(m, np.int32), np.zeros(m, np.int32), np.zeros(m, np.int32)
+    h, undefined, rejected = np.zeros(m), np.zeros(m, bool), np.zeros(m, bool)
+    if adaptive and m:
+        h, undefined = _initial_steps(field, t, y, f, t_end - t0, cfg)
+    gaps = np.diff(ts)
+    per_gap = np.maximum(1, np.ceil(np.abs(gaps) / cfg.step))
+
+    while ids.size:
+        reason = np.where(undefined, _DOMAIN,
+                          np.where(tries >= cfg.max_steps, _MAX_STEPS, _COMPLETED))
+        if adaptive:
+            reason[(reason == _COMPLETED)
+                   & (np.abs(h) < 10 * np.abs(np.nextafter(t, t_end) - t))] = _FAILED
+        done = (reason != _COMPLETED) | (held == len(ts))
+        if done.any():
+            lengths[ids[done]], code[ids[done]] = held[done], reason[done]
+            ids, t, y, f, held, tries, taken, h, rejected = (
+                a[~done] for a in (ids, t, y, f, held, tries, taken, h, rejected))
+            if not ids.size:
+                break
+
+        target = ts[held]
+        if adaptive:
+            land = np.abs(target - t) <= np.abs(h)
+            step = np.where(land, target - t, h)
+        else:   # h = gap / ceil(gap / step) through each sample gap
+            step = gaps[held - 1] / per_gap[held - 1]
+            land = taken + 1 == per_gap[held - 1]
+        y_new, f_new, undefined, error = _attempt(field, method, t, y, f, step)
+        accept = ~undefined
+        if adaptive:
+            accept, h = _control(error, y, y_new, accept, rejected, land, h, step, cfg)
+            rejected = ~accept
+        tries += 1
+
+        landed = accept & land
+        t = np.where(accept, np.where(land, target, t + step), t)
+        y = np.where(accept[:, None], y_new, y)
+        f = np.where(accept[:, None], f_new, f)
+        states[held[landed], ids[landed]] = y[landed]
+        velocities[held[landed], ids[landed]] = f[landed]
+        held = held + landed
+        taken = np.where(landed, 0, taken + accept)
+        del y_new, f_new, error     # before the next attempt (peak memory)
+
+    batch = TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
+                            terminations=tuple(_REASONS[c] for c in code.tolist()))
+    return batch.member(0) if single else batch
 
 
 def bracketed_root(g: Callable[[float], float], lo: float, hi: float,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DegenerateParametersError, ModelDomainError
-from .numerics import RootScanReport, Trajectory, bracketed_root, scan_roots
+from .numerics import RootScanReport, bracketed_root, require_defined, scan_roots
 
 # Relative density below this is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
@@ -178,7 +178,8 @@ class PlaneWavePair:
     # -- guidance velocities -------------------------------------------------
 
     def velocity_of_separation(self, delta):
-        """Velocity of particle 1 as a function of x1 - x2 (vectorised).
+        """Velocity of particle 1 as a function of x1 - x2 (vectorised), NaN
+        at a node.
 
         Uses the form c / (cos^2 theta + c^2 sin^2 theta), which is finite at
         cos theta = 0 where the tangent-based expression has a removable
@@ -187,25 +188,26 @@ class PlaneWavePair:
         th = self.momentum * np.asarray(delta, dtype=float) / self.hbar
         c = self.contrast
         denom = np.cos(th) ** 2 + (c * np.sin(th)) ** 2
-        if np.any(denom < NODE_DENSITY_FLOOR):
-            raise ModelDomainError("velocity undefined at a node of the wavefunction")
-        return self.speed * c / denom
+        return np.where(denom < NODE_DENSITY_FLOOR, np.nan, self.speed * c / denom)
 
     def velocities(self, state: PairState1D) -> tuple[float, float]:
-        """Guidance velocities (v1, v2); v2 is exactly -v1."""
-        v1 = float(self.velocity_of_separation(state.separation))
-        return v1, -v1
+        """Guidance velocities (v1, v2); v2 is exactly -v1.  Raises
+        :class:`ModelDomainError` at a node."""
+        return tuple(self.rhs(state.t, self.state_vector(state)).tolist())
 
     def rhs(self, t, y):
-        """Field for the integrator on the flat configuration [x1, x2]."""
-        v1 = self.velocity_of_separation(y[0] - y[1])
-        return np.array([v1, -v1])
+        """Field for the integrator at one flat configuration [x1, x2];
+        raises :class:`ModelDomainError` at a node."""
+        return require_defined(self.batch_rhs(t, y),
+                               "velocity undefined at a node of the wavefunction")
 
     def batch_rhs(self, t, y):
-        """Field for a stacked ensemble: y is (n, 2) flattened C-order."""
-        pairs = np.asarray(y).reshape(-1, 2)
+        """Field on configuration rows: y is (m, 2), or (m * 2,) flattened
+        C-order, and the result has its shape, with NaN rows at nodes."""
+        y = np.asarray(y, dtype=float)
+        pairs = y.reshape(-1, 2)
         v1 = self.velocity_of_separation(pairs[:, 0] - pairs[:, 1])
-        return np.column_stack([v1, -v1]).ravel()
+        return np.column_stack([v1, -v1]).reshape(y.shape)
 
     # -- conserved quantities ------------------------------------------------
 
@@ -258,23 +260,29 @@ class PlaneWavePair:
         return float(self.trajectory_invariant(state.separation)
                      - 2.0 * self.speed * state.t - beta)
 
-    def residual_drift(self, trajectory: Trajectory, beta: float | None = None) -> float:
-        """Max |residual| over the samples of a trajectory, with beta fixed
-        from its initial sample unless given."""
-        deltas = trajectory.states[:, 0] - trajectory.states[:, 1]
-        values = self.trajectory_invariant(deltas) - 2.0 * self.speed * trajectory.times
-        if beta is None:
-            beta = float(values[0])
-        return float(np.max(np.abs(values - beta)))
+    def residual_drift(self, trajectory) -> float:
+        """Max |residual| over the samples of a trajectory, or of every member
+        of a trajectory batch (NaN samples past a truncation skipped), with
+        beta fixed from each initial sample."""
+        return self._relation_drift(trajectory, self.trajectory_invariant)
 
-    def cm_drift(self, trajectory: Trajectory) -> float:
-        """Max |(x1 + x2) - (x1 + x2)_initial| over the trajectory samples.
+    def _relation_drift(self, trajectory, relation) -> float:
+        """:meth:`residual_drift` of ``relation`` (the conserved
+        :meth:`trajectory_invariant` or the printed :meth:`constraint_lhs`)."""
+        states = trajectory.states
+        times = np.reshape(trajectory.times, (-1,) + (1,) * (states.ndim - 2))
+        values = relation(states[..., 0] - states[..., 1]) - 2.0 * self.speed * times
+        return float(np.nanmax(np.abs(values - values[0])))
+
+    def cm_drift(self, trajectory) -> float:
+        """Max |(x1 + x2) - (x1 + x2)_initial| over the samples of a
+        trajectory, or of every member of a trajectory batch.
 
         The centre of mass is exactly frozen by the flow (v1 + v2 = 0), so
         this stays below integration tolerance.
         """
-        sums = trajectory.states[:, 0] + trajectory.states[:, 1]
-        return float(np.max(np.abs(sums - sums[0])))
+        sums = trajectory.states[..., 0] + trajectory.states[..., 1]
+        return float(np.nanmax(np.abs(sums - sums[0])))
 
     def zero_separation_time(self, state: PairState1D) -> float:
         """Time at which the trajectory through ``state`` has x1 = x2.

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ModelDomainError
+from .numerics import require_defined
 
 
 @dataclass(frozen=True)
@@ -133,15 +134,19 @@ class SlitPair:
         return tuple(float(v) for v in self.distances_of(np.asarray(state.r1),
                                                          np.asarray(state.r2)))
 
+    def _supported(self, r1, r2, distances):
+        """Where configurations lie in the model's support: the x >= 0
+        half-space, at least ``slit_exclusion`` from both sources."""
+        return ((np.asarray(r1)[..., 0] >= -1e-12) & (np.asarray(r2)[..., 0] >= -1e-12)
+                & (nearest_source(*distances) >= self.slit_exclusion))
+
     def _supported_distances(self, r1, r2):
         """:meth:`distances_of`, raising :class:`ModelDomainError` outside the
-        x >= 0 half-space or within ``slit_exclusion`` of a source."""
+        support (:meth:`_supported`)."""
         distances = self.distances_of(r1, r2)
-        if np.any(np.asarray(r1)[..., 0] < -1e-12) or np.any(np.asarray(r2)[..., 0] < -1e-12):
-            raise ModelDomainError("the model is supported on the x >= 0 half-space")
-        if np.min(nearest_source(*distances)) < self.slit_exclusion:
-            raise ModelDomainError(
-                f"configuration within {self.slit_exclusion} of a source point")
+        if not np.all(self._supported(r1, r2, distances)):
+            raise ModelDomainError("configuration outside the x >= 0 half-space or "
+                                   f"within {self.slit_exclusion} of a source point")
         return distances
 
     # -- wavefunction and phase ----------------------------------------------
@@ -202,13 +207,8 @@ class SlitPair:
         return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
 
     def phase(self, state: PairState3D) -> float:
-        self._require_evaluable(state)
+        self.rhs(state.t, self.state_vector(state))   # raises outside the domain
         return float(self.phase_from_distances(*self.distances(state), t=state.t))
-
-    def _require_evaluable(self, state: PairState3D) -> None:
-        distances = self._supported_distances(np.asarray(state.r1), np.asarray(state.r2))
-        if self.node_measure_of(*distances) < self.node_threshold:
-            raise ModelDomainError("state lies on a node of the wavefunction")
 
     # -- phase derivatives and velocities --------------------------------------
 
@@ -230,8 +230,6 @@ class SlitPair:
     def _distance_derivatives(self, r1a, r1b, r2a, r2b):
         k = self.wavenumber
         q, rr, alpha, beta, nval, dval = self._phase_terms(r1a, r1b, r2a, r2b)
-        if np.any(nval * nval + dval * dval == 0.0):
-            raise ModelDomainError("phase gradient undefined at a node")
         g1a = self._partial(k, self.hbar, nval, dval, rr, r2b, alpha, beta)
         g1b = self._partial(k, self.hbar, nval, dval, q, r2a, beta, alpha)
         g2a = self._partial(k, self.hbar, nval, dval, q, r1b, beta, alpha)
@@ -241,39 +239,49 @@ class SlitPair:
     def distance_derivatives(self, state: PairState3D) -> tuple[float, float, float, float]:
         """Partial derivatives of the phase with respect to (r1A, r1B, r2A,
         r2B); each matches finite differences of :meth:`phase_from_distances`."""
-        self._require_evaluable(state)
+        self.rhs(state.t, self.state_vector(state))   # raises outside the domain
         return tuple(float(g) for g in self._distance_derivatives(*self.distances(state)))
 
     def _velocity_arrays(self, r1, r2):
-        r1a, r1b, r2a, r2b = self._supported_distances(r1, r2)
-        if np.any(self.node_measure_of(r1a, r1b, r2a, r2b) < self.node_threshold):
-            raise ModelDomainError("velocity undefined at a node of the wavefunction")
-        g1a, g1b, g2a, g2b = self._distance_derivatives(r1a, r1b, r2a, r2b)
-        u = lambda r, src, d: (r - src) / d[..., None]
-        v1 = (g1a[..., None] * u(r1, self.source_a, r1a)
-              + g1b[..., None] * u(r1, self.source_b, r1b)) / self.mass
-        v2 = (g2a[..., None] * u(r2, self.source_a, r2a)
-              + g2b[..., None] * u(r2, self.source_b, r2b)) / self.mass
-        return v1, v2
+        """(v1, v2) at position arrays of shape (..., 3); raises
+        :class:`ModelDomainError` where any is undefined."""
+        v = self.rhs(0.0, np.concatenate([r1, r2], axis=-1))
+        return v[..., :3], v[..., 3:]
 
     def velocities(self, state: PairState3D) -> tuple[np.ndarray, np.ndarray]:
         """Guidance velocities (v1, v2) as 3-vectors, assembled by the chain
         rule through the four source distances."""
-        v1, v2 = self._velocity_arrays(np.asarray(state.r1, dtype=float),
-                                       np.asarray(state.r2, dtype=float))
-        return v1, v2
+        return self._velocity_arrays(np.asarray(state.r1, dtype=float),
+                                     np.asarray(state.r2, dtype=float))
 
     def rhs(self, t, y):
-        """Field for the integrator on the flat configuration [r1, r2]."""
-        y = np.asarray(y, dtype=float)
-        v1, v2 = self._velocity_arrays(y[:3], y[3:])
-        return np.concatenate([v1, v2])
+        """Field for the integrator at one flat configuration [r1, r2] (or at
+        rows of them); raises :class:`ModelDomainError` where it is undefined."""
+        return require_defined(self.batch_rhs(t, y), "velocity undefined outside the "
+                               "support or at a node of the wavefunction")
 
     def batch_rhs(self, t, y):
-        """Field for a stacked ensemble: y is (n, 6) flattened C-order."""
-        pts = np.asarray(y, dtype=float).reshape(-1, 6)
-        v1, v2 = self._velocity_arrays(pts[:, :3], pts[:, 3:])
-        return np.concatenate([v1, v2], axis=1).ravel()
+        """Field on configuration rows: y is (m, 6), or (m * 6,) flattened
+        C-order, and the result has its shape, with NaN rows outside the
+        support and at nodes (node measure below ``node_threshold``)."""
+        y = np.asarray(y, dtype=float)
+        pts = y.reshape(-1, 6)
+        r1, r2 = pts[:, :3], pts[:, 3:]
+        distances = r1a, r1b, r2a, r2b = self.distances_of(r1, r2)
+        # Rows outside the domain (NaN rows included) may divide by zero;
+        # they are masked below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            defined = (self._supported(r1, r2, distances)
+                       & (self.node_measure_of(*distances) >= self.node_threshold))
+            g1a, g1b, g2a, g2b = self._distance_derivatives(*distances)
+            u = lambda r, src, d: (r - src) / d[..., None]
+            v1 = (g1a[..., None] * u(r1, self.source_a, r1a)
+                  + g1b[..., None] * u(r1, self.source_b, r1b)) / self.mass
+            v2 = (g2a[..., None] * u(r2, self.source_a, r2a)
+                  + g2b[..., None] * u(r2, self.source_b, r2b)) / self.mass
+        out = np.concatenate([v1, v2], axis=1)
+        out[~defined] = np.nan
+        return out.reshape(y.shape)
 
     # -- decoupling constraint -------------------------------------------------
 

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import bohmpair.ensemble as ensemble_module
+from bohmpair.analyses import constraint_claims
 from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensemble,
                                compare_distribution, evolve_ensemble,
                                global_constraint_analysis, ks_critical_value,
-                               ks_statistic, ks_two_sample, quadrature_cdf,
-                               sample_configurations, separation_marginal,
-                               write_ensemble_csv, write_metadata)
+                               ks_critical_value_two_sample, ks_statistic,
+                               ks_two_sample, quadrature_cdf, sample_configurations,
+                               separation_marginal, write_ensemble_csv, write_metadata)
 from bohmpair.errors import (ConfigurationError, DegenerateParametersError,
                              InsufficientSampleError)
 from bohmpair.numerics import IntegratorConfig
@@ -75,6 +77,14 @@ class TestKsHelpers:
 
     def test_critical_value(self):
         assert ks_critical_value(100_000) == pytest.approx(1.63 / math.sqrt(100_000))
+
+    def test_two_sample_critical_value(self):
+        assert ks_critical_value_two_sample(5000, 10_000) == pytest.approx(0.02823, abs=5e-6)
+        assert (ks_critical_value_two_sample(5000, 10_000)
+                == ks_critical_value_two_sample(10_000, 5000))
+        # Two samples of size n each: sqrt(2) times the one-sample value.
+        assert ks_critical_value_two_sample(800, 800) == pytest.approx(
+            math.sqrt(2) * ks_critical_value(800))
 
     def test_quadrature_cdf_uniform(self):
         cdf = quadrature_cdf(lambda x: np.ones_like(x), 0.0, 2.0)
@@ -202,7 +212,7 @@ class TestEvolution:
         with pytest.raises(IndexError):
             members[5]
 
-    def test_failing_member_truncated_alone(self, node_ensembles):
+    def test_failing_member_truncated_alone(self, node_ensembles, monkeypatch):
         ens, evolved = node_ensembles
         n = ens.size
         regular = [i for i in range(n) if i != NODE_MEMBER]
@@ -215,6 +225,50 @@ class TestEvolution:
         assert np.all(np.isnan(evolved.states[1:, NODE_MEMBER]))
         assert np.array_equal(evolved.states_at(1.0), ens.initial_states()[regular])
         assert evolved.survival_fraction == (n - 1) / n
+
+        # One batch_rhs call to build, one integrate_ode call to evolve, and
+        # no per-member path, although a member fails.
+        calls = {"batch_rhs": 0, "integrate_ode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def per_member(*args):
+            raise AssertionError("per-member field called")
+
+        monkeypatch.setattr(PlaneWavePair, "batch_rhs",
+                            counted("batch_rhs", PlaneWavePair.batch_rhs))
+        monkeypatch.setattr(PlaneWavePair, "rhs", per_member)
+        monkeypatch.setattr(ensemble_module, "integrate_ode",
+                            counted("integrate_ode", ensemble_module.integrate_ode))
+        again = build_ensemble(ens.model, n, seed=0, initial_states=ens.initial_states())
+        assert calls == {"batch_rhs": 1, "integrate_ode": 0}
+        again = evolve_ensemble(again, 1.0, sample_times=[0.0, 0.5, 1.0])
+        assert calls["integrate_ode"] == 1
+        assert np.array_equal(again.states, evolved.states, equal_nan=True)
+        assert again.terminations == evolved.terminations
+
+    def test_batch_drifts_match_members(self, mild):
+        # max_steps truncates most members, at different samples.
+        ens = build_ensemble(mild, 24, seed=61)
+        evolved = evolve_ensemble(ens, 3.0, IntegratorConfig(max_steps=60),
+                                  sample_times=np.linspace(0.0, 3.0, 31))
+        assert 0 < evolved.survival_fraction < 1
+        members = evolved.members
+        printed = 0.0
+        for m in members:
+            deltas = m.states[:, 0] - m.states[:, 1]
+            vals = np.asarray(mild.constraint_lhs(deltas)) - 2.0 * mild.speed * m.times
+            printed = max(printed, float(np.max(np.abs(vals - vals[0]))))
+        expected = {"centre_of_mass_frozen": max(mild.cm_drift(m) for m in members),
+                    "separation_relation_conserved": max(mild.residual_drift(m)
+                                                         for m in members),
+                    "separation_relation_printed_drift": printed}
+        claims = {c.claim_id: c.value for c in constraint_claims(mild, evolved)}
+        assert claims == expected
 
     def test_members_carry_velocities(self, mild):
         ens = build_ensemble(mild, 10, seed=31)
@@ -261,6 +315,8 @@ class TestCompareDistribution:
         report = compare_distribution(ens, 0.0, min_survivors=100)
         assert report.method == "two-sample"
         assert 0.0 <= report.ks_statistic < 0.2
+        # Against the 10,000-point reference sample.
+        assert report.critical_value_99 == ks_critical_value_two_sample(300, 10_000)
 
 
 class TestGlobalConstraint:

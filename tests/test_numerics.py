@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bohmpair.ensemble import sample_configurations
@@ -115,28 +117,7 @@ class TestIntegrateOde:
 
 
 class TestRk45MatchesSolveIvp:
-    """The adaptive stepper is solve_ivp's RK45 loop without the history."""
-
-    @pytest.mark.parametrize("model, t_end", [(PlaneWavePair(a=1.0, b=0.2), 2.0),
-                                              (SlitPair(wavenumber=1.0, slit_offset=0.5), 1.0)])
-    def test_bitwise_final_state(self, model, t_end):
-        cfg = IntegratorConfig()
-        y0 = sample_configurations(model, 8, seed=5)[0].ravel()
-        calls = {"ours": 0, "solve_ivp": 0}
-
-        def counted(key):
-            def rhs(t, y):
-                calls[key] += 1
-                return model.batch_rhs(t, y)
-            return rhs
-
-        traj = integrate_ode(counted("ours"), y0, 0.0, t_end, cfg, sample_times=[0.0, t_end])
-        sol = solve_ivp(counted("solve_ivp"), (0.0, t_end), y0, method="RK45",
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
-        assert traj.complete and sol.success
-        assert np.array_equal(traj.final_state, sol.y[:, -1])
-        # Sample velocities reuse the solver's own evaluations.
-        assert calls["ours"] == calls["solve_ivp"]
+    """The adaptive stepper gives up where solve_ivp's RK45 does."""
 
     def test_failing_segment_truncates(self):
         # A jump of 1e10 in the field cannot meet the tolerance at any step
@@ -146,6 +127,70 @@ class TestRk45MatchesSolveIvp:
         sol = solve_ivp(rhs, (0.25, 1.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11)
         assert not traj.complete and traj.final_time == 0.25
         assert traj.termination == f"integration_failure: {sol.message}"
+
+
+MODEL_CASES = {"planewave": (PlaneWavePair(a=1.0, b=0.2), 1.0),
+               "spherical": (SlitPair(wavenumber=1.0, slit_offset=0.5), 0.5)}
+
+
+class TestPerMemberControl:
+    """Each member is stepped on its own, whatever else is in the batch."""
+
+    @settings(max_examples=32)
+    @given(name=st.sampled_from(sorted(MODEL_CASES)), method=st.sampled_from(["rk45", "rk4"]),
+           size=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
+           max_steps=st.sampled_from([1_000_000, 12]), fenced=st.booleans(), data=st.data())
+    def test_member_alone_equals_member_in_batch(self, name, method, size, seed,
+                                                 max_steps, fenced, data):
+        model, t_end = MODEL_CASES[name]
+        cfg = IntegratorConfig(method=method, step=0.02, max_steps=max_steps)
+        y0 = sample_configurations(model, size, seed=seed)[0]
+        limit = np.median(y0[:, 0]) + 0.2 if fenced else np.inf
+
+        def field(t, y):  # undefined past x1 = limit, so some members stop there
+            return np.where(y[:, :1] > limit, np.nan, model.batch_rhs(t, y))
+
+        order = np.random.default_rng(seed).permutation(size)
+        i = data.draw(st.integers(0, size - 1))
+        times = np.linspace(0.0, t_end, 6)
+        batch = integrate_ode(field, y0[order], 0.0, t_end, cfg, times)
+        alone = integrate_ode(field, y0[i:i + 1], 0.0, t_end, cfg, times)
+        j = int(np.flatnonzero(order == i)[0])
+        assert np.array_equal(batch.states[:, j], alone.states[:, 0], equal_nan=True)
+        assert np.array_equal(batch.velocities[:, j], alone.velocities[:, 0], equal_nan=True)
+        assert batch.lengths[j] == alone.lengths[0]
+        assert batch.terminations[j] == alone.terminations[0]
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CASES))
+    def test_members_against_tight_reference(self, name):
+        model, _ = MODEL_CASES[name]
+        y0 = sample_configurations(model, 16, seed=11)[0]
+        flow = integrate_ode(model.batch_rhs, y0, 0.0, 3.0, sample_times=[0.0, 3.0])
+        assert flow.complete
+        for row, end in zip(y0, flow.states[-1]):
+            sol = solve_ivp(model.rhs, (0.0, 3.0), row, method="DOP853",
+                            rtol=1e-13, atol=1e-15)
+            assert np.max(np.abs(end - sol.y[:, -1])) < 1e-6
+
+    def test_pullback_residual_every_member(self):
+        model = PlaneWavePair(a=1.0, b=0.2)
+        y0 = sample_configurations(model, 20_000, seed=42)[0]
+        flow = integrate_ode(model.batch_rhs, y0, 0.0, 3.0, sample_times=[0.0, 3.0])
+        assert flow.complete
+        end = flow.states[-1]
+        pulled = model.inverse_flow(end[:, 0] - end[:, 1], 3.0)
+        assert np.max(np.abs(pulled - (y0[:, 0] - y0[:, 1]))) <= 1e-6
+
+    def test_undefined_row_truncates_its_member_only(self):
+        def rhs(t, y):  # undefined once a member passes x = 1
+            return np.where(y > 1.0, np.nan, np.ones_like(y))
+
+        flow = integrate_ode(rhs, [[0.0], [0.5]], 0.0, 1.0,
+                             sample_times=np.linspace(0.0, 1.0, 11))
+        assert flow.terminations[0] == "completed"
+        assert flow.terminations[1].startswith("domain_error")
+        assert flow.lengths.tolist() == [11, 6]
+        assert np.all(np.isnan(flow.states[6:, 1]))
 
 
 def reevaluated_velocities(rhs, traj):
@@ -196,7 +241,8 @@ class TestSampleVelocities:
     @pytest.mark.parametrize("model, t_end", MODELS)
     @pytest.mark.parametrize("cfg", [IntegratorConfig(),
                                      IntegratorConfig(method="rk4", step=0.05),
-                                     IntegratorConfig(max_steps=20),
+                                     # fewer attempts than the 10 sample gaps
+                                     IntegratorConfig(max_steps=8),
                                      IntegratorConfig(method="rk4", step=0.05, max_steps=7)],
                              ids=["rk45", "rk4", "rk45-max-steps", "rk4-max-steps"])
     def test_bitwise_equal_to_reevaluation(self, model, t_end, cfg):

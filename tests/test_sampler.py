@@ -79,7 +79,7 @@ def near_source_points(model, rng, count, radius=1e-4):
     return pts
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(k=st.floats(0.5, 5.0), d=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_spherical_envelope_holds(k, d, seed):
     model = SlitPair(wavenumber=k, slit_offset=d)
