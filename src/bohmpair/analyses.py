@@ -160,9 +160,9 @@ def constraint_claims(model, evolved: Ensemble) -> list[ClaimCheck]:
                 model._relation_drift(evolved, model.constraint_lhs)))
     else:
         probe = mirror_probe_state(model)
-        traj = integrate_ode(model.batch_rhs, model.state_vector(probe), probe.t,
+        traj = integrate_ode(model.batch_rhs, [model.state_vector(probe)], probe.t,
                              probe.t + 1.0, evolved.integrator,
-                             sample_times=np.linspace(probe.t, probe.t + 1.0, 101))
+                             sample_times=np.linspace(probe.t, probe.t + 1.0, 101)).member(0)
         dev = model.max_constraint_deviations(traj)
         claims.append(_tolerance_claim(
             "mirror_manifold_preserved",

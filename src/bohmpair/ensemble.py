@@ -150,11 +150,11 @@ def ks_critical_value(n: int, coefficient: float = KS_COEFF_99) -> float:
     return coefficient / math.sqrt(n)
 
 
-def ks_critical_value_two_sample(n: int, m: int, coefficient: float = KS_COEFF_99) -> float:
-    """Critical value of the two-sample statistic for samples of sizes ``n``
-    and ``m``: coefficient x sqrt((n + m) / (n m)) (Smirnov, Ann. Math.
+def ks_critical_value_two_sample(n: int, m: int) -> float:
+    """99% critical value of the two-sample statistic for samples of sizes
+    ``n`` and ``m``: 1.63 sqrt((n + m) / (n m)) (Smirnov, Ann. Math.
     Statist. 19 (1948) 279-281)."""
-    return coefficient * math.sqrt((n + m) / (n * m))
+    return KS_COEFF_99 * math.sqrt((n + m) / (n * m))
 
 
 def quadrature_cdf(density: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,

@@ -352,12 +352,10 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     """Integrate ``dy/dt = rhs(t, y)`` for a batch of states from ``t0`` to
     ``t_end`` (either direction), sampling each member at the requested times.
 
-    ``y0`` of shape ``(n, dim)`` gives a :class:`TrajectoryBatch`: ``rhs``
-    gets the running members' times ``(m,)`` and rows ``(m, dim)`` and
-    returns a NaN row where the field is undefined.  A 1-D ``y0`` is one
-    state: ``rhs`` gets a float time and a 1-D state, and the result is a
-    :class:`Trajectory`.  A field that raises :class:`ModelDomainError`
-    marks every row of that call undefined.
+    ``y0`` has shape ``(n, dim)`` and the result is a :class:`TrajectoryBatch`
+    (``member(i)`` views one member as a :class:`Trajectory`).  ``rhs`` gets
+    the running members' times ``(m,)`` and rows ``(m, dim)`` and returns a
+    NaN row where the field is undefined.
 
     Each member has its own step size, error norm, step count and
     termination, so its samples are bitwise the same in any batch.  It lands
@@ -372,20 +370,10 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     cfg = config or IntegratorConfig()
     method = DORMAND_PRINCE if cfg.method == "rk45" else RK4
     adaptive = method[2] is not None
-    y0 = np.asarray(y0, dtype=float)
-    single = y0.ndim == 1
-    y = np.array(y0, ndmin=2)
+    y = np.asarray(y0, dtype=float)
     n, dim = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
-
-    def field(t, x):
-        try:
-            f = rhs(float(t[0]), x[0]) if single else rhs(t, x)
-        except ModelDomainError:
-            return np.full_like(x, np.nan)
-        return np.asarray(f, dtype=float).reshape(x.shape)
-
-    f = field(np.full(n, ts[0]), y)
+    f = rhs(np.full(n, ts[0]), y)
     states = np.full((len(ts), n, dim), np.nan)
     velocities = np.full_like(states, np.nan)
     states[0], velocities[0] = y, f
@@ -402,7 +390,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     held, tries, taken = np.ones(m, np.int32), np.zeros(m, np.int32), np.zeros(m, np.int32)
     h, undefined, rejected = np.zeros(m), np.zeros(m, bool), np.zeros(m, bool)
     if adaptive and m:
-        h, undefined = _initial_steps(field, t, y, f, t_end - t0, cfg)
+        h, undefined = _initial_steps(rhs, t, y, f, t_end - t0, cfg)
     gaps = np.diff(ts)
     per_gap = np.maximum(1, np.ceil(np.abs(gaps) / cfg.step))
 
@@ -427,7 +415,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         else:   # h = gap / ceil(gap / step) through each sample gap
             step = gaps[held - 1] / per_gap[held - 1]
             land = taken + 1 == per_gap[held - 1]
-        y_new, f_new, undefined, error = _attempt(field, method, t, y, f, step)
+        y_new, f_new, undefined, error = _attempt(rhs, method, t, y, f, step)
         accept = ~undefined
         if adaptive:
             accept, h = _control(error, y, y_new, accept, rejected, land, h, step, cfg)
@@ -444,9 +432,8 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         taken = np.where(landed, 0, taken + accept)
         del y_new, f_new, error     # before the next attempt (peak memory)
 
-    batch = TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
-                            terminations=tuple(_REASONS[c] for c in code.tolist()))
-    return batch.member(0) if single else batch
+    return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
+                           terminations=tuple(_REASONS[c] for c in code.tolist()))
 
 
 def bracketed_root(g: Callable[[float], float], lo: float, hi: float,

@@ -149,6 +149,14 @@ class SlitPair:
                                    f"within {self.slit_exclusion} of a source point")
         return distances
 
+    def _defined_distances(self, state: PairState3D):
+        """:meth:`_supported_distances` of a state where the field is defined,
+        also raising at a node (node measure below ``node_threshold``)."""
+        distances = self._supported_distances(np.asarray(state.r1), np.asarray(state.r2))
+        if self.node_measure_of(*distances) < self.node_threshold:
+            raise ModelDomainError("field undefined at a node of the wavefunction")
+        return distances
+
     # -- wavefunction and phase ----------------------------------------------
 
     def _bracket(self, r1a, r1b, r2a, r2b):
@@ -207,8 +215,7 @@ class SlitPair:
         return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
 
     def phase(self, state: PairState3D) -> float:
-        self.rhs(state.t, self.state_vector(state))   # raises outside the domain
-        return float(self.phase_from_distances(*self.distances(state), t=state.t))
+        return float(self.phase_from_distances(*self._defined_distances(state), t=state.t))
 
     # -- phase derivatives and velocities --------------------------------------
 
@@ -239,20 +246,14 @@ class SlitPair:
     def distance_derivatives(self, state: PairState3D) -> tuple[float, float, float, float]:
         """Partial derivatives of the phase with respect to (r1A, r1B, r2A,
         r2B); each matches finite differences of :meth:`phase_from_distances`."""
-        self.rhs(state.t, self.state_vector(state))   # raises outside the domain
-        return tuple(float(g) for g in self._distance_derivatives(*self.distances(state)))
-
-    def _velocity_arrays(self, r1, r2):
-        """(v1, v2) at position arrays of shape (..., 3); raises
-        :class:`ModelDomainError` where any is undefined."""
-        v = self.rhs(0.0, np.concatenate([r1, r2], axis=-1))
-        return v[..., :3], v[..., 3:]
+        distances = self._defined_distances(state)
+        return tuple(float(g) for g in self._distance_derivatives(*distances))
 
     def velocities(self, state: PairState3D) -> tuple[np.ndarray, np.ndarray]:
         """Guidance velocities (v1, v2) as 3-vectors, assembled by the chain
         rule through the four source distances."""
-        return self._velocity_arrays(np.asarray(state.r1, dtype=float),
-                                     np.asarray(state.r2, dtype=float))
+        v = self.rhs(state.t, self.state_vector(state))
+        return v[:3], v[3:]
 
     def rhs(self, t, y):
         """Field for the integrator at one flat configuration [r1, r2] (or at

@@ -50,59 +50,58 @@ class TestCentralGradient:
 
 class TestIntegrateOde:
     def test_constant_field_exact(self):
-        traj = integrate_ode(lambda t, y: np.array([2.5]), [1.0], 0.0, 3.0,
-                             sample_times=[0.0, 1.5, 3.0])
+        traj = integrate_ode(lambda t, y: np.full_like(y, 2.5), [[1.0]], 0.0, 3.0,
+                             sample_times=[0.0, 1.5, 3.0]).member(0)
         assert traj.complete
         assert abs(traj.final_state[0] - (1.0 + 2.5 * 3.0)) < 1e-12
         assert np.array_equal(traj.times, [0.0, 1.5, 3.0])
 
     def test_exponential_within_tolerance(self):
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-        traj = integrate_ode(lambda t, y: y, [1.0], 0.0, 1.0, cfg, sample_times=[0, 1])
-        assert abs(traj.final_state[0] - math.e) / math.e < 10 * cfg.rel_tol
+        traj = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, cfg, sample_times=[0, 1])
+        assert abs(traj.states[-1, 0, 0] - math.e) / math.e < 10 * cfg.rel_tol
 
     def test_backward_integration(self):
-        traj = integrate_ode(lambda t, y: y, [math.e], 1.0, 0.0, sample_times=[1.0, 0.0])
-        assert abs(traj.final_state[0] - 1.0) < 1e-8
+        traj = integrate_ode(lambda t, y: y, [[math.e]], 1.0, 0.0, sample_times=[1.0, 0.0])
+        assert abs(traj.states[-1, 0, 0] - 1.0) < 1e-8
         assert traj.times[0] == 1.0 and traj.times[-1] == 0.0
 
     def test_round_trip(self):
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-        rhs = lambda t, y: np.array([math.sin(t) + y[0] * 0.1])
-        fwd = integrate_ode(rhs, [0.7], 0.0, 4.0, cfg, sample_times=[0, 4])
-        back = integrate_ode(rhs, fwd.final_state, 4.0, 0.0, cfg, sample_times=[4, 0])
-        assert abs(back.final_state[0] - 0.7) < 100 * cfg.rel_tol
+        rhs = lambda t, y: np.sin(t)[:, None] + y * 0.1
+        fwd = integrate_ode(rhs, [[0.7]], 0.0, 4.0, cfg, sample_times=[0, 4])
+        back = integrate_ode(rhs, fwd.states[-1], 4.0, 0.0, cfg, sample_times=[4, 0])
+        assert abs(back.states[-1, 0, 0] - 0.7) < 100 * cfg.rel_tol
 
     def test_rk4_fixed_step_converges(self):
         errs = []
         for step in (0.1, 0.05):
             cfg = IntegratorConfig(method="rk4", step=step)
-            traj = integrate_ode(lambda t, y: y, [1.0], 0.0, 1.0, cfg, sample_times=[0, 1])
-            errs.append(abs(traj.final_state[0] - math.e))
+            traj = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, cfg, sample_times=[0, 1])
+            errs.append(abs(traj.states[-1, 0, 0] - math.e))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
 
     def test_max_steps_truncates(self):
         cfg = IntegratorConfig(method="rk4", step=1e-4, max_steps=50)
-        traj = integrate_ode(lambda t, y: y, [1.0], 0.0, 1.0, cfg,
-                             sample_times=np.linspace(0, 1, 11))
+        traj = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, cfg,
+                             sample_times=np.linspace(0, 1, 11)).member(0)
         assert not traj.complete
         assert traj.termination == "max_steps"
         assert traj.final_time < 1.0
 
     def test_domain_error_truncates(self):
-        def rhs(t, y):
-            if t > 0.5:
-                raise ModelDomainError("field undefined")
-            return np.array([1.0])
+        def rhs(t, y):  # undefined past t = 0.5
+            return np.where(t[:, None] > 0.5, np.nan, np.ones_like(y))
 
-        traj = integrate_ode(rhs, [0.0], 0.0, 1.0, sample_times=np.linspace(0, 1, 11))
+        traj = integrate_ode(rhs, [[0.0]], 0.0, 1.0,
+                             sample_times=np.linspace(0, 1, 11)).member(0)
         assert not traj.complete
         assert traj.termination.startswith("domain_error")
         assert traj.final_time == pytest.approx(0.5, abs=0.101)
         assert np.isnan(traj.velocities[-1, 0]) or traj.final_time <= 0.5
 
     def test_zero_span(self):
-        traj = integrate_ode(lambda t, y: y, [2.0], 1.0, 1.0)
+        traj = integrate_ode(lambda t, y: y, [[2.0]], 1.0, 1.0).member(0)
         assert len(traj) == 1 and traj.final_state[0] == 2.0
 
     def test_config_validation(self):
@@ -122,8 +121,8 @@ class TestRk45MatchesSolveIvp:
     def test_failing_segment_truncates(self):
         # A jump of 1e10 in the field cannot meet the tolerance at any step
         # size the time spacing allows.
-        rhs = lambda t, y: np.array([1e10 if t > 0.5 else 0.0])
-        traj = integrate_ode(rhs, [0.0], 0.0, 1.0, sample_times=[0.0, 0.25, 1.0])
+        rhs = lambda t, y: np.where(np.asarray(t)[..., None] > 0.5, 1e10, 0.0) * np.ones_like(y)
+        traj = integrate_ode(rhs, [[0.0]], 0.0, 1.0, sample_times=[0.0, 0.25, 1.0]).member(0)
         sol = solve_ivp(rhs, (0.25, 1.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11)
         assert not traj.complete and traj.final_time == 0.25
         assert traj.termination == f"integration_failure: {sol.message}"
@@ -196,13 +195,7 @@ class TestPerMemberControl:
 def reevaluated_velocities(rhs, traj):
     """Sample velocities as integrate_ode used to fill them: the field
     evaluated once more at every kept sample, NaN where it is undefined."""
-    out = np.full_like(traj.states, np.nan)
-    for i, (t, y) in enumerate(zip(traj.times, traj.states)):
-        try:
-            out[i] = rhs(t, y)
-        except ModelDomainError:
-            pass
-    return out
+    return np.array([rhs(np.array([t]), y[None])[0] for t, y in zip(traj.times, traj.states)])
 
 
 def rk4_reference(rhs, y0, times, step):
@@ -235,7 +228,8 @@ class TestSampleVelocities:
 
     @staticmethod
     def field_and_start(model):
-        y0 = sample_configurations(model, 8, seed=5)[0].ravel()
+        """The field and one start: eight configurations as a single member."""
+        y0 = sample_configurations(model, 8, seed=5)[0].reshape(1, -1)
         return (lambda t, y: model.batch_rhs(t, y)), y0
 
     @pytest.mark.parametrize("model, t_end", MODELS)
@@ -247,7 +241,8 @@ class TestSampleVelocities:
                              ids=["rk45", "rk4", "rk45-max-steps", "rk4-max-steps"])
     def test_bitwise_equal_to_reevaluation(self, model, t_end, cfg):
         rhs, y0 = self.field_and_start(model)
-        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg, sample_times=np.linspace(0, t_end, 11))
+        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg,
+                             sample_times=np.linspace(0, t_end, 11)).member(0)
         assert traj.complete == (cfg.max_steps > 100) and len(traj) > 1
         assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj))
 
@@ -257,12 +252,11 @@ class TestSampleVelocities:
         field, y0 = self.field_and_start(model)
 
         def rhs(t, y):  # undefined once any coordinate moved 0.2 from its start
-            if np.max(np.abs(y - y0)) > 0.2:
-                raise ModelDomainError("left the region")
-            return field(t, y)
+            return np.where(np.max(np.abs(y - y0)) > 0.2, np.nan, field(t, y))
 
         cfg = IntegratorConfig(method=method, step=0.05)
-        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg, sample_times=np.linspace(0, t_end, 21))
+        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg,
+                             sample_times=np.linspace(0, t_end, 21)).member(0)
         assert traj.termination.startswith("domain_error") and len(traj) > 1
         assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj),
                               equal_nan=True)
@@ -278,12 +272,35 @@ class TestSampleVelocities:
 
         times = np.linspace(0.0, t_end, 11)
         traj = integrate_ode(rhs, y0, 0.0, t_end, IntegratorConfig(method="rk4", step=0.03),
-                             sample_times=times)
-        states, reference_calls = rk4_reference(field, y0, times, 0.03)
+                             sample_times=times).member(0)
+        states, reference_calls = rk4_reference(field, y0[0], times, 0.03)
         assert np.array_equal(traj.states, states)
         # One evaluation to start, then four per step: each step's k1 is the
         # previous step's end evaluation, and the sample velocities come free.
         assert calls[0] == 1 + reference_calls
+
+    @pytest.mark.parametrize("model, t_end", MODELS)
+    def test_rk45_evaluation_count(self, model, t_end):
+        field, y0 = self.field_and_start(model)
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return field(t, y)
+
+        times = np.linspace(0.0, t_end, 11)
+        assert integrate_ode(rhs, y0, 0.0, t_end, sample_times=times).complete
+        # One evaluation to start and one initial-step probe, then six per
+        # step attempt (the last stage is the next step's first), and the
+        # sample velocities come free: the attempts this count implies are
+        # exactly those the member needs.
+        attempts, extra = divmod(calls[0] - 2, 6)
+        assert extra == 0
+        assert integrate_ode(field, y0, 0.0, t_end, IntegratorConfig(max_steps=attempts),
+                             times).complete
+        short = integrate_ode(field, y0, 0.0, t_end, IntegratorConfig(max_steps=attempts - 1),
+                              times)
+        assert short.terminations == ("max_steps",)
 
 
 class TestRootFinding:

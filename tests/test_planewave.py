@@ -274,32 +274,33 @@ class TestConservedQuantities:
         assert mild.implicit_residual(PairState1D(0.5, 0.5, t0), beta) == 0.0
 
     def test_residual_conserved_along_trajectory(self, mild):
-        traj = integrate_ode(mild.rhs, [0.4, -0.1], 0.0, 2.0,
-                             sample_times=np.linspace(0, 2, 81))
+        traj = integrate_ode(mild.batch_rhs, [[0.4, -0.1]], 0.0, 2.0,
+                             sample_times=np.linspace(0, 2, 81)).member(0)
         assert traj.complete
         assert mild.residual_drift(traj) < 1e-6
 
     def test_halved_coefficient_form_is_not_conserved(self, mild):
         # The variant scanned by the uniqueness analyzer drifts by O(1) along
         # the same trajectory, which is why the two expressions are kept apart.
-        traj = integrate_ode(mild.rhs, [0.4, -0.1], 0.0, 2.0,
-                             sample_times=np.linspace(0, 2, 81))
+        traj = integrate_ode(mild.batch_rhs, [[0.4, -0.1]], 0.0, 2.0,
+                             sample_times=np.linspace(0, 2, 81)).member(0)
         deltas = traj.states[:, 0] - traj.states[:, 1]
         vals = np.asarray(mild.constraint_lhs(deltas)) - 2 * mild.speed * traj.times
         assert np.max(np.abs(vals - vals[0])) > 1e-3
 
     def test_cm_frozen_long_horizon(self, mild):
-        traj = integrate_ode(mild.rhs, [1.7, 0.2], 0.0, 10.0,
-                             sample_times=np.linspace(0, 10, 101))
+        traj = integrate_ode(mild.batch_rhs, [[1.7, 0.2]], 0.0, 10.0,
+                             sample_times=np.linspace(0, 10, 101)).member(0)
         assert mild.cm_drift(traj) < 1e-8
 
     def test_cm_single_state(self, mild):
-        traj = integrate_ode(mild.rhs, [1.0, 0.5], 0.0, 0.0)
+        traj = integrate_ode(mild.batch_rhs, [[1.0, 0.5]], 0.0, 0.0).member(0)
         assert mild.cm_drift(traj) == 0.0
 
     def test_static_pair_exactly_preserved(self):
         m = PlaneWavePair(a=1.0, b=1.0)
-        traj = integrate_ode(m.rhs, [1.0, 0.25], 0.0, 5.0, sample_times=[0, 2.5, 5])
+        traj = integrate_ode(m.batch_rhs, [[1.0, 0.25]], 0.0, 5.0,
+                             sample_times=[0, 2.5, 5]).member(0)
         assert np.array_equal(traj.states[-1], traj.states[0])
         assert m.cm_drift(traj) == 0.0
 
@@ -324,9 +325,8 @@ class TestConservedQuantities:
         deltas0 = rng.uniform(-3, 3, size=40)
         elapsed = 2.0
         starts = np.column_stack([deltas0, np.zeros_like(deltas0)])
-        traj = integrate_ode(lambda t, y: mild.batch_rhs(t, y), starts.ravel(),
-                             0.0, elapsed, sample_times=[0, elapsed])
-        final = traj.final_state.reshape(-1, 2)
+        flow = integrate_ode(mild.batch_rhs, starts, 0.0, elapsed, sample_times=[0, elapsed])
+        final = flow.states[-1]
         pulled = mild.inverse_flow(final[:, 0] - final[:, 1], elapsed)
         assert np.max(np.abs(pulled - deltas0)) < 1e-7
 
