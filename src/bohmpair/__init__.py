@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import (BracketError, ConfigurationError, DegenerateParametersError,
                      InsufficientSampleError, ModelDomainError)
 from .numerics import (IntegratorConfig, RootScanReport, Trajectory, TrajectoryBatch,
-                       bracketed_root, central_gradient, integrate_ode, scan_roots)
+                       bracketed_root, integrate_ode, scan_roots)
 from .planewave import PairState1D, PhaseValue, PlaneWavePair, UniquenessReport
 from .spherical import ConstraintReadings, PairState3D, PhaseParts, SlitPair
 from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
@@ -20,7 +20,7 @@ __all__ = [
     "BracketError", "ConfigurationError", "DegenerateParametersError",
     "InsufficientSampleError", "ModelDomainError",
     "IntegratorConfig", "RootScanReport", "Trajectory", "TrajectoryBatch",
-    "bracketed_root", "central_gradient", "integrate_ode", "scan_roots",
+    "bracketed_root", "integrate_ode", "scan_roots",
     "PairState1D", "PhaseValue", "PlaneWavePair", "UniquenessReport",
     "ConstraintReadings", "PairState3D", "PhaseParts", "SlitPair",
     "DistributionReport", "Ensemble", "GlobalConstraintReport", "SamplerReport",

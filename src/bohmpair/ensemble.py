@@ -74,10 +74,6 @@ class Ensemble(TrajectoryBatch):
     prng_id: str = PRNG_ID
 
     @property
-    def model_tag(self) -> str:
-        return self.model.tag
-
-    @property
     def acceptance_rate(self) -> float | None:
         return None if self.sampler is None else self.sampler.acceptance_rate
 
@@ -116,7 +112,6 @@ class GlobalConstraintReport:
     """
 
     zero_times: np.ndarray
-    zero_time_mean: float
     zero_time_std: float
     zero_time_range: float
     point_mass_ks: float
@@ -146,8 +141,8 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def ks_critical_value(n: int, coefficient: float = KS_COEFF_99) -> float:
-    return coefficient / math.sqrt(n)
+def ks_critical_value(n: int) -> float:
+    return KS_COEFF_99 / math.sqrt(n)
 
 
 def ks_critical_value_two_sample(n: int, m: int) -> float:
@@ -360,7 +355,6 @@ def global_constraint_analysis(ensemble: Ensemble) -> GlobalConstraintReport:
     point_mass_ks = max(at_zero, 1.0 - at_zero)
 
     return GlobalConstraintReport(zero_times=zero_times,
-                                  zero_time_mean=float(np.mean(zero_times)),
                                   zero_time_std=float(np.std(zero_times)),
                                   zero_time_range=float(np.ptp(zero_times)),
                                   point_mass_ks=point_mass_ks)
@@ -406,7 +400,7 @@ def ensemble_metadata(ensemble: Ensemble, extra: dict | None = None) -> dict:
     model = ensemble.model
     params = {f: getattr(model, f) for f in model.__dataclass_fields__}
     meta = {
-        "model": ensemble.model_tag,
+        "model": model.tag,
         "params": params,
         "seed": ensemble.seed,
         "sampling": ensemble.sampling,

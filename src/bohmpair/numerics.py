@@ -1,4 +1,4 @@
-"""Numerical kernel shared by the model modules: central-difference gradients,
+"""Numerical kernel shared by the model modules: central-difference steps,
 batched ODE integration with per-member step control, and bracketed root
 finding with a grid scanner for counting roots."""
 
@@ -176,32 +176,9 @@ def require_defined(values: np.ndarray, message: str) -> np.ndarray:
 
 
 def stencil_steps(x: np.ndarray) -> np.ndarray:
-    """Default central-difference steps max(1e-6, 1e-8 |x_i|), balancing
-    truncation against round-off."""
+    """Central-difference steps max(1e-6, 1e-8 |x_i|), balancing truncation
+    against round-off."""
     return np.maximum(1e-6, 1e-8 * np.abs(x))
-
-
-def central_gradient(f: Callable, x, h=None) -> np.ndarray:
-    """Central-difference gradient of a scalar field at the point ``x``.
-
-    Component ``i`` is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i), accurate
-    to second order in the step.  The steps are :func:`stencil_steps` by
-    default; pass ``h`` (scalar or per-component) to override.  Evaluation
-    failures at a stencil point propagate to the caller.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if h is None:
-        steps = stencil_steps(x)
-    else:
-        steps = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
-        if np.any(steps <= 0):
-            raise ValueError("finite-difference step must be positive")
-    out = np.empty(x.shape, dtype=float)
-    for i in range(x.size):
-        offset = np.zeros_like(x)
-        offset[i] = steps[i]
-        out[i] = (f(x + offset) - f(x - offset)) / (2.0 * steps[i])
-    return out
 
 
 # -- ODE integration -----------------------------------------------------------

@@ -21,7 +21,8 @@ from scipy.integrate import quad
 from .errors import DegenerateParametersError, ModelDomainError
 from .numerics import RootScanReport, bracketed_root, require_defined, scan_roots
 
-# Relative density below this is treated as a node of the wavefunction.
+# PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
+# is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
 
 
@@ -119,10 +120,14 @@ class PlaneWavePair:
         return float(val)
 
     def _density_shape(self, delta):
-        """Unnormalized |psi|^2 as a function of the separation."""
+        """Unnormalized |psi|^2 as a function of the separation:
+        (a^2 + b^2 + 2ab cos 2 theta) / (a + b)^2, written as
+        ((a - b)^2 + 4ab cos^2 theta) / (a + b)^2, whose terms are never
+        negative, so it keeps its relative accuracy near the nodes even
+        when b is close to a."""
         th = self.momentum * np.asarray(delta, dtype=float) / self.hbar
         a, b = self.a, self.b
-        return (a * a + b * b + 2 * a * b * np.cos(2 * th)) / (a + b) ** 2
+        return ((a - b) ** 2 + 4 * a * b * np.cos(th) ** 2) / (a + b) ** 2
 
     # -- wavefunction, density, phase ---------------------------------------
 
@@ -181,14 +186,14 @@ class PlaneWavePair:
         """Velocity of particle 1 as a function of x1 - x2 (vectorised), NaN
         at a node.
 
-        Uses the form c / (cos^2 theta + c^2 sin^2 theta), which is finite at
-        cos theta = 0 where the tangent-based expression has a removable
-        singularity.  Particle 2 moves with the opposite velocity.
+        c (p / m) divided by the density shape, which equals
+        cos^2 theta + c^2 sin^2 theta: finite at cos theta = 0, where the
+        tangent-based expression has a removable singularity.  Particle 2
+        moves with the opposite velocity.
         """
-        th = self.momentum * np.asarray(delta, dtype=float) / self.hbar
-        c = self.contrast
-        denom = np.cos(th) ** 2 + (c * np.sin(th)) ** 2
-        return np.where(denom < NODE_DENSITY_FLOOR, np.nan, self.speed * c / denom)
+        shape = self._density_shape(delta)
+        return np.divide(self.speed * self.contrast, shape, out=np.full(shape.shape, np.nan),
+                         where=shape >= NODE_DENSITY_FLOOR)
 
     def velocities(self, state: PairState1D) -> tuple[float, float]:
         """Guidance velocities (v1, v2); v2 is exactly -v1.  Raises
@@ -206,8 +211,10 @@ class PlaneWavePair:
         C-order, and the result has its shape, with NaN rows at nodes."""
         y = np.asarray(y, dtype=float)
         pairs = y.reshape(-1, 2)
-        v1 = self.velocity_of_separation(pairs[:, 0] - pairs[:, 1])
-        return np.column_stack([v1, -v1]).reshape(y.shape)
+        out = np.empty_like(pairs)
+        out[:, 0] = self.velocity_of_separation(pairs[:, 0] - pairs[:, 1])
+        np.negative(out[:, 0], out=out[:, 1])
+        return out.reshape(y.shape)
 
     # -- conserved quantities ------------------------------------------------
 

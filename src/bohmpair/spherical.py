@@ -183,20 +183,30 @@ class SlitPair:
     def node_measure_of(self, r1a, r1b, r2a, r2b):
         """:meth:`node_measure` as a function of the four source distances
         (vectorised)."""
-        return np.abs(self._bracket(r1a, r1b, r2a, r2b)) * (r1a * r2b + r1b * r2a) / 2.0
+        return self._node_measure(self._phase_terms(r1a, r1b, r2a, r2b))
+
+    @staticmethod
+    def _node_measure(terms):
+        """:meth:`node_measure` from :meth:`_phase_terms`: q rr bracket is
+        D + i N, so |bracket| (q + rr) / 2 is hypot(N, D) (q + rr) / (2 q rr)."""
+        q, rr, *_, nval, dval = terms
+        return np.hypot(nval, dval) * (q + rr) / (2.0 * q * rr)
 
     def _phase_terms(self, r1a, r1b, r2a, r2b):
-        """Distance products q = r1A r2B and rr = r1B r2A, phase arguments
-        alpha = r1A + r2B and beta = r1B + r2A, and the phase numerator and
-        denominator built from them."""
+        """Distance products q = r1A r2B and rr = r1B r2A; sin and cos of
+        k alpha and k beta, with phase arguments alpha = r1A + r2B and
+        beta = r1B + r2A; and the phase numerator N and denominator D built
+        from them.  The field evaluates no other sine or cosine."""
         k = self.wavenumber
         q = r1a * r2b
         rr = r1b * r2a
-        alpha = r1a + r2b
-        beta = r1b + r2a
-        nval = rr * np.sin(k * alpha) + q * np.sin(k * beta)
-        dval = rr * np.cos(k * alpha) + q * np.cos(k * beta)
-        return q, rr, alpha, beta, nval, dval
+        k_alpha = k * (r1a + r2b)
+        k_beta = k * (r1b + r2a)
+        sin_a, cos_a = np.sin(k_alpha), np.cos(k_alpha)
+        sin_b, cos_b = np.sin(k_beta), np.cos(k_beta)
+        nval = rr * sin_a + q * sin_b
+        dval = rr * cos_a + q * cos_b
+        return q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval
 
     def phase_parts(self, state: PairState3D) -> PhaseParts:
         *_, nval, dval = self._phase_terms(*self.distances(state))
@@ -220,34 +230,38 @@ class SlitPair:
     # -- phase derivatives and velocities --------------------------------------
 
     @staticmethod
-    def _partial(k, hbar, nval, dval, cross, partner, own_sum, other_sum):
+    def _partial(k, hbar, nval, dval, cross, partner, sin_own, cos_own, sin_other, cos_other):
         """d(phase)/d(distance) for one of the four source distances.
 
         ``cross`` is the product of the two distances in the *other* term,
-        ``partner`` the distance sharing this term, ``own_sum``/``other_sum``
-        the phase arguments of the two terms.  Written once so that the
-        exchange and reflection symmetries of the model are exact in
-        floating point (every partial is this function under an argument
-        permutation).
+        ``partner`` the distance sharing this term, and ``sin_own``,
+        ``cos_own``, ``sin_other``, ``cos_other`` the sines and cosines of k
+        times the phase arguments of the two terms, from
+        :meth:`_phase_terms`.  Written once so that the exchange and
+        reflection symmetries of the model are exact in floating point
+        (every partial is this function under an argument permutation).
         """
-        pn = k * cross * np.cos(k * own_sum) + partner * np.sin(k * other_sum)
-        pd = -k * cross * np.sin(k * own_sum) + partner * np.cos(k * other_sum)
+        pn = k * cross * cos_own + partner * sin_other
+        pd = -k * cross * sin_own + partner * cos_other
         return hbar * (pn * dval - nval * pd) / (nval * nval + dval * dval)
 
-    def _distance_derivatives(self, r1a, r1b, r2a, r2b):
+    def _distance_derivatives(self, r1a, r1b, r2a, r2b, terms):
+        """The four phase partials, given the :meth:`_phase_terms` of these
+        distances."""
         k = self.wavenumber
-        q, rr, alpha, beta, nval, dval = self._phase_terms(r1a, r1b, r2a, r2b)
-        g1a = self._partial(k, self.hbar, nval, dval, rr, r2b, alpha, beta)
-        g1b = self._partial(k, self.hbar, nval, dval, q, r2a, beta, alpha)
-        g2a = self._partial(k, self.hbar, nval, dval, q, r1b, beta, alpha)
-        g2b = self._partial(k, self.hbar, nval, dval, rr, r1a, alpha, beta)
+        q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval = terms
+        g1a = self._partial(k, self.hbar, nval, dval, rr, r2b, sin_a, cos_a, sin_b, cos_b)
+        g1b = self._partial(k, self.hbar, nval, dval, q, r2a, sin_b, cos_b, sin_a, cos_a)
+        g2a = self._partial(k, self.hbar, nval, dval, q, r1b, sin_b, cos_b, sin_a, cos_a)
+        g2b = self._partial(k, self.hbar, nval, dval, rr, r1a, sin_a, cos_a, sin_b, cos_b)
         return g1a, g1b, g2a, g2b
 
     def distance_derivatives(self, state: PairState3D) -> tuple[float, float, float, float]:
         """Partial derivatives of the phase with respect to (r1A, r1B, r2A,
         r2B); each matches finite differences of :meth:`phase_from_distances`."""
         distances = self._defined_distances(state)
-        return tuple(float(g) for g in self._distance_derivatives(*distances))
+        terms = self._phase_terms(*distances)
+        return tuple(float(g) for g in self._distance_derivatives(*distances, terms))
 
     def velocities(self, state: PairState3D) -> tuple[np.ndarray, np.ndarray]:
         """Guidance velocities (v1, v2) as 3-vectors, assembled by the chain
@@ -272,9 +286,10 @@ class SlitPair:
         # Rows outside the domain (NaN rows included) may divide by zero;
         # they are masked below.
         with np.errstate(divide="ignore", invalid="ignore"):
+            terms = self._phase_terms(*distances)
             defined = (self._supported(r1, r2, distances)
-                       & (self.node_measure_of(*distances) >= self.node_threshold))
-            g1a, g1b, g2a, g2b = self._distance_derivatives(*distances)
+                       & (self._node_measure(terms) >= self.node_threshold))
+            g1a, g1b, g2a, g2b = self._distance_derivatives(*distances, terms)
             u = lambda r, src, d: (r - src) / d[..., None]
             v1 = (g1a[..., None] * u(r1, self.source_a, r1a)
                   + g1b[..., None] * u(r1, self.source_b, r1b)) / self.mass

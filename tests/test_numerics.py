@@ -10,42 +10,36 @@ from scipy.integrate import solve_ivp
 
 from bohmpair.ensemble import sample_configurations
 from bohmpair.errors import BracketError, ModelDomainError
-from bohmpair.numerics import (IntegratorConfig, bracketed_root, central_gradient,
-                               integrate_ode, scan_roots)
+from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode, scan_roots
+from bohmpair.oracles import _stencil
 from bohmpair.planewave import PlaneWavePair
 from bohmpair.spherical import SlitPair
 
 
-class TestCentralGradient:
-    def test_quadratic(self):
-        grad = central_gradient(lambda x: x[0] ** 2, [3.0], h=1e-4)
-        assert abs(grad[0] - 6.0) < 1e-7
-
-    def test_constant_field(self):
-        grad = central_gradient(lambda x: 4.25, [0.3, -1.0, 7.0])
-        assert np.all(grad == 0.0)
+class TestStencil:
+    """The one central-difference stencil, behind both oracles."""
 
     def test_second_order_convergence(self):
-        f = lambda x: math.sin(x[0]) * math.exp(x[1])
-        x = np.array([0.7, -0.4])
+        # Near the origin the stencil steps by 1e-6; differencing g(p / s)
+        # at p = s x steps x by 1e-6 / s, so doubling s halves the step.
+        g = lambda x: np.sin(x[:, 0]) * np.exp(x[:, 1])
+        x = np.array([[0.7, -0.4]])
         exact = np.array([math.cos(0.7) * math.exp(-0.4),
                           math.sin(0.7) * math.exp(-0.4)])
-        err_h = np.max(np.abs(central_gradient(f, x, h=1e-3) - exact))
-        err_half = np.max(np.abs(central_gradient(f, x, h=5e-4) - exact))
-        assert err_h / err_half == pytest.approx(4.0, rel=0.15)
+        errs = []
+        for s in (1e-3, 2e-3):
+            _, diffs, steps = _stencil(lambda p: g(p / s), s * x)
+            errs.append(np.max(np.abs(s * diffs[0] / (2.0 * steps[0]) - exact)))
+        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
     def test_stencil_failure_propagates(self):
-        def f(x):
-            if x[0] > 1.0:
+        def f(p):
+            if np.any(p[:, 0] > 1.0):
                 raise ModelDomainError("outside")
-            return x[0]
+            return p[:, 0]
 
         with pytest.raises(ModelDomainError):
-            central_gradient(f, [1.0], h=1e-3)
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            central_gradient(lambda x: x[0], [1.0], h=0.0)
+            _stencil(f, [[1.0]])
 
 
 class TestIntegrateOde:

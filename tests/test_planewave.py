@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bohmpair.errors import DegenerateParametersError, ModelDomainError
-from bohmpair.numerics import IntegratorConfig, bracketed_root, central_gradient, integrate_ode
-from bohmpair.oracles import velocity_from_psi
-from bohmpair.planewave import PairState1D, PlaneWavePair
+from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode
+from bohmpair.oracles import phase_gradient, velocity_from_psi
+from bohmpair.planewave import NODE_DENSITY_FLOOR, PairState1D, PlaneWavePair
 
 
 def state_at_theta(model, theta, t=0.0):
@@ -235,9 +237,7 @@ class TestVelocities:
         rng = np.random.default_rng(13)
         for _ in range(40):
             x1, x2 = rng.uniform(-3, 3, size=2)
-            grad = central_gradient(
-                lambda y: mild.phase(PairState1D(y[0], y[1], 0.0)).S,
-                [x1, x2])
+            grad = phase_gradient(mild, [[x1, x2]])[0]
             v1, v2 = mild.velocities(PairState1D(x1, x2, 0.0))
             assert abs(grad[0] / mild.mass - v1) < 1e-6
             assert abs(grad[1] / mild.mass - v2) < 1e-6
@@ -260,6 +260,33 @@ class TestVelocities:
         m = PlaneWavePair(a=0.7, b=0.7)
         with pytest.raises(ModelDomainError):
             m.velocities(state_at_theta(m, math.pi / 2))
+
+
+class TestDensityShapeVelocity:
+    """The velocity is c (p/m) over the density shape, which is
+    cos^2 theta + c^2 sin^2 theta written with one cosine."""
+
+    @given(ab=st.floats(0.05, 5.0).flatmap(
+               lambda a: st.tuples(st.just(a), st.floats(0.0, a, exclude_max=True))),
+           momentum=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_two_term_form(self, ab, momentum, seed):
+        m = PlaneWavePair(a=ab[0], b=ab[1], momentum=momentum)
+        rng = np.random.default_rng(seed)
+        delta = np.concatenate([rng.uniform(-10.0, 10.0, 200),
+                                math.pi / 2 + rng.uniform(-1e-3, 1e-3, 200)]) / m.momentum
+        theta = m.momentum * delta / m.hbar
+        c = m.contrast
+        denom = np.cos(theta) ** 2 + (c * np.sin(theta)) ** 2
+        reference = np.where(denom < NODE_DENSITY_FLOOR, np.nan, m.speed * c / denom)
+        v = m.velocity_of_separation(delta)
+        assert np.array_equal(np.isnan(v), np.isnan(reference))
+        ok = ~np.isnan(v)
+        assert np.all(np.abs(v[ok] - reference[ok]) <= 1e-14 * np.abs(reference[ok]))
+
+    def test_one_cosine_per_row(self, mild, count_calls):
+        calls = count_calls(np, "sin", "cos")
+        mild.batch_rhs(0.0, np.random.default_rng(2).uniform(0.0, 5.0, size=(32, 2)))
+        assert calls == {"sin": 0, "cos": 1}
 
 
 class TestConservedQuantities:
@@ -312,10 +339,9 @@ class TestConservedQuantities:
             m.implicit_residual(PairState1D(0.1, 0.0, 0.0), 0.0)
 
     def test_gradient_of_phase_matches_analytic(self, lopsided):
-        # The kernel gradient evaluated on the phase reproduces the momentum
-        # components m*v1, m*v2 at the reference point.
-        grad = central_gradient(
-            lambda y: lopsided.phase(PairState1D(y[0], y[1], 0.0)).S, [0.3, 0.1])
+        # The phase-gradient oracle reproduces the momentum components
+        # m*v1, m*v2 at the reference point.
+        grad = phase_gradient(lopsided, [[0.3, 0.1]])[0]
         v1, v2 = lopsided.velocities(PairState1D(0.3, 0.1, 0.0))
         assert abs(grad[0] - lopsided.mass * v1) < 1e-6
         assert abs(grad[1] - lopsided.mass * v2) < 1e-6

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bohmpair.analyses import random_valid_states
 from bohmpair.errors import ModelDomainError
-from bohmpair.numerics import IntegratorConfig, central_gradient, integrate_ode
-from bohmpair.oracles import phase_gradient, velocity_from_psi
+from bohmpair.numerics import IntegratorConfig, integrate_ode
+from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
 from bohmpair.spherical import PairState3D, SlitPair
 
 TWO_PI = 2.0 * math.pi
@@ -150,11 +152,13 @@ class TestDistanceDerivatives:
         rng = np.random.default_rng(9)
         for _ in range(150):
             r = rng.uniform(0.5, 3.0, size=4)
-            *_, nval, dval = model._phase_terms(*r)
+            terms = model._phase_terms(*r)
+            *_, nval, dval = terms
             if math.hypot(nval, dval) < 1e-3:
                 continue
-            grads = model._distance_derivatives(*r)
-            fd = central_gradient(lambda q: model.phase_from_distances(*q), r, h=1e-6)
+            grads = model._distance_derivatives(*r, terms)
+            _, diffs, steps = _stencil(lambda q: model.phase_from_distances(*q.T), [r])
+            fd = diffs[0] / (2.0 * steps[0])   # steps of 1e-6 at these distances
             # phase_from_distances returns principal values; steps are far
             # below the wrap scale at these states, so no unwrap is needed
             # away from the +-pi seam.
@@ -165,8 +169,10 @@ class TestDistanceDerivatives:
     def test_exchange_symmetry_exact(self, model):
         s = PairState3D(r1=(1.2, 0.4, 0.1), r2=(0.6, -0.9, -0.5))
         r1a, r1b, r2a, r2b = model.distances(s)
-        g = model._distance_derivatives(r1a, r1b, r2a, r2b)
-        swapped = model._distance_derivatives(r2a, r2b, r1a, r1b)
+        g = model._distance_derivatives(r1a, r1b, r2a, r2b,
+                                        model._phase_terms(r1a, r1b, r2a, r2b))
+        swapped = model._distance_derivatives(r2a, r2b, r1a, r1b,
+                                              model._phase_terms(r2a, r2b, r1a, r1b))
         assert swapped == (g[2], g[3], g[0], g[1])
 
     def test_mirror_state_pairing(self, model):
@@ -183,7 +189,8 @@ class TestDistanceDerivatives:
         alpha, beta = r1a + r2b, r1b + r2a
         nval = rr * math.sin(k * alpha)
         dval = rr * math.cos(k * alpha)
-        g1a = model._partial(k, model.hbar, nval, dval, rr, 0.0, alpha, beta)
+        g1a = model._partial(k, model.hbar, nval, dval, rr, 0.0, math.sin(k * alpha),
+                             math.cos(k * alpha), math.sin(k * beta), math.cos(k * beta))
         assert g1a == pytest.approx(model.hbar * k, abs=1e-12)
 
     def test_single_term_near_source_approach(self, model):
@@ -243,6 +250,41 @@ class TestVelocities:
         v1, v2 = model.velocities(s)
         assert v1[1] == 0.0 and v2[1] == 0.0
         assert v1[1] == -v2[1]
+
+
+KERNEL_CASES = dict(k=st.floats(0.5, 5.0), d=st.floats(0.1, 2.0),
+                    seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestOnePassKernel:
+    """The field takes its trigonometry from one :meth:`_phase_terms` pass,
+    shared by the partials and the node check."""
+
+    @given(**KERNEL_CASES)
+    def test_symmetries_bitwise(self, k, d, seed):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        states = random_valid_states(model, 64, seed)
+        v = model.batch_rhs(0.0, states)
+        assert np.array_equal(model.batch_rhs(0.0, np.roll(states, 3, axis=1)),
+                              np.roll(v, 3, axis=1))
+        flip = np.array([1.0, -1.0, 1.0] * 2)
+        assert np.array_equal(model.batch_rhs(0.0, states * flip), v * flip)
+
+    @given(**KERNEL_CASES)
+    def test_node_measure_matches_bracket(self, k, d, seed):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        states = random_valid_states(model, 64, seed)
+        r1a, r1b, r2a, r2b = dist = model.distances_of(states[:, :3], states[:, 3:])
+        reference = np.abs(model._bracket(*dist)) * (r1a * r2b + r1b * r2a) / 2.0
+        assert np.max(np.abs(model.node_measure_of(*dist) / reference - 1.0)) < 1e-12
+
+    def test_one_pass_per_call(self, model, count_calls, monkeypatch):
+        states = random_valid_states(model, 32, seed=5)
+        count_calls(SlitPair, "_phase_terms")
+        calls = count_calls(np, "sin", "cos")
+        monkeypatch.setattr(SlitPair, "_bracket", None)   # no complex exponential
+        model.batch_rhs(0.0, states)
+        assert calls == {"_phase_terms": 1, "sin": 2, "cos": 2}
 
 
 class TestConstraintManifold:
