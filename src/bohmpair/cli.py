@@ -9,7 +9,6 @@ claim fails its tolerance.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -22,7 +21,7 @@ from .analyses import (ClaimCheck, constraint_claims, density_discrepancy_claims
 from .ensemble import build_ensemble, write_ensemble_csv, write_metadata
 from .errors import ConfigurationError
 from .numerics import IntegratorConfig
-from .planewave import PlaneWavePair
+from .planewave import MIN_AMPLITUDE_SUM, PlaneWavePair
 from .spherical import SlitPair
 
 ANALYSES = ("trajectories", "constraints", "uniqueness", "equivariance",
@@ -156,8 +155,9 @@ def validate_config(raw) -> RunConfig:
     data = {**RunConfig().to_dict(), **raw}
     for name, rule in FIELD_RULES.items():
         data[name] = rule.check(name, data[name])
-    if data["model"] == "planewave" and data["a"] + data["b"] <= 0:
-        raise ConfigurationError("a, b: at least one amplitude must be positive")
+    if data["model"] == "planewave" and data["a"] + data["b"] < MIN_AMPLITUDE_SUM:
+        raise ConfigurationError(
+            f"a, b: at least one amplitude must be positive (a + b >= {MIN_AMPLITUDE_SUM:.3g})")
 
     if data["sample_times"] is not None:
         if not isinstance(data["sample_times"], (list, tuple)):
@@ -202,8 +202,8 @@ def integrator_config(config: RunConfig) -> IntegratorConfig:
 
 def run(config: RunConfig) -> int:
     """Execute the configured analyses and write artifacts to ``output_dir``:
-    ``claims_report.json`` always, ``trajectories.csv`` for trajectory-level
-    analyses, ``ensemble.csv`` plus ``meta.json`` for ensemble-level ones."""
+    ``claims_report.json`` and ``meta.json`` always, ``trajectories.csv`` for
+    trajectory-level analyses, ``ensemble.csv`` for ensemble-level ones."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = build_model(config)
@@ -211,17 +211,14 @@ def run(config: RunConfig) -> int:
     claims: list[ClaimCheck] = []
     ensemble_for_meta = None
 
-    needs_probe = {"trajectories", "constraints"} & set(config.analyses)
-    probe = None
-    if needs_probe:
+    if {"trajectories", "constraints"} & set(config.analyses):
         probe = trajectory_ensemble(model, config.trajectory_count, config.seed,
                                     config.t0, config.t_end, cfg,
                                     samples=config.trajectory_samples,
                                     sample_times=config.sample_times)
-    if probe is not None:
         write_ensemble_csv(out / "trajectories.csv", probe)
-    if "constraints" in config.analyses:
-        claims.extend(constraint_claims(model, probe))
+        if "constraints" in config.analyses:
+            claims.extend(constraint_claims(model, probe))
     if "oracle_crosscheck" in config.analyses:
         claims.extend(oracle_crosscheck(model, seed=config.seed + 1_000_003))
     if "uniqueness" in config.analyses:
@@ -250,14 +247,7 @@ def run(config: RunConfig) -> int:
     norm = model.computed_norm() if model.tag == "spherical" else None
     if norm is not None:
         extra["norm"] = norm
-    if ensemble_for_meta is not None:
-        write_metadata(out / "meta.json", ensemble_for_meta, extra=extra)
-    else:
-        meta = {**extra,
-                "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-        with open(out / "meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_metadata(out / "meta.json", ensemble_for_meta, extra=extra)
 
     failed = [c for c in claims if c.status == "fail"]
     for c in claims:

@@ -21,9 +21,6 @@ PRNG_ID = "numpy-philox-4x64"
 # One-sample Kolmogorov-Smirnov critical coefficient at 99% confidence.
 KS_COEFF_99 = 1.63
 
-# Histogram bins of a DistributionReport.
-REPORT_BINS = 64
-
 # Acceptance rate below which the sampler's proposal is taken as pathological.
 MIN_SAMPLER_EFFICIENCY = 1e-4
 
@@ -83,9 +80,6 @@ class DistributionReport:
     """Comparison of an empirical marginal against a reference density."""
 
     ks_statistic: float
-    histogram: np.ndarray
-    bin_edges: np.ndarray
-    reference_density: np.ndarray      # reference evaluated on bin centres
     sample_size: int
     survival_fraction: float           # members contributing a sample at t
     t: float
@@ -315,10 +309,6 @@ def compare_distribution(ensemble: Ensemble, t: float,
         samples = states[:, 0] - states[:, 1]
         pulled = np.asarray(model.inverse_flow(samples, t - ensemble.t0))
         ks = ks_statistic(pulled, separation_cdf(model))
-        hist, edges = np.histogram(samples, bins=REPORT_BINS)
-        centres = 0.5 * (edges[:-1] + edges[1:])
-        back = np.asarray(model.inverse_flow(centres, t - ensemble.t0))
-        ref_density = separation_marginal(model)(back)
         method = "pullback-quadrature"
         critical = ks_critical_value(len(samples))
     else:
@@ -328,15 +318,10 @@ def compare_distribution(ensemble: Ensemble, t: float,
                                               seed=ensemble.seed + 1)
         ref_samples = ref_points[:, 0]
         ks = ks_two_sample(samples, ref_samples)
-        hist, edges = np.histogram(samples, bins=REPORT_BINS)
-        ref_density, _ = np.histogram(ref_samples, bins=edges)
-        ref_density = ref_density / max(len(ref_samples), 1)
         method = "two-sample"
         critical = ks_critical_value_two_sample(len(samples), len(ref_samples))
 
-    return DistributionReport(ks_statistic=ks, histogram=hist, bin_edges=edges,
-                              reference_density=np.asarray(ref_density, dtype=float),
-                              sample_size=len(samples),
+    return DistributionReport(ks_statistic=ks, sample_size=len(samples),
                               survival_fraction=len(samples) / max(ensemble.size, 1),
                               t=t, coordinate=coordinate, method=method,
                               critical_value_99=critical)
@@ -396,29 +381,31 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> None:
             fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
-def ensemble_metadata(ensemble: Ensemble, extra: dict | None = None) -> dict:
-    model = ensemble.model
-    params = {f: getattr(model, f) for f in model.__dataclass_fields__}
-    meta = {
-        "model": model.tag,
-        "params": params,
-        "seed": ensemble.seed,
-        "sampling": ensemble.sampling,
-        "prng": ensemble.prng_id,
-        "size": ensemble.size,
-        "t0": ensemble.t0,
-        "acceptance_rate": ensemble.acceptance_rate,
-        "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
-        "survival_fraction": ensemble.survival_fraction,
-        "integrator": None if ensemble.integrator is None else asdict(ensemble.integrator),
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> dict:
+    """Run metadata: the creation time, the ensemble's model, sampling and
+    integrator (when there is an ensemble), then ``extra``."""
+    meta = {"created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    if ensemble is not None:
+        model = ensemble.model
+        meta.update({
+            "model": model.tag,
+            "params": {f: getattr(model, f) for f in model.__dataclass_fields__},
+            "seed": ensemble.seed,
+            "sampling": ensemble.sampling,
+            "prng": ensemble.prng_id,
+            "size": ensemble.size,
+            "t0": ensemble.t0,
+            "acceptance_rate": ensemble.acceptance_rate,
+            "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
+            "survival_fraction": ensemble.survival_fraction,
+            "integrator": None if ensemble.integrator is None else asdict(ensemble.integrator),
+        })
     if extra:
         meta.update(extra)
     return meta
 
 
-def write_metadata(path, ensemble: Ensemble, extra: dict | None = None) -> None:
+def write_metadata(path, ensemble: Ensemble | None, extra: dict | None = None) -> None:
     with open(path, "w") as fh:
         json.dump(ensemble_metadata(ensemble, extra), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, ModelDomainError
 
@@ -415,7 +414,9 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
 
 def bracketed_root(g: Callable[[float], float], lo: float, hi: float,
                    tol: float = 1e-10) -> float:
-    """Root of ``g`` inside ``[lo, hi]``; requires a sign change on the bracket."""
+    """Root of ``g`` inside ``[lo, hi]`` within ``tol``, by bisection;
+    requires a sign change on the bracket.  Stops at adjacent floats when
+    ``tol`` is below the float spacing at the root."""
     flo, fhi = g(lo), g(hi)
     if flo == 0.0:
         return float(lo)
@@ -423,7 +424,17 @@ def bracketed_root(g: Callable[[float], float], lo: float, hi: float,
         return float(hi)
     if flo * fhi > 0:
         raise BracketError(f"g({lo}) = {flo} and g({hi}) = {fhi} do not bracket a root")
-    return float(brentq(g, lo, hi, xtol=tol))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if abs(hi - lo) <= 2.0 * tol or mid == lo or mid == hi:
+            return float(mid)
+        fmid = g(mid)
+        if fmid == 0.0:
+            return float(mid)
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
 
 
 def scan_roots(g: Callable, lo: float, hi: float, grid: int = 1001,

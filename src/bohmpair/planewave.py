@@ -12,11 +12,11 @@ an exactness oracle for the integrator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateParametersError, ModelDomainError
 from .numerics import RootScanReport, bracketed_root, require_defined, scan_roots
@@ -24,6 +24,10 @@ from .numerics import RootScanReport, bracketed_root, require_defined, scan_root
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
 # is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
+
+# Smallest a + b: every density divides by (a + b)^2, which must stay a
+# normal float (below this it loses precision, then underflows to zero).
+MIN_AMPLITUDE_SUM = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,9 @@ class PlaneWavePair:
     def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0:
             raise ValueError("amplitudes a and b must be nonnegative")
-        if self.a + self.b <= 0:
-            raise ValueError("amplitudes a and b must not both vanish")
+        if self.a + self.b < MIN_AMPLITUDE_SUM:
+            raise ValueError(f"amplitudes a and b must not both vanish (a + b >= "
+                             f"{MIN_AMPLITUDE_SUM:.3g})")
         for name in ("momentum", "mass", "hbar"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -113,11 +118,14 @@ class PlaneWavePair:
     @cached_property
     def norm(self) -> float:
         """Normalization constant: integral of the unnormalized density over
-        the box, computed by quadrature so the density integrates to one."""
-        L = self.box_length
-        val, _ = quad(lambda d: (L - abs(d)) * self._density_shape(d),
-                      -L, L, points=[0.0], limit=400, epsabs=1e-13, epsrel=1e-13)
-        return float(val)
+        the box [0, L]^2, so the density integrates to one.
+
+        In closed form, with s = hbar / p,
+        ((a^2 + b^2) L^2 + 2ab s^2 sin^2(L / s)) / (a + b)^2;
+        both terms are nonnegative, so nothing cancels."""
+        L, s = self.box_length, self.hbar / self.momentum
+        a, b = self.a, self.b
+        return ((a * a + b * b) * L * L + 2 * a * b * (s * math.sin(L / s)) ** 2) / (a + b) ** 2
 
     def _density_shape(self, delta):
         """Unnormalized |psi|^2 as a function of the separation:

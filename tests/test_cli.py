@@ -28,6 +28,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="^b:"):
             cli.validate_config({"b": -0.1})
 
+    def test_underflowing_amplitudes_rejected(self):
+        # (a + b)^2 = 0 in floating point: the densities would be 0 / 0.
+        with pytest.raises(ConfigurationError, match="^a, b:"):
+            cli.validate_config({"a": 1e-200, "b": 0.0})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="wavelength"):
             cli.validate_config({"wavelength": 2.0})
@@ -136,6 +141,10 @@ class TestFieldTable:
         assert cli.validate_config({"seed": 0}).seed == 0
 
 
+ENSEMBLE_META_KEYS = {"acceptance_rate", "integrator", "model", "params", "prng", "sampler",
+                      "sampling", "seed", "size", "survival_fraction", "t0"}
+
+
 class TestRun:
     def test_single_wave_oracle_crosscheck(self, tmp_path):
         cfg = cli.validate_config({"model": "planewave", "a": 1.0, "b": 0.0,
@@ -184,6 +193,22 @@ class TestRun:
         assert meta["config"]["seed"] == 42
         assert meta["prng"] == "numpy-philox-4x64"
         assert meta["survival_fraction"] == 1.0
+
+    @pytest.mark.parametrize("config, keys", [
+        ({"analyses": ["trajectories"]}, set()),
+        # The oracle evaluates the normalized psi, so the norm is estimated.
+        ({"model": "spherical", "analyses": ["oracle_crosscheck"]}, {"norm"}),
+        ({"b": 0.2, "analyses": ["global_constraint"]}, ENSEMBLE_META_KEYS),
+        ({"model": "spherical", "analyses": ["equivariance"], "t_end": 0.2},
+         ENSEMBLE_META_KEYS),
+    ])
+    def test_meta_keys(self, tmp_path, config, keys):
+        out = tmp_path / "out"
+        cfg = cli.validate_config({**config, "n": 200, "trajectory_count": 2,
+                                   "trajectory_samples": 3, "output_dir": str(out)})
+        assert cli.run(cfg) == 0
+        assert (set(json.loads((out / "meta.json").read_text()))
+                == {"config", "created_utc", "package_version"} | keys)
 
     def test_spherical_run(self, tmp_path):
         out = tmp_path / "out"

@@ -302,7 +302,6 @@ class TestCompareDistribution:
         assert report.sample_size == 5000
         assert report.survival_fraction == 1.0
         assert report.t == 3.0
-        assert len(report.histogram) == len(report.reference_density)
 
     def test_insufficient_sample(self, mild):
         ens = build_ensemble(mild, 50, seed=47)

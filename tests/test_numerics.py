@@ -311,6 +311,21 @@ class TestRootFinding:
     def test_endpoint_zero(self):
         assert bracketed_root(lambda x: x, 0.0, 1.0) == 0.0
 
+    def test_stops_at_float_spacing(self):
+        # The float spacing at 1e9 is ~1.2e-7, far above tol: the bisection
+        # must stop at adjacent floats.  x - 1e9 is exact and a multiple of
+        # 2^-23, so g is never exactly zero; it raises if called without end.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            if len(calls) > 200:
+                raise RuntimeError("bisection did not stop")
+            return (x - 1e9) - 0.1
+
+        found = bracketed_root(g, 1e9 - 1.0, 1e9 + 1.0, tol=1e-10)
+        assert abs(found - (1e9 + 0.1)) <= math.ulp(1e9)
+
 
 class TestScanRoots:
     def test_identity_single_root(self):

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from bohmpair.errors import DegenerateParametersError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode
 from bohmpair.oracles import phase_gradient, velocity_from_psi
-from bohmpair.planewave import NODE_DENSITY_FLOOR, PairState1D, PlaneWavePair
+from bohmpair.planewave import (MIN_AMPLITUDE_SUM, NODE_DENSITY_FLOOR, PairState1D,
+                                PlaneWavePair)
 
 
 def state_at_theta(model, theta, t=0.0):
@@ -35,6 +37,9 @@ class TestParams:
             PlaneWavePair(a=-0.1, b=1.0)
         with pytest.raises(ValueError):
             PlaneWavePair(a=0.0, b=0.0)
+        # (a + b)^2 underflows: the densities would be 0 / 0.
+        with pytest.raises(ValueError):
+            PlaneWavePair(a=2.3631264284052937e-307, b=2.3631264284052937e-307)
         with pytest.raises(ValueError):
             PlaneWavePair(a=1.0, b=0.0, momentum=0.0)
         with pytest.raises(ValueError):
@@ -59,6 +64,27 @@ class TestParams:
         vals = mild._density_shape(X1 - X2)
         total = np.trapezoid(np.trapezoid(vals, x, axis=1), x)
         assert mild.norm == pytest.approx(total, rel=1e-6)
+
+    @given(a=st.floats(0.0, 5.0),
+           b=st.sampled_from(["equal", 0.0]) | st.floats(0.0, 5.0),
+           momentum=st.floats(0.1, 10.0),
+           box_length=st.none() | st.floats(1e-3, 100.0))
+    @example(a=1.0, b="equal", momentum=1.0, box_length=None)
+    @example(a=1.0, b=0.0, momentum=1.0, box_length=None)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_norm_matches_adaptive_quadrature(self, a, b, momentum, box_length):
+        # Reference: the box integral by adaptive quadrature over the
+        # separation, independent of the closed form.  On the most
+        # oscillatory boxes quad stops at its subdivision limit before its own
+        # error estimate reaches 1e-13 (it warns); the assertion checks the
+        # agreement itself.
+        b = a if b == "equal" else b
+        assume(a + b >= MIN_AMPLITUDE_SUM)
+        m = PlaneWavePair(a=a, b=b, momentum=momentum, box_length=box_length)
+        L = m.box_length
+        reference, _ = quad(lambda d: (L - abs(d)) * m._density_shape(d), -L, L,
+                            points=[0.0], limit=400, epsabs=1e-13, epsrel=1e-13)
+        assert abs(m.norm - reference) <= 1e-12 * reference
 
     def test_density_integrates_to_one(self, mild):
         L = mild.box_length
