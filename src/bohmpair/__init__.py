@@ -7,8 +7,8 @@ from .errors import (BracketError, ConfigurationError, DegenerateParametersError
                      InsufficientSampleError, ModelDomainError)
 from .numerics import (IntegratorConfig, RootScanReport, Trajectory, TrajectoryBatch,
                        bracketed_root, integrate_ode, scan_roots)
-from .planewave import PairState1D, PhaseValue, PlaneWavePair, UniquenessReport
-from .spherical import ConstraintReadings, PairState3D, PhaseParts, SlitPair
+from .planewave import PlaneWavePair, UniquenessReport
+from .spherical import ConstraintReadings, SlitPair
 from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
                        SamplerReport, build_ensemble, compare_distribution,
                        evolve_ensemble, global_constraint_analysis, ks_critical_value,
@@ -21,8 +21,7 @@ __all__ = [
     "InsufficientSampleError", "ModelDomainError",
     "IntegratorConfig", "RootScanReport", "Trajectory", "TrajectoryBatch",
     "bracketed_root", "integrate_ode", "scan_roots",
-    "PairState1D", "PhaseValue", "PlaneWavePair", "UniquenessReport",
-    "ConstraintReadings", "PairState3D", "PhaseParts", "SlitPair",
+    "PlaneWavePair", "UniquenessReport", "ConstraintReadings", "SlitPair",
     "DistributionReport", "Ensemble", "GlobalConstraintReport", "SamplerReport",
     "build_ensemble", "compare_distribution", "evolve_ensemble",
     "global_constraint_analysis", "ks_critical_value", "ks_critical_value_two_sample",

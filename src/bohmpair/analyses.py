@@ -19,7 +19,7 @@ from .errors import InsufficientSampleError
 from .numerics import IntegratorConfig, integrate_ode
 from .oracles import phase_gradient, velocity_from_psi
 from .planewave import PlaneWavePair
-from .spherical import PairState3D, SlitPair, nearest_source
+from .spherical import SlitPair, nearest_source
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,10 @@ def constraint_claims(model, evolved: Ensemble) -> list[ClaimCheck]:
                 "Eq. (13) as printed (halved linear coefficient)",
                 model._relation_drift(evolved, model.constraint_lhs)))
     else:
-        probe = mirror_probe_state(model)
-        traj = integrate_ode(model.batch_rhs, [model.state_vector(probe)], probe.t,
-                             probe.t + 1.0, evolved.integrator,
-                             sample_times=np.linspace(probe.t, probe.t + 1.0, 101)).member(0)
-        dev = model.max_constraint_deviations(traj)
+        traj = integrate_ode(model.batch_rhs, [mirror_probe_state(model)], 0.0, 1.0,
+                             evolved.integrator,
+                             sample_times=np.linspace(0.0, 1.0, 101)).member(0)
+        dev = model.max_constraint_deviations(traj.states)
         claims.append(_tolerance_claim(
             "mirror_manifold_preserved",
             "Eq. (R), mirrored pairing r1A = r2B and r1B = r2A", dev.mirror, 1e-6))
@@ -173,10 +172,11 @@ def constraint_claims(model, evolved: Ensemble) -> list[ClaimCheck]:
     return claims
 
 
-def mirror_probe_state(model: SlitPair) -> PairState3D:
-    """Canonical mirror-symmetric start used by the constraint analysis."""
+def mirror_probe_state(model: SlitPair) -> np.ndarray:
+    """Canonical mirror-symmetric start [r1, r2] at t = 0 used by the
+    constraint analysis."""
     y = 0.6 * model.slit_offset
-    return PairState3D(r1=(1.0, y, 0.0), r2=(1.0, -y, 0.0), t=0.0)
+    return np.array([1.0, y, 0.0, 1.0, -y, 0.0])
 
 
 # -- closed-form analyses -------------------------------------------------------------

@@ -27,6 +27,9 @@ from .spherical import SlitPair
 ANALYSES = ("trajectories", "constraints", "uniqueness", "equivariance",
             "global_constraint", "oracle_crosscheck", "density_discrepancy")
 PLANEWAVE_ONLY = frozenset({"uniqueness", "global_constraint", "density_discrepancy"})
+# Plane-wave analyses built on the separation relation, which divides by
+# a^2 - b^2.
+UNEQUAL_AMPLITUDES_ONLY = frozenset({"uniqueness", "global_constraint"})
 MODELS = ("planewave", "spherical")
 
 
@@ -182,6 +185,9 @@ def validate_config(raw) -> RunConfig:
         if name in PLANEWAVE_ONLY and data["model"] != "planewave":
             raise ConfigurationError(
                 f"analyses: {name!r} applies to the planewave model only")
+        if name in UNEQUAL_AMPLITUDES_ONLY and data["a"] == data["b"]:
+            raise ConfigurationError(
+                f"a, b: analysis {name!r} requires unequal amplitudes (a != b)")
     data["analyses"] = list(analyses)
 
     if not isinstance(data["output_dir"], str) or not data["output_dir"]:

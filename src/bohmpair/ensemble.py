@@ -68,7 +68,6 @@ class Ensemble(TrajectoryBatch):
     t0: float
     integrator: IntegratorConfig | None = None
     sampler: SamplerReport | None = None   # None for user-supplied states
-    prng_id: str = PRNG_ID
 
     @property
     def acceptance_rate(self) -> float | None:
@@ -169,15 +168,14 @@ def quadrature_cdf(density: Callable[[np.ndarray], np.ndarray], lo: float, hi: f
 
 # -- sampling ----------------------------------------------------------------
 
-def sample_configurations(model, n: int, seed: int,
-                          density_bound: float | None = None):
+def sample_configurations(model, n: int, seed: int):
     """Draw ``n`` configurations from the model density by rejection from the
     model's own proposal.
 
     Each round, ``model.propose(rng, m)`` makes ``m`` draws and returns the
     ones inside the model's box with their proposal weights; a point is kept
     when ``u * bound * weight < model.density_batch(point)`` with ``u``
-    uniform on [0, 1) and ``bound = model.density_bound()`` unless given.
+    uniform on [0, 1) and ``bound = model.density_bound()``.
     Kept points follow the density exactly wherever it stays below
     bound x weight.  The plane-wave model proposes uniformly over its box
     (weight 1); the spherical one from a mixture about the sources.
@@ -190,7 +188,7 @@ def sample_configurations(model, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    bound = model.density_bound() if density_bound is None else float(density_bound)
+    bound = model.density_bound()
     if bound <= 0:
         raise ConfigurationError("density bound must be positive")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -261,7 +259,7 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
                          cfg, sample_times)
     return Ensemble(**vars(flow), model=model, seed=ensemble.seed,
                     sampling=ensemble.sampling, t0=ensemble.t0, integrator=cfg,
-                    sampler=ensemble.sampler, prng_id=ensemble.prng_id)
+                    sampler=ensemble.sampler)
 
 
 # -- distribution comparison ---------------------------------------------------
@@ -392,7 +390,7 @@ def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> d
             "params": {f: getattr(model, f) for f in model.__dataclass_fields__},
             "seed": ensemble.seed,
             "sampling": ensemble.sampling,
-            "prng": ensemble.prng_id,
+            "prng": PRNG_ID,
             "size": ensemble.size,
             "t0": ensemble.t0,
             "acceptance_rate": ensemble.acceptance_rate,

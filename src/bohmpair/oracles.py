@@ -34,19 +34,22 @@ def velocity_from_psi(model, points: np.ndarray, t=0.0) -> np.ndarray:
     """(hbar/m) Im(grad psi / psi) by central differences of the wavefunction.
 
     ``points`` is an (n, dim) array of flat configurations; returns (n, dim)
-    velocities.  The model only needs ``psi_values`` plus the geometry of its
-    configuration vector.
+    velocities.  The model only needs ``psi_values`` of the two particles'
+    coordinates.
     """
-    pts, diffs, steps = _stencil(lambda p: _psi_flat(model, p, t), points)
+    pts, diffs, steps = _stencil(lambda p: model.psi_values(*_particles(p), t), points)
     grad = diffs / (2.0 * steps)
-    return (model.hbar / model.mass) * np.imag(grad / _psi_flat(model, pts, t)[:, None])
+    psi = model.psi_values(*_particles(pts), t)
+    return (model.hbar / model.mass) * np.imag(grad / psi[:, None])
 
 
-def _psi_flat(model, pts: np.ndarray, t):
+def _particles(pts: np.ndarray):
+    """The two particles' coordinates in (n, dim) configuration rows: two
+    columns for a one-dimensional model, two (n, 3) blocks otherwise."""
     half = pts.shape[1] // 2
     if half == 1:
-        return model.psi_values(pts[:, 0], pts[:, 1], t)
-    return model.psi_values(pts[:, :half], pts[:, half:], t)
+        return pts[:, 0], pts[:, 1]
+    return pts[:, :half], pts[:, half:]
 
 
 def phase_gradient(model, points: np.ndarray, t=0.0) -> np.ndarray:
@@ -56,16 +59,7 @@ def phase_gradient(model, points: np.ndarray, t=0.0) -> np.ndarray:
     the nearest equivalent before dividing; for small steps the true
     difference is far below the wrap scale and the reduction is exact.
     """
-    _, diffs, steps = _stencil(lambda p: _phase_flat(model, p, t), points)
+    _, diffs, steps = _stencil(lambda p: model.phase_values(*_particles(p), t), points)
     wrap = TWO_PI * model.hbar
     diffs -= wrap * np.round(diffs / wrap)
     return diffs / (2.0 * steps)
-
-
-def _phase_flat(model, pts: np.ndarray, t):
-    half = pts.shape[1] // 2
-    if half == 1:
-        states = [model.state_from_vector(row, t) for row in pts]
-        return np.array([model.phase(s).S for s in states])
-    r1a, r1b, r2a, r2b = model.distances_of(pts[:, :3], pts[:, 3:])
-    return model.phase_from_distances(r1a, r1b, r2a, r2b, t=t)

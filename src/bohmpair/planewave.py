@@ -31,31 +31,6 @@ MIN_AMPLITUDE_SUM = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
-class PairState1D:
-    """Instantaneous configuration of the pair: positions and time."""
-
-    x1: float
-    x2: float
-    t: float = 0.0
-
-    @property
-    def separation(self) -> float:
-        return self.x1 - self.x2
-
-
-@dataclass(frozen=True)
-class PhaseValue:
-    """Phase S of the wavefunction together with its branch index.
-
-    ``S`` equals hbar * arctan(c tan theta) - E t + eta * pi * hbar, with the
-    integer ``eta`` chosen so S is continuous in theta across branch cells.
-    """
-
-    S: float
-    eta: int
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     """Root structure of the separation constraint at a fixed time, beside
     the two candidate sufficiency conditions for a unique root."""
@@ -139,9 +114,6 @@ class PlaneWavePair:
 
     # -- wavefunction, density, phase ---------------------------------------
 
-    def theta(self, state: PairState1D) -> float:
-        return self.momentum * state.separation / self.hbar
-
     def psi_values(self, x1, x2, t):
         """Wavefunction on arrays of positions and times (broadcasting)."""
         th = self.momentum * (np.asarray(x1) - np.asarray(x2)) / self.hbar
@@ -149,15 +121,9 @@ class PlaneWavePair:
         clock = np.exp(-1j * self.energy * np.asarray(t) / self.hbar)
         return bracket * clock / (math.sqrt(self.norm) * (self.a + self.b))
 
-    def psi(self, state: PairState1D) -> complex:
-        return complex(self.psi_values(state.x1, state.x2, state.t))
-
     def density_values(self, x1, x2, t=0.0):
         """|psi|^2; time independent and a function of x1 - x2 only."""
         return np.abs(self.psi_values(x1, x2, t)) ** 2
-
-    def density(self, state: PairState1D) -> float:
-        return float(self.density_values(state.x1, state.x2, state.t))
 
     def density_single_angle_values(self, x1, x2):
         """Variant of the density with cos(theta) in place of cos(2 theta)
@@ -167,26 +133,25 @@ class PlaneWavePair:
         a, b = self.a, self.b
         return (a * a + b * b + 2 * a * b * np.cos(th)) / (self.norm * (a + b) ** 2)
 
-    def density_single_angle(self, state: PairState1D) -> float:
-        return float(self.density_single_angle_values(state.x1, state.x2))
+    def phase_values(self, x1, x2, t):
+        """Continuous phase S of the wavefunction on arrays of positions and
+        times (broadcasting).
 
-    def phase(self, state: PairState1D) -> PhaseValue:
-        """Continuous phase of the wavefunction at ``state``.
-
-        The arctangent is evaluated inside the branch cell containing theta
-        and the integer multiple of pi restoring continuity is reported as
-        ``eta``.  Undefined at nodes (a = b with cos theta = 0).
+        S = hbar arctan(c tan theta) - E t + eta pi hbar, with the integer
+        eta chosen so S is continuous in theta across branch cells: the
+        arctangent is evaluated inside the cell of theta, as atan2 of
+        c sin and cos of theta - n pi, and eta = n (or -n when c < 0).
+        Raises :class:`ModelDomainError` at a node (a = b with cos theta = 0).
         """
-        th = self.theta(state)
+        th = self.momentum * (np.asarray(x1, dtype=float) - np.asarray(x2)) / self.hbar
         c = self.contrast
-        n = math.floor(th / math.pi + 0.5)
-        th_cell = th - n * math.pi
-        if c == 0.0 and abs(math.cos(th)) < 1e-12:
+        if c == 0.0 and np.any(np.abs(np.cos(th)) < 1e-12):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
+        n = np.floor(th / math.pi + 0.5)
+        th_cell = th - n * math.pi
         eta = n if c >= 0 else -n
-        s = self.hbar * (math.atan2(c * math.sin(th_cell), math.cos(th_cell))
-                         + eta * math.pi) - self.energy * state.t
-        return PhaseValue(S=s, eta=eta)
+        return (self.hbar * (np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi)
+                - self.energy * np.asarray(t))
 
     # -- guidance velocities -------------------------------------------------
 
@@ -203,14 +168,9 @@ class PlaneWavePair:
         return np.divide(self.speed * self.contrast, shape, out=np.full(shape.shape, np.nan),
                          where=shape >= NODE_DENSITY_FLOOR)
 
-    def velocities(self, state: PairState1D) -> tuple[float, float]:
-        """Guidance velocities (v1, v2); v2 is exactly -v1.  Raises
-        :class:`ModelDomainError` at a node."""
-        return tuple(self.rhs(state.t, self.state_vector(state)).tolist())
-
     def rhs(self, t, y):
-        """Field for the integrator at one flat configuration [x1, x2];
-        raises :class:`ModelDomainError` at a node."""
+        """Field for the integrator at one flat configuration [x1, x2] (or at
+        rows of them); raises :class:`ModelDomainError` at a node."""
         return require_defined(self.batch_rhs(t, y),
                                "velocity undefined at a node of the wavefunction")
 
@@ -263,18 +223,6 @@ class PlaneWavePair:
         """
         return self._relation(delta, 0.5)
 
-    def beta_for(self, state: PairState1D) -> float:
-        """Integration constant fixed by one point of a trajectory."""
-        return float(self.trajectory_invariant(state.separation)
-                     - 2.0 * self.speed * state.t)
-
-    def implicit_residual(self, state: PairState1D, beta: float) -> float:
-        """Residual of the conserved separation relation; stays at its
-        initial value (zero, when beta comes from the initial state) along
-        any exact trajectory."""
-        return float(self.trajectory_invariant(state.separation)
-                     - 2.0 * self.speed * state.t - beta)
-
     def residual_drift(self, trajectory) -> float:
         """Max |residual| over the samples of a trajectory, or of every member
         of a trajectory batch (NaN samples past a truncation skipped), with
@@ -299,17 +247,13 @@ class PlaneWavePair:
         sums = trajectory.states[..., 0] + trajectory.states[..., 1]
         return float(np.nanmax(np.abs(sums - sums[0])))
 
-    def zero_separation_time(self, state: PairState1D) -> float:
-        """Time at which the trajectory through ``state`` has x1 = x2.
+    def zero_separation_times(self, delta, t: float):
+        """Times at which the trajectories with separation(s) ``delta`` at
+        time ``t`` reach x1 = x2 (vectorised).
 
         Follows from the conserved relation; depends on the separation only,
         not on the centre of mass.
         """
-        return float(self.zero_separation_times(state.separation, state.t))
-
-    def zero_separation_times(self, delta, t: float):
-        """:meth:`zero_separation_time` of trajectories with separation(s)
-        ``delta`` at time ``t`` (vectorised)."""
         return t - np.asarray(self.trajectory_invariant(delta)) / (2.0 * self.speed)
 
     def inverse_flow(self, delta, elapsed: float):
@@ -388,9 +332,3 @@ class PlaneWavePair:
     def density_batch(self, points: np.ndarray) -> np.ndarray:
         """Density at an (n, 2) array of configurations, at time zero."""
         return self.density_values(points[:, 0], points[:, 1], 0.0)
-
-    def state_vector(self, state: PairState1D) -> np.ndarray:
-        return np.array([state.x1, state.x2], dtype=float)
-
-    def state_from_vector(self, y, t: float = 0.0) -> PairState1D:
-        return PairState1D(x1=float(y[0]), x2=float(y[1]), t=t)

@@ -24,29 +24,6 @@ from .numerics import require_defined
 
 
 @dataclass(frozen=True)
-class PairState3D:
-    """Positions of both particles (3-vectors) and the time."""
-
-    r1: tuple[float, float, float]
-    r2: tuple[float, float, float]
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r1", tuple(float(v) for v in self.r1))
-        object.__setattr__(self, "r2", tuple(float(v) for v in self.r2))
-        if len(self.r1) != 3 or len(self.r2) != 3:
-            raise ValueError("r1 and r2 must be 3-vectors")
-
-
-@dataclass(frozen=True)
-class PhaseParts:
-    """Numerator and denominator whose arctangent gives the spatial phase."""
-
-    Nval: float
-    Dval: float
-
-
-@dataclass(frozen=True)
 class ConstraintReadings:
     """Deviations from the two readings of the decoupling constraint.
 
@@ -130,10 +107,6 @@ class SlitPair:
         r2b = _norm_rows(r2 - self.source_b)
         return r1a, r1b, r2a, r2b
 
-    def distances(self, state: PairState3D):
-        return tuple(float(v) for v in self.distances_of(np.asarray(state.r1),
-                                                         np.asarray(state.r2)))
-
     def _supported(self, r1, r2, distances):
         """Where configurations lie in the model's support: the x >= 0
         half-space, at least ``slit_exclusion`` from both sources."""
@@ -147,14 +120,6 @@ class SlitPair:
         if not np.all(self._supported(r1, r2, distances)):
             raise ModelDomainError("configuration outside the x >= 0 half-space or "
                                    f"within {self.slit_exclusion} of a source point")
-        return distances
-
-    def _defined_distances(self, state: PairState3D):
-        """:meth:`_supported_distances` of a state where the field is defined,
-        also raising at a node (node measure below ``node_threshold``)."""
-        distances = self._supported_distances(np.asarray(state.r1), np.asarray(state.r2))
-        if self.node_measure_of(*distances) < self.node_threshold:
-            raise ModelDomainError("field undefined at a node of the wavefunction")
         return distances
 
     # -- wavefunction and phase ----------------------------------------------
@@ -171,23 +136,16 @@ class SlitPair:
         clock = np.exp(-1j * self.energy * np.asarray(t) / self.hbar)
         return self._bracket(r1a, r1b, r2a, r2b) * clock / math.sqrt(self.norm)
 
-    def psi(self, state: PairState3D) -> complex:
-        return complex(self.psi_values(np.asarray(state.r1), np.asarray(state.r2), state.t))
-
-    def node_measure(self, state: PairState3D) -> float:
-        """Scale-aware modulus |bracket| (r1A r2B + r1B r2A) / 2; the raw
-        modulus decays with distance, so nodes are flagged relative to the
-        local single-term scale."""
-        return float(self.node_measure_of(*self.distances(state)))
-
     def node_measure_of(self, r1a, r1b, r2a, r2b):
-        """:meth:`node_measure` as a function of the four source distances
-        (vectorised)."""
+        """Scale-aware modulus |bracket| (r1A r2B + r1B r2A) / 2 as a function
+        of the four source distances (vectorised); the raw modulus decays with
+        distance, so nodes are flagged relative to the local single-term
+        scale."""
         return self._node_measure(self._phase_terms(r1a, r1b, r2a, r2b))
 
     @staticmethod
     def _node_measure(terms):
-        """:meth:`node_measure` from :meth:`_phase_terms`: q rr bracket is
+        """:meth:`node_measure_of` from :meth:`_phase_terms`: q rr bracket is
         D + i N, so |bracket| (q + rr) / 2 is hypot(N, D) (q + rr) / (2 q rr)."""
         q, rr, *_, nval, dval = terms
         return np.hypot(nval, dval) * (q + rr) / (2.0 * q * rr)
@@ -208,10 +166,6 @@ class SlitPair:
         dval = rr * cos_a + q * cos_b
         return q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval
 
-    def phase_parts(self, state: PairState3D) -> PhaseParts:
-        *_, nval, dval = self._phase_terms(*self.distances(state))
-        return PhaseParts(Nval=float(nval), Dval=float(dval))
-
     def phase_from_distances(self, r1a, r1b, r2a, r2b, t=0.0):
         """Phase as a function of the four source distances (vectorised).
 
@@ -224,8 +178,15 @@ class SlitPair:
             raise ModelDomainError("phase undefined at a node of the wavefunction")
         return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
 
-    def phase(self, state: PairState3D) -> float:
-        return float(self.phase_from_distances(*self._defined_distances(state), t=state.t))
+    def phase_values(self, r1, r2, t):
+        """Phase on arrays of positions of shape (..., 3) (principal values,
+        see :meth:`phase_from_distances`); raises :class:`ModelDomainError`
+        outside the support or at a node (node measure below
+        ``node_threshold``), where the field is undefined."""
+        distances = self._supported_distances(r1, r2)
+        if np.any(self.node_measure_of(*distances) < self.node_threshold):
+            raise ModelDomainError("phase undefined at a node of the wavefunction")
+        return self.phase_from_distances(*distances, t=t)
 
     # -- phase derivatives and velocities --------------------------------------
 
@@ -255,19 +216,6 @@ class SlitPair:
         g2a = self._partial(k, self.hbar, nval, dval, q, r1b, sin_b, cos_b, sin_a, cos_a)
         g2b = self._partial(k, self.hbar, nval, dval, rr, r1a, sin_a, cos_a, sin_b, cos_b)
         return g1a, g1b, g2a, g2b
-
-    def distance_derivatives(self, state: PairState3D) -> tuple[float, float, float, float]:
-        """Partial derivatives of the phase with respect to (r1A, r1B, r2A,
-        r2B); each matches finite differences of :meth:`phase_from_distances`."""
-        distances = self._defined_distances(state)
-        terms = self._phase_terms(*distances)
-        return tuple(float(g) for g in self._distance_derivatives(*distances, terms))
-
-    def velocities(self, state: PairState3D) -> tuple[np.ndarray, np.ndarray]:
-        """Guidance velocities (v1, v2) as 3-vectors, assembled by the chain
-        rule through the four source distances."""
-        v = self.rhs(state.t, self.state_vector(state))
-        return v[:3], v[3:]
 
     def rhs(self, t, y):
         """Field for the integrator at one flat configuration [r1, r2] (or at
@@ -301,26 +249,15 @@ class SlitPair:
 
     # -- decoupling constraint -------------------------------------------------
 
-    def constraint_deviations(self, state: PairState3D) -> ConstraintReadings:
-        r1a, r1b, r2a, r2b = self.distances(state)
-        return ConstraintReadings(mirror=max(abs(r1a - r2b), abs(r1b - r2a)),
-                                  axial=max(abs(r1a - r2b), abs(r2a - r2b)))
-
-    def max_constraint_deviations(self, trajectory) -> ConstraintReadings:
-        """Worst-case deviations from both constraint readings over all
-        samples of a trajectory."""
-        pts = trajectory.states.reshape(len(trajectory), 2, 3)
+    def max_constraint_deviations(self, states) -> ConstraintReadings:
+        """Worst-case deviations from both constraint readings over
+        configuration rows of shape (..., 6), such as the samples of a
+        trajectory."""
+        pts = np.asarray(states, dtype=float).reshape(-1, 2, 3)
         r1a, r1b, r2a, r2b = self.distances_of(pts[:, 0], pts[:, 1])
         mirror = np.maximum(np.abs(r1a - r2b), np.abs(r1b - r2a))
         axial = np.maximum(np.abs(r1a - r2b), np.abs(r2a - r2b))
         return ConstraintReadings(mirror=float(np.max(mirror)), axial=float(np.max(axial)))
-
-    def mirror_state(self, state: PairState3D) -> PairState3D:
-        """Image of a state under the symmetry: reflect both y coordinates
-        and interchange the particles."""
-        x1, y1, z1 = state.r1
-        x2, y2, z2 = state.r2
-        return PairState3D(r1=(x2, -y2, z2), r2=(x1, -y1, z1), t=state.t)
 
     # -- normalization and ensemble support -------------------------------------
 
@@ -441,15 +378,3 @@ class SlitPair:
         weight: |u e^{ik alpha} + v e^{ik beta}|^2 <= (u + v)^2
         <= 2 (u^2 + v^2), so the density never exceeds 2 x weight."""
         return 2.0
-
-    def density(self, state: PairState3D) -> float:
-        """Normalized density (triggers the normalization estimate on first
-        use)."""
-        return float(abs(self.psi(state)) ** 2)
-
-    def state_vector(self, state: PairState3D) -> np.ndarray:
-        return np.array([*state.r1, *state.r2], dtype=float)
-
-    def state_from_vector(self, y, t: float = 0.0) -> PairState3D:
-        y = np.asarray(y, dtype=float)
-        return PairState3D(r1=tuple(y[:3]), r2=tuple(y[3:6]), t=t)

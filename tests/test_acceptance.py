@@ -14,8 +14,8 @@ from bohmpair.ensemble import (build_ensemble, evolve_ensemble, ks_critical_valu
                                separation_marginal)
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import phase_gradient, velocity_from_psi
-from bohmpair.planewave import PairState1D, PlaneWavePair
-from bohmpair.spherical import PairState3D, SlitPair
+from bohmpair.planewave import PlaneWavePair
+from bohmpair.spherical import SlitPair
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -44,19 +44,13 @@ def test_criterion_01_plane_wave_limits():
     rng = np.random.default_rng(101)
     single = PlaneWavePair(a=1.0, b=0.0)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 2))
-    worst = 0.0
-    for x1, x2 in pts:
-        v1, v2 = single.velocities(PairState1D(x1, x2, 0.0))
-        worst = max(worst, abs(v1 - single.speed), abs(v2 + single.speed))
+    worst = float(np.max(np.abs(single.rhs(0.0, pts) - [single.speed, -single.speed])))
     ok = worst < 1e-12
 
     static = PlaneWavePair(a=1.0, b=1.0)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 2))
-    static_ok = True
-    for x1, x2 in pts:
-        if abs(math.cos(static.theta(PairState1D(x1, x2, 0.0)))) < 1e-6:
-            continue
-        static_ok = static_ok and static.velocities(PairState1D(x1, x2, 0.0)) == (0.0, 0.0)
+    theta = static.momentum * (pts[:, 0] - pts[:, 1]) / static.hbar
+    static_ok = bool(np.all(static.rhs(0.0, pts[np.abs(np.cos(theta)) >= 1e-6]) == 0.0))
     report(1, ok and static_ok,
            f"b=0 max |v - (p/m, -p/m)| = {worst:.3e} < 1e-12; a=b exactly static: {static_ok}")
 
@@ -171,11 +165,11 @@ def test_criterion_07_equivariance_measured_deterministically(cli_double_run):
 
 def test_criterion_08_mirror_manifold():
     model = SlitPair(wavenumber=5.0, slit_offset=0.5)
-    start = PairState3D(r1=(1.0, 0.3, 0.0), r2=(1.0, -0.3, 0.0))
-    traj = integrate_ode(model.batch_rhs, [model.state_vector(start)], 0.0, 1.0,
+    start = [1.0, 0.3, 0.0, 1.0, -0.3, 0.0]
+    traj = integrate_ode(model.batch_rhs, [start], 0.0, 1.0,
                          sample_times=np.linspace(0.0, 1.0, 101)).member(0)
     assert traj.complete
-    dev = model.max_constraint_deviations(traj)
+    dev = model.max_constraint_deviations(traj.states)
     ok = dev.mirror < 1e-6
     report(8, ok, f"T=1 trajectory: max(|r1A - r2B|, |r1B - r2A|) = {dev.mirror:.3e} < 1e-6")
 

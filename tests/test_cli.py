@@ -264,6 +264,23 @@ class TestMain:
         assert cli.main(["run", *argv]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("argv", [["--analysis", "uniqueness"],
+                                      ["--analysis", "global_constraint", "--n", "200"]])
+    def test_equal_amplitudes_rejected_by_relation_analyses(self, tmp_path, capsys, argv):
+        # The separation relation divides by a^2 - b^2.
+        out = tmp_path / "out"
+        assert cli.main(["run", "--a", "1", "--b", "1", *argv, "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: a, b: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("analysis", ["equivariance", "constraints", "oracle_crosscheck"])
+    def test_equal_amplitudes_other_analyses_run(self, tmp_path, analysis):
+        assert cli.main(["run", "--a", "1", "--b", "1", "--analysis", analysis, "--n", "200",
+                         "--trajectory-count", "2", "--trajectory-samples", "3",
+                         "--t-end", "0.5", "--output-dir", str(tmp_path / "out")]) == 0
+
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))

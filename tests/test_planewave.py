@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bohmpair.errors import DegenerateParametersError, ModelDomainError
-from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode
+from bohmpair.numerics import IntegratorConfig, Trajectory, bracketed_root, integrate_ode
 from bohmpair.oracles import phase_gradient, velocity_from_psi
-from bohmpair.planewave import (MIN_AMPLITUDE_SUM, NODE_DENSITY_FLOOR, PairState1D,
-                                PlaneWavePair)
+from bohmpair.planewave import MIN_AMPLITUDE_SUM, NODE_DENSITY_FLOOR, PlaneWavePair
 
 
-def state_at_theta(model, theta, t=0.0):
-    return PairState1D(x1=theta * model.hbar / model.momentum, x2=0.0, t=t)
+def x_at_theta(model, theta):
+    """Position x1 at which theta = p (x1 - x2) / hbar, with x2 = 0."""
+    return np.asarray(theta, dtype=float) * model.hbar / model.momentum
 
 
 @pytest.fixture(scope="module")
@@ -98,54 +98,53 @@ class TestParams:
 class TestPsiAndDensity:
     def test_single_wave_at_origin(self):
         m = PlaneWavePair(a=1.0, b=0.0)
-        val = m.psi(PairState1D(0.0, 0.0, 0.0))
-        assert val == pytest.approx(1.0 / math.sqrt(m.norm))
+        val = m.psi_values(0.0, 0.0, 0.0)
+        assert complex(val) == pytest.approx(1.0 / math.sqrt(m.norm))
 
     def test_symmetric_node(self):
         m = PlaneWavePair(a=1.0, b=1.0)
-        val = m.psi(state_at_theta(m, math.pi / 2))
+        val = m.psi_values(x_at_theta(m, math.pi / 2), 0.0, 0.0)
         assert abs(val) < 1e-15
 
     def test_value_against_direct_complex_arithmetic(self, lopsided):
         theta = math.pi / 4
-        s = state_at_theta(lopsided, theta, t=0.7)
+        x1 = x_at_theta(lopsided, theta)
         expected = ((1.0 * cmath.exp(1j * theta) + 0.5 * cmath.exp(-1j * theta))
                     * cmath.exp(-1j * lopsided.energy * 0.7 / lopsided.hbar)
                     / (math.sqrt(lopsided.norm) * 1.5))
-        assert lopsided.psi(s) == pytest.approx(expected, abs=1e-15)
+        assert complex(lopsided.psi_values(x1, 0.0, 0.7)) == pytest.approx(expected, abs=1e-15)
 
     def test_density_is_modulus_squared(self, lopsided):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            s = PairState1D(*rng.uniform(-5, 5, size=2), t=rng.uniform(0, 3))
-            assert lopsided.density(s) == pytest.approx(abs(lopsided.psi(s)) ** 2, rel=1e-12)
+        x1, x2, t = rng.uniform(-5, 5, size=50), rng.uniform(-5, 5, size=50), rng.uniform(0, 3, 50)
+        np.testing.assert_allclose(lopsided.density_values(x1, x2, t),
+                                   np.abs(lopsided.psi_values(x1, x2, t)) ** 2, rtol=1e-12)
 
     def test_density_closed_form(self, lopsided):
         theta = math.pi / 3
-        s = state_at_theta(lopsided, theta)
         a, b = 1.0, 0.5
         expected = (a * a + b * b + 2 * a * b * math.cos(2 * theta)) / (lopsided.norm * (a + b) ** 2)
-        assert lopsided.density(s) == pytest.approx(expected, rel=1e-12)
+        assert lopsided.density_values(x_at_theta(lopsided, theta), 0.0) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_flat_density_single_wave(self):
         m = PlaneWavePair(a=1.0, b=0.0)
-        for theta in (0.0, 1.0, 2.7):
-            assert m.density(state_at_theta(m, theta)) == pytest.approx(1.0 / m.norm, rel=1e-12)
+        values = m.density_values(x_at_theta(m, [0.0, 1.0, 2.7]), 0.0)
+        np.testing.assert_allclose(values, 1.0 / m.norm, rtol=1e-12)
 
     def test_density_time_independent_and_separation_only(self, mild):
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            x1, x2, s_shift, t1, t2 = rng.uniform(-4, 4, size=5)
-            d0 = mild.density(PairState1D(x1, x2, t1))
-            assert mild.density(PairState1D(x1, x2, t2)) == pytest.approx(d0, rel=1e-12)
-            assert mild.density(PairState1D(x1 + s_shift, x2 + s_shift, t1)) == \
-                pytest.approx(d0, rel=1e-10)
+        x1, x2, s_shift, t1, t2 = rng.uniform(-4, 4, size=(5, 50))
+        d0 = mild.density_values(x1, x2, t1)
+        np.testing.assert_allclose(mild.density_values(x1, x2, t2), d0, rtol=1e-12)
+        np.testing.assert_allclose(mild.density_values(x1 + s_shift, x2 + s_shift, t1), d0,
+                                   rtol=1e-10)
 
 
 class TestDensitySingleAngle:
     def test_equal_amplitudes_quarter_turn(self):
         m = PlaneWavePair(a=1.0, b=1.0)
-        val = m.density_single_angle(state_at_theta(m, math.pi / 2))
+        val = m.density_single_angle_values(x_at_theta(m, math.pi / 2), 0.0)
         assert val == pytest.approx(2.0 / (4.0 * m.norm), rel=1e-12)
 
     def test_single_wave_forms_agree(self):
@@ -170,33 +169,43 @@ class TestDensitySingleAngle:
 
 class TestPhase:
     def test_zero_at_origin(self, lopsided):
-        ph = lopsided.phase(PairState1D(0.0, 0.0, 0.0))
-        assert ph.S == 0.0 and ph.eta == 0
+        assert lopsided.phase_values(0.0, 0.0, 0.0) == 0.0
 
     def test_single_wave_phase_is_linear(self):
         m = PlaneWavePair(a=1.0, b=0.0)
-        for theta in np.linspace(-9.0, 9.0, 61):
-            s = state_at_theta(m, theta, t=0.4)
-            expected = m.hbar * theta - m.energy * 0.4
-            assert m.phase(s).S == pytest.approx(expected, abs=1e-12)
+        thetas = np.linspace(-9.0, 9.0, 61)
+        expected = m.hbar * thetas - m.energy * 0.4
+        np.testing.assert_allclose(m.phase_values(x_at_theta(m, thetas), 0.0, 0.4), expected,
+                                   rtol=0, atol=1e-12)
 
     def test_branch_index_past_quarter_turn(self, lopsided):
-        ph = lopsided.phase(state_at_theta(lopsided, 3 * math.pi / 4))
-        assert ph.eta == 1
+        # S = hbar (arctan(c tan theta) + eta pi) - E t: the branch index eta
+        # is n for theta in the cell (n - 1/2, n + 1/2) pi, or -n when c < 0.
+        n = np.arange(-3, 4)
+        thetas = np.concatenate([n * math.pi - math.pi / 4, n * math.pi + math.pi / 4])
+        t = 0.3
+        for m in (lopsided, PlaneWavePair(a=0.5, b=1.0)):
+            S = m.phase_values(x_at_theta(m, thetas), 0.0, t)
+            eta = ((S + m.energy * t) / m.hbar - np.arctan(m.contrast * np.tan(thetas))) / math.pi
+            np.testing.assert_allclose(eta, np.sign(m.contrast) * np.concatenate([n, n]),
+                                       rtol=0, atol=1e-12)
+        S = lopsided.phase_values(x_at_theta(lopsided, 3 * math.pi / 4), 0.0, 0.0)
+        assert S == pytest.approx(lopsided.hbar * (math.pi - math.atan(lopsided.contrast)),
+                                  abs=1e-15)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.5), (0.5, 1.0), (1.0, 0.2)])
     def test_continuity_along_theta_path(self, a, b):
         m = PlaneWavePair(a=a, b=b)
         thetas = np.arange(-3 * math.pi, 3 * math.pi, math.pi / 200)
-        values = np.array([m.phase(state_at_theta(m, th)).S for th in thetas])
+        values = m.phase_values(x_at_theta(m, thetas), 0.0, 0.0)
         assert np.max(np.abs(np.diff(values))) < math.pi * m.hbar / 2
 
     def test_matches_unwrapped_arg_of_psi(self, lopsided):
         thetas = np.arange(-2 * math.pi, 2 * math.pi, math.pi / 300)
         t = 0.9
-        values = np.array([lopsided.phase(state_at_theta(lopsided, th, t)).S
-                           for th in thetas])
-        psis = np.array([lopsided.psi(state_at_theta(lopsided, th, t)) for th in thetas])
+        x1 = x_at_theta(lopsided, thetas)
+        values = lopsided.phase_values(x1, 0.0, t)
+        psis = lopsided.psi_values(x1, 0.0, t)
         reference = lopsided.hbar * np.unwrap(np.angle(psis))
         offset = values[0] - reference[0]
         # Agreement up to one global multiple of 2 pi hbar.
@@ -207,41 +216,37 @@ class TestPhase:
     def test_node_rejected(self):
         m = PlaneWavePair(a=1.0, b=1.0)
         with pytest.raises(ModelDomainError):
-            m.phase(state_at_theta(m, math.pi / 2))
+            m.phase_values(x_at_theta(m, math.pi / 2), 0.0, 0.0)
+        # One node among the rows rejects the call.
+        with pytest.raises(ModelDomainError):
+            m.phase_values(x_at_theta(m, [0.3, math.pi / 2, 1.0]), 0.0, 0.0)
+        assert np.all(np.isfinite(m.phase_values(x_at_theta(m, [0.3, 1.0]), 0.0, 0.0)))
 
 
 class TestVelocities:
     def test_single_wave_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0, momentum=1.3, mass=0.7)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            s = PairState1D(*rng.uniform(-10, 10, size=2))
-            v1, v2 = m.velocities(s)
-            assert abs(v1 - m.speed) < 1e-12
-            assert v2 == -v1
+        rows = np.random.default_rng(3).uniform(-10, 10, size=(200, 2))
+        v = m.rhs(0.0, rows)
+        assert np.max(np.abs(v[:, 0] - m.speed)) < 1e-12
+        assert np.array_equal(v[:, 1], -v[:, 0])
 
     def test_equal_amplitudes_static(self):
         m = PlaneWavePair(a=1.0, b=1.0)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            s = PairState1D(*rng.uniform(-10, 10, size=2))
-            if abs(math.cos(m.theta(s))) < 1e-6:
-                continue
-            assert m.velocities(s) == (0.0, 0.0)
+        rows = np.random.default_rng(4).uniform(-10, 10, size=(200, 2))
+        rows = rows[np.abs(np.cos(m.momentum * (rows[:, 0] - rows[:, 1]) / m.hbar)) >= 1e-6]
+        assert np.all(m.rhs(0.0, rows) == 0.0)
 
     def test_removable_singularity_value(self, lopsided):
-        v1, v2 = lopsided.velocities(state_at_theta(lopsided, math.pi / 2))
+        v1, v2 = lopsided.rhs(0.0, np.array([x_at_theta(lopsided, math.pi / 2), 0.0]))
         assert abs(v1 - 3.0) < 1e-12
         assert v2 == -v1
 
     def test_oracle_near_singularity(self, lopsided):
-        for eps in (1e-3, -1e-3, 2e-4):
-            s = state_at_theta(lopsided, math.pi / 2 + eps)
-            point = np.array([[s.x1, s.x2]])
-            oracle = velocity_from_psi(lopsided, point, t=0.0)[0]
-            v1, v2 = lopsided.velocities(s)
-            assert abs(oracle[0] - v1) < 1e-6
-            assert abs(oracle[1] - v2) < 1e-6
+        x1 = x_at_theta(lopsided, math.pi / 2 + np.array([1e-3, -1e-3, 2e-4]))
+        points = np.column_stack([x1, np.zeros_like(x1)])
+        oracle = velocity_from_psi(lopsided, points, t=0.0)
+        assert np.max(np.abs(oracle - lopsided.rhs(0.0, points))) < 1e-6
 
     def test_oracle_agreement_random_states_and_params(self):
         rng = np.random.default_rng(12)
@@ -260,32 +265,28 @@ class TestVelocities:
 
     def test_independent_finite_difference_phase_gradients(self, mild):
         # Both velocities recovered separately from d(phase)/dx1 and d(phase)/dx2.
-        rng = np.random.default_rng(13)
-        for _ in range(40):
-            x1, x2 = rng.uniform(-3, 3, size=2)
-            grad = phase_gradient(mild, [[x1, x2]])[0]
-            v1, v2 = mild.velocities(PairState1D(x1, x2, 0.0))
-            assert abs(grad[0] / mild.mass - v1) < 1e-6
-            assert abs(grad[1] / mild.mass - v2) < 1e-6
+        rows = np.random.default_rng(13).uniform(-3, 3, size=(40, 2))
+        grad = phase_gradient(mild, rows)
+        assert np.max(np.abs(grad / mild.mass - mild.rhs(0.0, rows))) < 1e-6
 
     def test_translation_invariance_exact(self, mild):
         # Dyadic coordinates keep (x1+s) - (x2+s) bitwise equal to x1 - x2.
-        base = [(0.25, -1.5), (3.125, 0.625), (-2.0, 0.5)]
-        for x1, x2 in base:
-            v = mild.velocities(PairState1D(x1, x2, 0.0))
-            for shift in (0.5, 4.0, -128.0):
-                assert mild.velocities(PairState1D(x1 + shift, x2 + shift, 0.0)) == v
+        base = np.array([(0.25, -1.5), (3.125, 0.625), (-2.0, 0.5)])
+        v = mild.rhs(0.0, base)
+        for shift in (0.5, 4.0, -128.0):
+            assert np.array_equal(mild.rhs(0.0, base + shift), v)
 
     def test_sum_is_zero_bitwise(self, mild):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            v1, v2 = mild.velocities(PairState1D(*rng.uniform(-5, 5, size=2)))
-            assert v1 + v2 == 0.0
+        v = mild.rhs(0.0, np.random.default_rng(14).uniform(-5, 5, size=(100, 2)))
+        assert np.all(v[:, 0] + v[:, 1] == 0.0)
 
     def test_node_rejected(self):
         m = PlaneWavePair(a=0.7, b=0.7)
         with pytest.raises(ModelDomainError):
-            m.velocities(state_at_theta(m, math.pi / 2))
+            m.rhs(0.0, np.array([x_at_theta(m, math.pi / 2), 0.0]))
+        # The row form marks the node with NaN instead of raising.
+        v = m.batch_rhs(0.0, np.array([[x_at_theta(m, math.pi / 2), 0.0], [0.3, 0.0]]))
+        assert np.isnan(v[0]).all() and np.array_equal(v[1], [0.0, 0.0])
 
 
 class TestDensityShapeVelocity:
@@ -317,14 +318,19 @@ class TestDensityShapeVelocity:
 
 class TestConservedQuantities:
     def test_beta_definition_zeroes_residual(self, mild):
-        s = PairState1D(0.8, -0.3, 1.7)
-        beta = mild.beta_for(s)
-        assert mild.implicit_residual(s, beta) == 0.0
+        # beta is fixed from the first sample, so a lone sample has a zero
+        # residual; an earlier sample on the same exact trajectory (from the
+        # closed-form inverse flow) keeps it at zero.
+        times = np.array([0.5, 1.7])
+        states = np.array([[mild.inverse_flow(1.1, 1.2), 0.0], [0.8, -0.3]])
+        lone = Trajectory(times[1:], states[1:], np.zeros((1, 2)))
+        assert mild.residual_drift(lone) == 0.0
+        assert mild.residual_drift(Trajectory(times, states, np.zeros((2, 2)))) < 1e-10
 
     def test_zero_separation_reference(self, mild):
+        # x1 = x2 at t0 fixes beta = -2 v t0, so t0 is the zero time.
         t0 = 2.3
-        beta = -2.0 * mild.speed * t0
-        assert mild.implicit_residual(PairState1D(0.5, 0.5, t0), beta) == 0.0
+        assert mild.zero_separation_times(0.0, t0) == t0
 
     def test_residual_conserved_along_trajectory(self, mild):
         traj = integrate_ode(mild.batch_rhs, [[0.4, -0.1]], 0.0, 2.0,
@@ -362,13 +368,16 @@ class TestConservedQuantities:
         with pytest.raises(DegenerateParametersError):
             m.trajectory_invariant(0.5)
         with pytest.raises(DegenerateParametersError):
-            m.implicit_residual(PairState1D(0.1, 0.0, 0.0), 0.0)
+            m.zero_separation_times(0.1, 0.0)
+        traj = integrate_ode(m.batch_rhs, [[0.1, 0.0]], 0.0, 1.0).member(0)
+        with pytest.raises(DegenerateParametersError):
+            m.residual_drift(traj)
 
     def test_gradient_of_phase_matches_analytic(self, lopsided):
         # The phase-gradient oracle reproduces the momentum components
         # m*v1, m*v2 at the reference point.
         grad = phase_gradient(lopsided, [[0.3, 0.1]])[0]
-        v1, v2 = lopsided.velocities(PairState1D(0.3, 0.1, 0.0))
+        v1, v2 = lopsided.rhs(0.0, np.array([0.3, 0.1]))
         assert abs(grad[0] - lopsided.mass * v1) < 1e-6
         assert abs(grad[1] - lopsided.mass * v2) < 1e-6
 
@@ -388,8 +397,7 @@ class TestConservedQuantities:
 
     def test_zero_time_single_wave_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0)
-        s = PairState1D(1.5, 0.25, 2.0)
-        assert m.zero_separation_time(s) == pytest.approx(
+        assert m.zero_separation_times(1.5 - 0.25, 2.0) == pytest.approx(
             2.0 - (1.5 - 0.25) / (2.0 * m.speed), abs=1e-14)
 
 

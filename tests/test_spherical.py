@@ -13,7 +13,7 @@ from bohmpair.analyses import random_valid_states
 from bohmpair.errors import ModelDomainError
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
-from bohmpair.spherical import PairState3D, SlitPair
+from bohmpair.spherical import SlitPair
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,6 +25,29 @@ def model():
 
 def wrap_to_pi(x):
     return x - TWO_PI * np.round(x / TWO_PI)
+
+
+def row(r1, r2):
+    """Configuration row [r1, r2]."""
+    return np.array([*r1, *r2], dtype=float)
+
+
+def distances(model, y):
+    return model.distances_of(y[..., :3], y[..., 3:])
+
+
+def partials(model, y):
+    """The four phase partials d(phase)/d(r1A, r1B, r2A, r2B) at row ``y``."""
+    dist = distances(model, y)
+    return model._distance_derivatives(*dist, model._phase_terms(*dist))
+
+
+def psi(model, y, t=0.0):
+    return complex(model.psi_values(y[:3], y[3:], t))
+
+
+def phase(model, y, t=0.0):
+    return float(model.phase_values(y[:3], y[3:], t))
 
 
 def node_state(model):
@@ -41,7 +64,7 @@ def node_state(model):
     r2a = (r1a / r1b) * r2b             # modulus matching
     y2 = -(r2a * r2a - r2b * r2b) / (4.0 * d)
     x2 = math.sqrt(r2a * r2a - (y2 - d) ** 2)
-    return PairState3D(r1=r1, r2=(x2, y2, 0.0))
+    return row(r1, (x2, y2, 0.0))
 
 
 class TestParamsAndGeometry:
@@ -58,57 +81,65 @@ class TestParamsAndGeometry:
         assert model.energy == pytest.approx(1.0 ** 2 * 5.0 ** 2 / 1.0)
 
     def test_distances_match_manual(self, model):
-        s = PairState3D(r1=(1.0, 0.3, -0.2), r2=(0.4, -1.0, 0.7))
-        r1a, r1b, r2a, r2b = model.distances(s)
+        r1a, r1b, r2a, r2b = distances(model, row((1.0, 0.3, -0.2), (0.4, -1.0, 0.7)))
         assert r1a == pytest.approx(math.sqrt(1.0 + (0.3 - 0.5) ** 2 + 0.04))
         assert r1b == pytest.approx(math.sqrt(1.0 + (0.3 + 0.5) ** 2 + 0.04))
         assert r2a == pytest.approx(math.sqrt(0.16 + (-1.0 - 0.5) ** 2 + 0.49))
         assert r2b == pytest.approx(math.sqrt(0.16 + (-1.0 + 0.5) ** 2 + 0.49))
 
+    @staticmethod
+    def assert_rejected(model, y):
+        for quantity in (psi, phase, lambda model, y: model.rhs(0.0, y)):
+            with pytest.raises(ModelDomainError):
+                quantity(model, y)
+        assert np.isnan(model.batch_rhs(0.0, y)).all()
+
     def test_half_space_enforced(self, model):
-        with pytest.raises(ModelDomainError):
-            model.psi(PairState3D(r1=(-0.5, 0.0, 0.0), r2=(1.0, 0.0, 0.0)))
+        self.assert_rejected(model, row((-0.5, 0.0, 0.0), (1.0, 0.0, 0.0)))
 
     def test_source_point_excluded(self, model):
-        with pytest.raises(ModelDomainError):
-            model.psi(PairState3D(r1=(0.0, 0.5, 1e-9), r2=(1.0, 0.0, 0.0)))
+        self.assert_rejected(model, row((0.0, 0.5, 1e-9), (1.0, 0.0, 0.0)))
 
 
 class TestPsi:
     def test_on_axis_state_single_effective_term(self, model):
         # All four source distances equal: the superposition collapses to
         # twice one spherical term.
-        s = PairState3D(r1=(1.0, 0.0, 0.0), r2=(1.0, 0.0, 0.0))
+        s = row((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         r = math.sqrt(1.0 + 0.25)
         expected = 2.0 * cmath.exp(2j * model.wavenumber * r) / (r * r) / math.sqrt(model.norm)
-        assert model.psi(s) == pytest.approx(expected, rel=1e-12)
+        assert psi(model, s) == pytest.approx(expected, rel=1e-12)
 
     def test_mirror_state_terms_equal(self, model):
-        s = PairState3D(r1=(0.8, 0.4, 0.1), r2=(0.8, -0.4, 0.1))
-        r1a, r1b, r2a, r2b = model.distances(s)
+        s = row((0.8, 0.4, 0.1), (0.8, -0.4, 0.1))
+        r1a, r1b, r2a, r2b = distances(model, s)
         assert r1a == r2b and r1b == r2a
         term1 = cmath.exp(1j * model.wavenumber * (r1a + r2b)) / (r1a * r2b)
         term2 = cmath.exp(1j * model.wavenumber * (r1b + r2a)) / (r1b * r2a)
         expected = (term1 + term2) / math.sqrt(model.norm)
-        assert model.psi(s) == pytest.approx(expected, rel=1e-12)
+        assert psi(model, s) == pytest.approx(expected, rel=1e-12)
 
     def test_clock_factor(self, model):
-        s0 = PairState3D(r1=(1.0, 0.2, 0.0), r2=(0.7, -0.9, 0.3), t=0.0)
-        s1 = PairState3D(r1=s0.r1, r2=s0.r2, t=0.8)
+        s = row((1.0, 0.2, 0.0), (0.7, -0.9, 0.3))
         rot = cmath.exp(-1j * model.energy * 0.8 / model.hbar)
-        assert model.psi(s1) == pytest.approx(model.psi(s0) * rot, rel=1e-12)
+        assert psi(model, s, 0.8) == pytest.approx(psi(model, s, 0.0) * rot, rel=1e-12)
 
     def test_node_configuration_detected(self, model):
         s = node_state(model)
-        assert model.node_measure(s) < 1e-12
+        assert model.node_measure_of(*distances(model, s)) < 1e-12
         with pytest.raises(ModelDomainError):
-            model.velocities(s)
+            model.rhs(0.0, s)
         with pytest.raises(ModelDomainError):
-            model.phase(s)
+            phase(model, s)
+        # One node among the rows rejects the call; the row field marks it NaN.
+        rows = np.stack([row((1.0, 0.3, 0.0), (1.2, -0.8, 0.4)), s])
+        with pytest.raises(ModelDomainError):
+            model.phase_values(rows[:, :3], rows[:, 3:], 0.0)
+        assert np.isnan(model.batch_rhs(0.0, rows)).tolist() == [[False] * 6, [True] * 6]
 
     def test_generic_state_not_flagged(self, model):
-        s = PairState3D(r1=(1.0, 0.3, 0.0), r2=(1.2, -0.8, 0.4))
-        assert model.node_measure(s) > 1e-3
+        s = row((1.0, 0.3, 0.0), (1.2, -0.8, 0.4))
+        assert model.node_measure_of(*distances(model, s)) > 1e-3
 
     def test_norm_estimate_reproducible(self):
         a = SlitPair(wavenumber=5.0, slit_offset=0.5)
@@ -119,32 +150,30 @@ class TestPsi:
 
 class TestPhase:
     def test_on_axis_phase_value(self, model):
-        s = PairState3D(r1=(1.3, 0.0, 0.0), r2=(0.7, 0.0, 0.0), t=0.6)
-        r1a, r1b, r2a, r2b = model.distances(s)
+        s = row((1.3, 0.0, 0.0), (0.7, 0.0, 0.0))
+        r1a, r1b, r2a, r2b = distances(model, s)
         expected = model.hbar * model.wavenumber * (r1a + r2b) - model.energy * 0.6
-        got = model.phase(s)
+        got = phase(model, s, 0.6)
         assert wrap_to_pi((got - expected) / model.hbar) == pytest.approx(0.0, abs=1e-9)
 
     def test_time_dependence(self, model):
-        s0 = PairState3D(r1=(1.0, 0.4, -0.3), r2=(0.9, -0.2, 0.5), t=0.0)
-        s1 = PairState3D(r1=s0.r1, r2=s0.r2, t=1.3)
-        assert model.phase(s1) - model.phase(s0) == pytest.approx(
+        s = row((1.0, 0.4, -0.3), (0.9, -0.2, 0.5))
+        assert phase(model, s, 1.3) - phase(model, s, 0.0) == pytest.approx(
             -model.energy * 1.3, abs=1e-12)
 
     def test_matches_arg_psi(self, model):
         states = random_valid_states(model, 200, seed=77)
-        for row in states:
-            s = model.state_from_vector(row, t=0.35)
-            diff = model.phase(s) - model.hbar * cmath.phase(model.psi(s))
-            assert wrap_to_pi(diff / model.hbar) == pytest.approx(0.0, abs=1e-9)
+        r1, r2 = states[:, :3], states[:, 3:]
+        diff = (model.phase_values(r1, r2, 0.35)
+                - model.hbar * np.angle(model.psi_values(r1, r2, 0.35)))
+        assert np.max(np.abs(wrap_to_pi(diff / model.hbar))) < 1e-9
 
     def test_phase_parts_match_bracket(self, model):
-        s = PairState3D(r1=(1.1, 0.2, 0.4), r2=(0.5, -0.7, -0.3))
-        parts = model.phase_parts(s)
-        r1a, r1b, r2a, r2b = model.distances(s)
+        r1a, r1b, r2a, r2b = distances(model, row((1.1, 0.2, 0.4), (0.5, -0.7, -0.3)))
+        *_, nval, dval = model._phase_terms(r1a, r1b, r2a, r2b)
         val = (r1a * r2b * r1b * r2a) * model._bracket(r1a, r1b, r2a, r2b)
-        assert parts.Nval == pytest.approx(val.imag, rel=1e-12)
-        assert parts.Dval == pytest.approx(val.real, rel=1e-12)
+        assert nval == pytest.approx(val.imag, rel=1e-12)
+        assert dval == pytest.approx(val.real, rel=1e-12)
 
 
 class TestDistanceDerivatives:
@@ -167,8 +196,7 @@ class TestDistanceDerivatives:
             assert np.max(np.abs(np.asarray(grads) - fd)) < 1e-6
 
     def test_exchange_symmetry_exact(self, model):
-        s = PairState3D(r1=(1.2, 0.4, 0.1), r2=(0.6, -0.9, -0.5))
-        r1a, r1b, r2a, r2b = model.distances(s)
+        r1a, r1b, r2a, r2b = distances(model, row((1.2, 0.4, 0.1), (0.6, -0.9, -0.5)))
         g = model._distance_derivatives(r1a, r1b, r2a, r2b,
                                         model._phase_terms(r1a, r1b, r2a, r2b))
         swapped = model._distance_derivatives(r2a, r2b, r1a, r1b,
@@ -176,8 +204,7 @@ class TestDistanceDerivatives:
         assert swapped == (g[2], g[3], g[0], g[1])
 
     def test_mirror_state_pairing(self, model):
-        s = PairState3D(r1=(0.9, 0.35, 0.2), r2=(0.9, -0.35, 0.2))
-        g1a, g1b, g2a, g2b = model.distance_derivatives(s)
+        g1a, g1b, g2a, g2b = partials(model, row((0.9, 0.35, 0.2), (0.9, -0.35, 0.2)))
         assert g1a == g2b and g1b == g2a
 
     def test_single_term_limit(self, model):
@@ -198,9 +225,8 @@ class TestDistanceDerivatives:
         # exchanged term; the gradient approaches hbar*k linearly in the
         # source distance.
         eps = 1e-4
-        s = PairState3D(r1=(eps, model.slit_offset, 0.0),
-                        r2=(eps, -model.slit_offset, 0.0))
-        g1a, g1b, g2a, g2b = model.distance_derivatives(s)
+        s = row((eps, model.slit_offset, 0.0), (eps, -model.slit_offset, 0.0))
+        g1a, g1b, g2a, g2b = partials(model, s)
         assert g1a == pytest.approx(model.hbar * model.wavenumber, rel=1e-3)
         assert g2b == pytest.approx(model.hbar * model.wavenumber, rel=1e-3)
 
@@ -220,36 +246,30 @@ class TestVelocities:
 
     def test_exchange_symmetry_exact(self, model):
         rng = np.random.default_rng(29)
-        for _ in range(25):
-            r1 = rng.uniform([0.1, -2, -2], [3, 2, 2])
-            r2 = rng.uniform([0.1, -2, -2], [3, 2, 2])
-            v1, v2 = model.velocities(PairState3D(r1=tuple(r1), r2=tuple(r2)))
-            w1, w2 = model.velocities(PairState3D(r1=tuple(r2), r2=tuple(r1)))
-            assert np.array_equal(v1, w2) and np.array_equal(v2, w1)
+        rows = np.array([row(rng.uniform([0.1, -2, -2], [3, 2, 2]),
+                             rng.uniform([0.1, -2, -2], [3, 2, 2])) for _ in range(25)])
+        v = model.rhs(0.0, rows)
+        assert np.array_equal(model.rhs(0.0, np.roll(rows, 3, axis=1)), np.roll(v, 3, axis=1))
 
     def test_reflection_symmetry_exact(self, model):
-        flip = np.array([1.0, -1.0, 1.0])
+        flip = np.array([1.0, -1.0, 1.0] * 2)
         rng = np.random.default_rng(37)
-        for _ in range(25):
-            r1 = rng.uniform([0.1, -2, -2], [3, 2, 2])
-            r2 = rng.uniform([0.1, -2, -2], [3, 2, 2])
-            v1, v2 = model.velocities(PairState3D(r1=tuple(r1), r2=tuple(r2)))
-            u1, u2 = model.velocities(PairState3D(r1=tuple(r1 * flip), r2=tuple(r2 * flip)))
-            assert np.array_equal(u1, v1 * flip) and np.array_equal(u2, v2 * flip)
+        rows = np.array([row(rng.uniform([0.1, -2, -2], [3, 2, 2]),
+                             rng.uniform([0.1, -2, -2], [3, 2, 2])) for _ in range(25)])
+        assert np.array_equal(model.rhs(0.0, rows * flip), model.rhs(0.0, rows) * flip)
 
     def test_mirror_map_commutes_exactly(self, model):
-        s = PairState3D(r1=(1.4, 0.8, -0.6), r2=(0.5, -1.1, 0.9))
-        v1, v2 = model.velocities(s)
-        m1, m2 = model.velocities(model.mirror_state(s))
-        flip = np.array([1.0, -1.0, 1.0])
-        assert np.array_equal(m1, v2 * flip)
-        assert np.array_equal(m2, v1 * flip)
+        # The mirror map reflects both y coordinates and interchanges the
+        # particles; the field commutes with it bitwise.
+        flip = np.array([1.0, -1.0, 1.0] * 2)
+        s = row((1.4, 0.8, -0.6), (0.5, -1.1, 0.9))
+        v = model.rhs(0.0, s)
+        assert np.array_equal(model.rhs(0.0, np.roll(s, 3) * flip), np.roll(v, 3) * flip)
 
     def test_on_axis_y_velocities_vanish(self, model):
-        s = PairState3D(r1=(1.3, 0.0, 0.0), r2=(0.8, 0.0, 0.0))
-        v1, v2 = model.velocities(s)
-        assert v1[1] == 0.0 and v2[1] == 0.0
-        assert v1[1] == -v2[1]
+        v = model.rhs(0.0, row((1.3, 0.0, 0.0), (0.8, 0.0, 0.0)))
+        assert v[1] == 0.0 and v[4] == 0.0
+        assert v[1] == -v[4]
 
 
 KERNEL_CASES = dict(k=st.floats(0.5, 5.0), d=st.floats(0.1, 2.0),
@@ -289,27 +309,25 @@ class TestOnePassKernel:
 
 class TestConstraintManifold:
     def test_mirror_state_zero_deviation(self, model):
-        s = PairState3D(r1=(1.0, 0.3, 0.2), r2=(1.0, -0.3, 0.2))
-        dev = model.constraint_deviations(s)
+        dev = model.max_constraint_deviations(row((1.0, 0.3, 0.2), (1.0, -0.3, 0.2)))
         assert dev.mirror == 0.0
         assert dev.axial > 0.0  # the literal reading demands y2 = 0 as well
 
     def test_generic_state_reports_without_error(self, model):
-        dev = model.constraint_deviations(
-            PairState3D(r1=(1.0, 0.7, 0.0), r2=(2.0, 0.4, -0.5)))
+        dev = model.max_constraint_deviations(row((1.0, 0.7, 0.0), (2.0, 0.4, -0.5)))
         assert dev.mirror > 0.0 and dev.axial > 0.0
 
     def test_flow_preserves_mirror_manifold(self, model):
-        start = PairState3D(r1=(1.0, 0.3, 0.0), r2=(1.0, -0.3, 0.0))
-        traj = integrate_ode(model.batch_rhs, [model.state_vector(start)], 0.0, 2.0,
+        start = row((1.0, 0.3, 0.0), (1.0, -0.3, 0.0))
+        traj = integrate_ode(model.batch_rhs, [start], 0.0, 2.0,
                              sample_times=np.linspace(0.0, 2.0, 101)).member(0)
         assert traj.complete
-        dev = model.max_constraint_deviations(traj)
+        dev = model.max_constraint_deviations(traj.states)
         assert dev.mirror < 1e-6
 
     def test_off_axis_start_breaks_literal_reading(self, model):
-        start = PairState3D(r1=(1.0, 0.3, 0.0), r2=(1.0, -0.3, 0.0))
-        traj = integrate_ode(model.batch_rhs, [model.state_vector(start)], 0.0, 1.0,
+        start = row((1.0, 0.3, 0.0), (1.0, -0.3, 0.0))
+        traj = integrate_ode(model.batch_rhs, [start], 0.0, 1.0,
                              sample_times=np.linspace(0.0, 1.0, 51)).member(0)
-        dev = model.max_constraint_deviations(traj)
+        dev = model.max_constraint_deviations(traj.states)
         assert dev.axial > 1e-2
