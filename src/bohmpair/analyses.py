@@ -15,7 +15,7 @@ import numpy as np
 from .ensemble import (Ensemble, build_ensemble, compare_distribution, evolve_ensemble,
                        global_constraint_analysis, ks_critical_value, ks_statistic,
                        ks_two_sample, sample_configurations, separation_cdf)
-from .errors import InsufficientSampleError
+from .errors import ConfigurationError, InsufficientSampleError
 from .numerics import IntegratorConfig, integrate_ode
 from .oracles import phase_gradient, velocity_from_psi
 from .planewave import PlaneWavePair
@@ -55,17 +55,24 @@ def _measured(claim_id: str, anchor: str, value) -> ClaimCheck:
 
 # Relative density or node measure below which stencils are untrustworthy.
 STENCIL_DENSITY_FLOOR = 1e-3
+# Rounds in a row keeping no candidate after which the box is given up (past
+# ~1e77 the spherical node measure is NaN everywhere).
+MAX_EMPTY_ROUNDS = 100
 
 
 def random_valid_states(model, count: int, seed: int) -> np.ndarray:
     """Seeded configurations uniform over the model box, rejecting states too
     close to a node (or, for the spherical model, to a source or the support
-    boundary) for finite-difference stencils to be trustworthy."""
+    boundary) for finite-difference stencils to be trustworthy.  Raises
+    :class:`ConfigurationError` after ``MAX_EMPTY_ROUNDS`` empty rounds."""
     rng = np.random.Generator(np.random.Philox(seed))
     box = np.asarray(model.sampling_box(), dtype=float)
     rows = []
-    have = 0
+    have = empty = 0
     while have < count:
+        if empty == MAX_EMPTY_ROUNDS:
+            raise ConfigurationError(f"box_length: {MAX_EMPTY_ROUNDS} rounds of random states "
+                                     "in the box kept none fit for finite-difference stencils")
         pts = rng.uniform(box[:, 0], box[:, 1], size=(max(2 * count, 1024), len(box)))
         if model.tag == "spherical":
             pts[:, 0] = np.maximum(pts[:, 0], 0.05)
@@ -78,6 +85,7 @@ def random_valid_states(model, count: int, seed: int) -> np.ndarray:
         kept = pts[ok]
         rows.append(kept)
         have += len(kept)
+        empty = 0 if len(kept) else empty + 1
     return np.concatenate(rows, axis=0)[:count]
 
 
@@ -159,10 +167,10 @@ def constraint_claims(model, evolved: Ensemble) -> list[ClaimCheck]:
                 "Eq. (13) as printed (halved linear coefficient)",
                 model._relation_drift(evolved, model.constraint_lhs)))
     else:
-        traj = integrate_ode(model.batch_rhs, [mirror_probe_state(model)], 0.0, 1.0,
-                             evolved.integrator,
-                             sample_times=np.linspace(0.0, 1.0, 101)).member(0)
-        dev = model.max_constraint_deviations(traj.states)
+        probe = integrate_ode(model.batch_rhs, [mirror_probe_state(model)], 0.0, 1.0,
+                              evolved.integrator,
+                              sample_times=np.linspace(0.0, 1.0, 101)).states[:, 0]
+        dev = model.max_constraint_deviations(probe)
         claims.append(_tolerance_claim(
             "mirror_manifold_preserved",
             "Eq. (R), mirrored pairing r1A = r2B and r1B = r2A", dev.mirror, 1e-6))
@@ -258,9 +266,7 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
             "initial_sampling_ks_two_sample",
             "prescription (3): P_t0 = |psi|^2 (x1 marginal, two-sample)", ks0))
 
-    times = [ens0.t0, t_end] if sample_times is None \
-        else sorted({ens0.t0, t_end, *sample_times})
-    evolved = evolve_ensemble(ens0, t_end, cfg, sample_times=times)
+    evolved = evolve_ensemble(ens0, t_end, cfg, sample_times=sample_times)
     claims.append(_measured("survival_fraction",
                             "prescriptions (1)-(2): members evolved without domain errors",
                             evolved.survival_fraction))

@@ -57,8 +57,6 @@ class RunConfig:
     sample_times: list[float] | None = None
     trajectory_count: int = 8
     trajectory_samples: int = 101
-    method: str = "rk45"
-    step: float = 0.01
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_steps: int = 1_000_000
@@ -126,8 +124,6 @@ FIELD_RULES = {
     "t_end": FieldRule(float),
     "trajectory_count": FieldRule(int, minimum=1),
     "trajectory_samples": FieldRule(int, minimum=2),
-    "method": FieldRule(("rk45", "rk4")),
-    "step": FieldRule(float, positive=True),
     "rel_tol": FieldRule(float, positive=True),
     "abs_tol": FieldRule(float, positive=True),
     "max_steps": FieldRule(int, minimum=1),

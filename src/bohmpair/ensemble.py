@@ -253,8 +253,6 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
     """
     cfg = config or IntegratorConfig()
     model = ensemble.model
-    if sample_times is None:
-        sample_times = [ensemble.t0, t_end]
     flow = integrate_ode(model.batch_rhs, ensemble.initial_states(), ensemble.t0, t_end,
                          cfg, sample_times)
     return Ensemble(**vars(flow), model=model, seed=ensemble.seed,

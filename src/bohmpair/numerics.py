@@ -17,25 +17,17 @@ from .errors import BracketError, ModelDomainError
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for :func:`integrate_ode`.
-
-    ``method`` is ``"rk45"`` (adaptive Dormand-Prince 5(4), default) or
-    ``"rk4"`` (classical fixed step).  ``step`` applies to the fixed-step
-    method only; ``rel_tol``/``abs_tol`` to the adaptive one.  ``max_steps``
-    caps one member's step attempts, rejected ones included.
+    """Settings for :func:`integrate_ode`, which steps by adaptive
+    Dormand-Prince 5(4): ``rel_tol``/``abs_tol`` scale each step's error
+    estimate, and ``max_steps`` caps one member's step attempts, rejected
+    ones included.
     """
 
-    method: str = "rk45"
-    step: float = 0.01
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"method must be 'rk45' or 'rk4', got {self.method!r}")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_steps < 1:
@@ -189,14 +181,12 @@ def _row(*coefficients: str) -> tuple[tuple[float, ...], float]:
     return tuple(float(f * den) for f in fractions), float(den)
 
 
-# A method is (nodes, rows, error): the times t + c h and inputs
-# y + (h / den)(n_1 k_1 + n_2 k_2 + ...) of stages 2..s, the last row being
-# the solution weights, so the last stage is the field at the step's end and
-# the next step's first (first same as last); and the weights of the embedded
-# error estimate over all s stages, None for a fixed-step method.
-
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26: a fifth-order
-# solution with a fourth-order error estimate.
+# solution with a fourth-order error estimate, as (nodes, rows, error): the
+# times t + c h and inputs y + (h / den)(n_1 k_1 + n_2 k_2 + ...) of stages
+# 2..7, the last row being the solution weights, so the last stage is the
+# field at the step's end and the next step's first (first same as last);
+# and the weights of the embedded error estimate over all seven stages.
 DORMAND_PRINCE = (
     (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
     (_row("1/5"),
@@ -206,11 +196,6 @@ DORMAND_PRINCE = (
      _row("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
      _row("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84")),
     _row("71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525", "-1/40"))
-
-# Classical RK4: the solution row is exactly (h/6)(k1 + 2 k2 + 2 k3 + k4).
-RK4 = ((1 / 2, 1 / 2, 1.0, 1.0),
-       (_row("1/2"), _row("0", "1/2"), _row("0", "0", "1"), _row("1/6", "1/3", "1/3", "1/6")),
-       None)
 
 # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I, II.4: the
 # initial-step rule, safety factor 0.9, at most a 5x shrink per rejection and
@@ -276,19 +261,18 @@ def _combine(row, stages, h: np.ndarray) -> np.ndarray:
     return total
 
 
-def _attempt(field, method, t, y, f, h):
-    """One step of size ``h`` from each row: the new states, the field there,
-    the rows whose field was undefined at a stage, and the error estimate
-    (None for a fixed-step method)."""
-    nodes, rows, error_row = method
+def _attempt(field, t, y, f, h):
+    """One Dormand-Prince step of size ``h`` from each row: the new states,
+    the field there, the rows whose field was undefined at a stage, and the
+    error estimate."""
+    nodes, rows, error_row = DORMAND_PRINCE
     stages = [f]
     for c, row in zip(nodes, rows):
         y_new = _combine(row, stages, h)
         y_new += y
         stages.append(field(t + c * h, y_new))
     undefined = np.any([_nan_rows(k) for k in stages[1:]], axis=0)
-    error = None if error_row is None else _combine(error_row, stages, h)
-    return y_new, stages[-1], undefined, error
+    return y_new, stages[-1], undefined, _combine(error_row, stages, h)
 
 
 def _control(error, y, y_new, accept, rejected, land, h, step, cfg: IntegratorConfig):
@@ -306,10 +290,9 @@ def _control(error, y, y_new, accept, rejected, land, h, step, cfg: IntegratorCo
 
 def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
     """Sample times of an integration from ``t0`` to ``t_end``: the requested
-    times in the direction of integration, framed by both end points."""
-    if sample_times is None:
-        return np.linspace(t0, t_end, 201) if t_end != t0 else np.array([t0])
-    ts = np.unique(np.asarray(sample_times, dtype=float))
+    times, if any, in the direction of integration, framed by both end
+    points."""
+    ts = np.unique(np.asarray([] if sample_times is None else sample_times, dtype=float))
     lo, hi = min(t0, t_end), max(t0, t_end)
     if np.any(ts < lo - 1e-12) or np.any(ts > hi + 1e-12):
         raise ValueError("sample_times must lie between the initial and final time")
@@ -326,7 +309,9 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
                   config: IntegratorConfig | None = None,
                   sample_times: Sequence[float] | None = None):
     """Integrate ``dy/dt = rhs(t, y)`` for a batch of states from ``t0`` to
-    ``t_end`` (either direction), sampling each member at the requested times.
+    ``t_end`` (either direction) by adaptive Dormand-Prince 5(4), sampling
+    each member at the requested times and at both end points (only there
+    when ``sample_times`` is None).
 
     ``y0`` has shape ``(n, dim)`` and the result is a :class:`TrajectoryBatch`
     (``member(i)`` views one member as a :class:`Trajectory`).  ``rhs`` gets
@@ -338,14 +323,12 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     on a sample time by clipping its step to it, then keeps its controller's
     step.  It stops at its last sample when the field is undefined at one of
     its stages (``domain_error``), after ``max_steps`` step attempts, or when
-    its adaptive step falls below ten float spacings (``integration_failure``).
+    its step falls below ten float spacings (``integration_failure``).
     Sample velocities are the field at ``t0`` and the last stage of each
     landing step, at the sample state (at a time that may differ from the
     sample time in the last bit; both models' fields ignore ``t``).
     """
     cfg = config or IntegratorConfig()
-    method = DORMAND_PRINCE if cfg.method == "rk45" else RK4
-    adaptive = method[2] is not None
     y = np.asarray(y0, dtype=float)
     n, dim = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
@@ -357,45 +340,35 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     code = np.where(_nan_rows(f), _DOMAIN, _COMPLETED)
 
     # One entry per running member: id, time, state, field, samples held,
-    # step attempts, fixed steps taken into the current sample gap, adaptive
-    # step, and whether the last attempt met an undefined field or was
-    # rejected.
+    # step attempts, step, and whether the last attempt met an undefined
+    # field or was rejected.
     ids = np.flatnonzero(code == _COMPLETED) if len(ts) > 1 else np.empty(0, np.intp)
     m = len(ids)
     t, y, f = np.full(m, ts[0]), y[ids], f[ids]
-    held, tries, taken = np.ones(m, np.int32), np.zeros(m, np.int32), np.zeros(m, np.int32)
+    held, tries = np.ones(m, np.int32), np.zeros(m, np.int32)
     h, undefined, rejected = np.zeros(m), np.zeros(m, bool), np.zeros(m, bool)
-    if adaptive and m:
+    if m:
         h, undefined = _initial_steps(rhs, t, y, f, t_end - t0, cfg)
-    gaps = np.diff(ts)
-    per_gap = np.maximum(1, np.ceil(np.abs(gaps) / cfg.step))
 
     while ids.size:
         reason = np.where(undefined, _DOMAIN,
                           np.where(tries >= cfg.max_steps, _MAX_STEPS, _COMPLETED))
-        if adaptive:
-            reason[(reason == _COMPLETED)
-                   & (np.abs(h) < 10 * np.abs(np.nextafter(t, t_end) - t))] = _FAILED
+        reason[(reason == _COMPLETED)
+               & (np.abs(h) < 10 * np.abs(np.nextafter(t, t_end) - t))] = _FAILED
         done = (reason != _COMPLETED) | (held == len(ts))
         if done.any():
             lengths[ids[done]], code[ids[done]] = held[done], reason[done]
-            ids, t, y, f, held, tries, taken, h, rejected = (
-                a[~done] for a in (ids, t, y, f, held, tries, taken, h, rejected))
+            ids, t, y, f, held, tries, h, rejected = (
+                a[~done] for a in (ids, t, y, f, held, tries, h, rejected))
             if not ids.size:
                 break
 
         target = ts[held]
-        if adaptive:
-            land = np.abs(target - t) <= np.abs(h)
-            step = np.where(land, target - t, h)
-        else:   # h = gap / ceil(gap / step) through each sample gap
-            step = gaps[held - 1] / per_gap[held - 1]
-            land = taken + 1 == per_gap[held - 1]
-        y_new, f_new, undefined, error = _attempt(rhs, method, t, y, f, step)
-        accept = ~undefined
-        if adaptive:
-            accept, h = _control(error, y, y_new, accept, rejected, land, h, step, cfg)
-            rejected = ~accept
+        land = np.abs(target - t) <= np.abs(h)
+        step = np.where(land, target - t, h)
+        y_new, f_new, undefined, error = _attempt(rhs, t, y, f, step)
+        accept, h = _control(error, y, y_new, ~undefined, rejected, land, h, step, cfg)
+        rejected = ~accept
         tries += 1
 
         landed = accept & land
@@ -405,7 +378,6 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         states[held[landed], ids[landed]] = y[landed]
         velocities[held[landed], ids[landed]] = f[landed]
         held = held + landed
-        taken = np.where(landed, 0, taken + accept)
         del y_new, f_new, error     # before the next attempt (peak memory)
 
     return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,

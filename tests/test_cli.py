@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import bohmpair.cli as cli
@@ -54,8 +55,8 @@ class TestValidateConfig:
             cli.validate_config({"n": 2.5})
         with pytest.raises(ConfigurationError, match="^momentum:"):
             cli.validate_config({"momentum": 0.0})
-        with pytest.raises(ConfigurationError, match="^method:"):
-            cli.validate_config({"method": "euler"})
+        with pytest.raises(ConfigurationError, match="^model:"):
+            cli.validate_config({"model": "cubic"})
 
     def test_sample_times_range(self):
         with pytest.raises(ConfigurationError, match="sample_times"):
@@ -87,8 +88,6 @@ def _other_value(name: str) -> str:
     default = getattr(cli.RunConfig(), name)
     if name == "model":
         return "spherical"
-    if name == "method":
-        return "rk4"
     if name == "analyses":
         return "constraints"
     if name == "output_dir":
@@ -253,6 +252,25 @@ class TestMain:
         code = cli.main(["run", "--b", "-0.5", "--output-dir", str(tmp_path)])
         assert code == 1
         assert "b:" in capsys.readouterr().err
+
+    def test_integrator_keys_beyond_tolerances_and_cap_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": "rk45", "step": 0.01}))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        assert (capsys.readouterr().err
+                == "configuration error: unknown config keys: method, step\n")
+
+    def test_box_without_valid_states_exits_one(self, tmp_path, capsys):
+        # Past ~1e77 the spherical node measure overflows to NaN everywhere,
+        # so no random state in the box is fit for the oracle's stencils.
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--model", "spherical", "--box-length", "1e200",
+                             "--analysis", "oracle_crosscheck",
+                             "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: box_length: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 1

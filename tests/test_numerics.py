@@ -67,21 +67,13 @@ class TestIntegrateOde:
         back = integrate_ode(rhs, fwd.states[-1], 4.0, 0.0, cfg, sample_times=[4, 0])
         assert abs(back.states[-1, 0, 0] - 0.7) < 100 * cfg.rel_tol
 
-    def test_rk4_fixed_step_converges(self):
-        errs = []
-        for step in (0.1, 0.05):
-            cfg = IntegratorConfig(method="rk4", step=step)
-            traj = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, cfg, sample_times=[0, 1])
-            errs.append(abs(traj.states[-1, 0, 0] - math.e))
-        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
-
     def test_max_steps_truncates(self):
-        cfg = IntegratorConfig(method="rk4", step=1e-4, max_steps=50)
+        cfg = IntegratorConfig(max_steps=8)    # fewer attempts than the 10 sample gaps
         traj = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, cfg,
                              sample_times=np.linspace(0, 1, 11)).member(0)
         assert not traj.complete
         assert traj.termination == "max_steps"
-        assert traj.final_time < 1.0
+        assert traj.final_time == pytest.approx(0.2)
 
     def test_domain_error_truncates(self):
         def rhs(t, y):  # undefined past t = 0.5
@@ -94,15 +86,15 @@ class TestIntegrateOde:
         assert traj.final_time == pytest.approx(0.5, abs=0.101)
         assert np.isnan(traj.velocities[-1, 0]) or traj.final_time <= 0.5
 
+    def test_default_samples_are_end_points(self):
+        batch = integrate_ode(lambda t, y: y, [[1.0]], 1.0, 0.0)
+        assert batch.times.tolist() == [1.0, 0.0] and batch.complete
+
     def test_zero_span(self):
         traj = integrate_ode(lambda t, y: y, [[2.0]], 1.0, 1.0).member(0)
         assert len(traj) == 1 and traj.final_state[0] == 2.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(method="euler")
-        with pytest.raises(ValueError):
-            IntegratorConfig(step=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=-1e-9)
         with pytest.raises(ValueError):
@@ -130,13 +122,13 @@ class TestPerMemberControl:
     """Each member is stepped on its own, whatever else is in the batch."""
 
     @settings(max_examples=32)
-    @given(name=st.sampled_from(sorted(MODEL_CASES)), method=st.sampled_from(["rk45", "rk4"]),
-           size=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
-           max_steps=st.sampled_from([1_000_000, 12]), fenced=st.booleans(), data=st.data())
-    def test_member_alone_equals_member_in_batch(self, name, method, size, seed,
-                                                 max_steps, fenced, data):
+    @given(name=st.sampled_from(sorted(MODEL_CASES)), size=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 16), max_steps=st.sampled_from([1_000_000, 12]),
+           fenced=st.booleans(), data=st.data())
+    def test_member_alone_equals_member_in_batch(self, name, size, seed, max_steps,
+                                                 fenced, data):
         model, t_end = MODEL_CASES[name]
-        cfg = IntegratorConfig(method=method, step=0.02, max_steps=max_steps)
+        cfg = IntegratorConfig(max_steps=max_steps)
         y0 = sample_configurations(model, size, seed=seed)[0]
         limit = np.median(y0[:, 0]) + 0.2 if fenced else np.inf
 
@@ -192,32 +184,11 @@ def reevaluated_velocities(rhs, traj):
     return np.array([rhs(np.array([t]), y[None])[0] for t, y in zip(traj.times, traj.states)])
 
 
-def rk4_reference(rhs, y0, times, step):
-    """The former fixed-step loop: four fresh evaluations per step, restarted
-    at every sample time.  Returns (states, rhs evaluations)."""
-    calls = 0
-    y = np.asarray(y0, dtype=float)
-    states = [y]
-    for t_from, t_to in zip(times[:-1], times[1:]):
-        n = max(1, math.ceil(abs(t_to - t_from) / step))
-        h = (t_to - t_from) / n
-        for i in range(n):
-            t = t_from + i * h
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(t + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            calls += 4
-        states.append(y)
-    return np.array(states), calls
-
-
 MODELS = [(PlaneWavePair(a=1.0, b=0.2), 2.0), (SlitPair(wavenumber=1.0, slit_offset=0.5), 1.0)]
 
 
 class TestSampleVelocities:
-    """Sample velocities reuse the steppers' own evaluations; both models'
+    """Sample velocities reuse the stepper's own evaluations; both models'
     fields ignore t, so they equal a fresh evaluation at each sample."""
 
     @staticmethod
@@ -228,11 +199,9 @@ class TestSampleVelocities:
 
     @pytest.mark.parametrize("model, t_end", MODELS)
     @pytest.mark.parametrize("cfg", [IntegratorConfig(),
-                                     IntegratorConfig(method="rk4", step=0.05),
                                      # fewer attempts than the 10 sample gaps
-                                     IntegratorConfig(max_steps=8),
-                                     IntegratorConfig(method="rk4", step=0.05, max_steps=7)],
-                             ids=["rk45", "rk4", "rk45-max-steps", "rk4-max-steps"])
+                                     IntegratorConfig(max_steps=8)],
+                             ids=["rk45", "rk45-max-steps"])
     def test_bitwise_equal_to_reevaluation(self, model, t_end, cfg):
         rhs, y0 = self.field_and_start(model)
         traj = integrate_ode(rhs, y0, 0.0, t_end, cfg,
@@ -241,37 +210,17 @@ class TestSampleVelocities:
         assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj))
 
     @pytest.mark.parametrize("model, t_end", MODELS)
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_domain_truncated_trajectory(self, model, t_end, method):
+    def test_domain_truncated_trajectory(self, model, t_end):
         field, y0 = self.field_and_start(model)
 
         def rhs(t, y):  # undefined once any coordinate moved 0.2 from its start
             return np.where(np.max(np.abs(y - y0)) > 0.2, np.nan, field(t, y))
 
-        cfg = IntegratorConfig(method=method, step=0.05)
-        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg,
+        traj = integrate_ode(rhs, y0, 0.0, t_end,
                              sample_times=np.linspace(0, t_end, 21)).member(0)
         assert traj.termination.startswith("domain_error") and len(traj) > 1
         assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj),
                               equal_nan=True)
-
-    @pytest.mark.parametrize("model, t_end", MODELS)
-    def test_rk4_states_and_evaluation_count(self, model, t_end):
-        field, y0 = self.field_and_start(model)
-        calls = [0]
-
-        def rhs(t, y):
-            calls[0] += 1
-            return field(t, y)
-
-        times = np.linspace(0.0, t_end, 11)
-        traj = integrate_ode(rhs, y0, 0.0, t_end, IntegratorConfig(method="rk4", step=0.03),
-                             sample_times=times).member(0)
-        states, reference_calls = rk4_reference(field, y0[0], times, 0.03)
-        assert np.array_equal(traj.states, states)
-        # One evaluation to start, then four per step: each step's k1 is the
-        # previous step's end evaluation, and the sample velocities come free.
-        assert calls[0] == 1 + reference_calls
 
     @pytest.mark.parametrize("model, t_end", MODELS)
     def test_rk45_evaluation_count(self, model, t_end):
