@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import (BracketError, ConfigurationError, DegenerateParametersError,
                      InsufficientSampleError, ModelDomainError)
-from .numerics import (IntegratorConfig, RootScanReport, Trajectory, TrajectoryBatch,
-                       bracketed_root, integrate_ode, scan_roots)
+from .numerics import (IntegratorConfig, IntegratorWork, RootScanReport, Trajectory,
+                       TrajectoryBatch, bracketed_root, integrate_ode, scan_roots)
 from .planewave import PlaneWavePair, UniquenessReport
 from .spherical import ConstraintReadings, SlitPair
 from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
@@ -19,7 +19,7 @@ from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
 __all__ = [
     "BracketError", "ConfigurationError", "DegenerateParametersError",
     "InsufficientSampleError", "ModelDomainError",
-    "IntegratorConfig", "RootScanReport", "Trajectory", "TrajectoryBatch",
+    "IntegratorConfig", "IntegratorWork", "RootScanReport", "Trajectory", "TrajectoryBatch",
     "bracketed_root", "integrate_ode", "scan_roots",
     "PlaneWavePair", "UniquenessReport", "ConstraintReadings", "SlitPair",
     "DistributionReport", "Ensemble", "GlobalConstraintReport", "SamplerReport",

@@ -142,8 +142,10 @@ def oracle_crosscheck(model, seed: int = 1000, count: int = 1000) -> list[ClaimC
 def trajectory_ensemble(model, count: int, seed: int, t0: float, t_end: float,
                         cfg: IntegratorConfig, samples: int = 101,
                         sample_times=None) -> Ensemble:
-    """Small density-sampled ensemble evolved with dense output, shared by the
-    trajectory and constraint analyses."""
+    """Small density-sampled ensemble sampled at ``samples`` evenly spaced
+    times (plus any ``sample_times``), shared by the trajectory and
+    constraint analyses; the interior samples come from the integrator's
+    dense output."""
     ens = build_ensemble(model, count, seed, t0=t0)
     times = np.linspace(t0, t_end, samples)
     if sample_times is not None:

@@ -21,7 +21,7 @@ from .analyses import (ClaimCheck, constraint_claims, density_discrepancy_claims
 from .ensemble import build_ensemble, write_ensemble_csv, write_metadata
 from .errors import ConfigurationError
 from .numerics import IntegratorConfig
-from .planewave import MIN_AMPLITUDE_SUM, PlaneWavePair
+from .planewave import MAX_AMPLITUDE_SUM, MIN_AMPLITUDE_SUM, PlaneWavePair
 from .spherical import SlitPair
 
 ANALYSES = ("trajectories", "constraints", "uniqueness", "equivariance",
@@ -157,6 +157,9 @@ def validate_config(raw) -> RunConfig:
     if data["model"] == "planewave" and data["a"] + data["b"] < MIN_AMPLITUDE_SUM:
         raise ConfigurationError(
             f"a, b: at least one amplitude must be positive (a + b >= {MIN_AMPLITUDE_SUM:.3g})")
+    if data["model"] == "planewave" and data["a"] + data["b"] > MAX_AMPLITUDE_SUM:
+        raise ConfigurationError(
+            f"a, b: amplitudes too large (a + b <= {MAX_AMPLITUDE_SUM:.3g})")
 
     if data["sample_times"] is not None:
         if not isinstance(data["sample_times"], (list, tuple)):

@@ -394,7 +394,9 @@ def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> d
             "acceptance_rate": ensemble.acceptance_rate,
             "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
             "survival_fraction": ensemble.survival_fraction,
-            "integrator": None if ensemble.integrator is None else asdict(ensemble.integrator),
+            # Settings, then the work the integration did, summed over members.
+            "integrator": None if ensemble.integrator is None
+            else {**asdict(ensemble.integrator), **asdict(ensemble.work)},
         })
     if extra:
         meta.update(extra)

@@ -1,12 +1,12 @@
 """Numerical kernel shared by the model modules: central-difference steps,
-batched ODE integration with per-member step control, and bracketed root
-finding with a grid scanner for counting roots."""
+batched ODE integration with per-member step control and dense output, and
+bracketed root finding with a grid scanner for counting roots."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -32,6 +32,17 @@ class IntegratorConfig:
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+
+
+@dataclass(frozen=True)
+class IntegratorWork:
+    """What one :func:`integrate_ode` call did, summed over its members:
+    field evaluations (one per member row passed to the field), and step
+    attempts accepted and rejected."""
+
+    rhs_evals: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,8 @@ class TrajectoryBatch:
     ``states`` and ``velocities`` have shape ``(len(times), size, dim)``.
     Member ``i`` holds ``lengths[i]`` samples; past a truncation its states
     and velocities are NaN and ``terminations[i]`` names the reason
-    (``"completed"`` otherwise).  The arrays are read-only.
+    (``"completed"`` otherwise).  The arrays are read-only.  ``work`` counts
+    what the integration did (zero for a batch that was not integrated).
     """
 
     times: np.ndarray
@@ -77,6 +89,7 @@ class TrajectoryBatch:
     velocities: np.ndarray
     lengths: np.ndarray
     terminations: tuple[str, ...]
+    work: IntegratorWork = field(default=IntegratorWork(), kw_only=True)
 
     def __post_init__(self) -> None:
         for array in (self.times, self.states, self.velocities, self.lengths):
@@ -197,6 +210,41 @@ DORMAND_PRINCE = (
      _row("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84")),
     _row("71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525", "-1/40"))
 
+# Shampine's free continuous extension of DORMAND_PRINCE (Math. Comp. 46
+# (1986) 135), a quartic u(x) = y + h (b_1(x) k_1 + ... + b_7(x) k_7) at the
+# fraction x of the step, with b_i(x) = P_i1 x + P_i2 x^2 + P_i3 x^3 + P_i4 x^4.
+_FREE_QUARTIC = (
+    ("1", "-8048581381/2820520608", "8663915743/2820520608", "-12715105075/11282082432"),
+    ("0", "0", "0", "0"),
+    ("0", "131558114200/32700410799", "-68118460800/10900136933", "87487479700/32700410799"),
+    ("0", "-1754552775/470086768", "14199869525/1410260304", "-10690763975/1880347072"),
+    ("0", "127303824393/49829197408", "-318862633887/49829197408", "701980252875/199316789632"),
+    ("0", "-282668133/205662961", "2019193451/616988883", "-1453857185/822651844"),
+    ("0", "40617522/29380423", "-110615467/29380423", "69997945/29380423"))
+
+
+def _quartic_row(x: Fraction) -> tuple[tuple[float, ...], float]:
+    """The stage weights b_i(x) of the free quartic as a tableau row."""
+    return _row(*(sum(Fraction(p) * x ** (j + 1) for j, p in enumerate(ps))
+                  for ps in _FREE_QUARTIC))
+
+
+# Dense output one order above the free quartic, by bootstrapping (Enright,
+# Jackson, Norsett & Thomsen, ACM TOMS 12 (1986) 193): the field g_1, g_2 at
+# u(1/3), u(2/3) and the step's data fix the quintic
+# p(x) = y + h (c_1 x + ... + c_5 x^5) through p(1) = y_new, p'(0) = h f,
+# p'(1) = h f_new, p'(1/3) = h g_1 and p'(2/3) = h g_2.  As (nodes, the
+# quartic's rows at them, rows c_1..c_5 over the data
+# (y_new - y) / h, f, f_new, g_1, g_2).
+BOOTSTRAP = (
+    (1 / 3, 2 / 3),
+    (_quartic_row(Fraction(1, 3)), _quartic_row(Fraction(2, 3))),
+    (_row("0", "1", "0", "0", "0"),
+     _row("30", "-13/2", "-13/4", "-27/4", "-27/2"),
+     _row("-110", "67/4", "49/4", "135/4", "189/4"),
+     _row("135", "-18", "-63/4", "-189/4", "-54"),
+     _row("-54", "27/4", "27/4", "81/4", "81/4")))
+
 # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I, II.4: the
 # initial-step rule, safety factor 0.9, at most a 5x shrink per rejection and
 # no growth right after one.  Growth is capped at 2x per step (scipy allows
@@ -261,10 +309,11 @@ def _combine(row, stages, h: np.ndarray) -> np.ndarray:
     return total
 
 
-def _attempt(field, t, y, f, h):
+def _attempt(field, t, y, f, h, keep=None):
     """One Dormand-Prince step of size ``h`` from each row: the new states,
-    the field there, the rows whose field was undefined at a stage, and the
-    error estimate."""
+    the field there, the rows whose field was undefined at a stage, the
+    error estimate, and the seven stages of the rows in the mask ``keep``
+    (None without one; the other rows' stages are dropped here)."""
     nodes, rows, error_row = DORMAND_PRINCE
     stages = [f]
     for c, row in zip(nodes, rows):
@@ -272,20 +321,55 @@ def _attempt(field, t, y, f, h):
         y_new += y
         stages.append(field(t + c * h, y_new))
     undefined = np.any([_nan_rows(k) for k in stages[1:]], axis=0)
-    return y_new, stages[-1], undefined, _combine(error_row, stages, h)
+    kept = None if keep is None else [k[keep] for k in stages]
+    return y_new, stages[-1], undefined, _combine(error_row, stages, h), kept
 
 
-def _control(error, y, y_new, accept, rejected, land, h, step, cfg: IntegratorConfig):
-    """Accept each row's attempt by its own error norm and set its next step:
-    the controller's step after a rejection or a free step, the kept step
-    after an accepted landing."""
+def _control(error, y, y_new, accept, rejected, step, cfg: IntegratorConfig):
+    """Accept each row's attempt by its own error norm and set its next step
+    by the controller."""
     error = _rms(error / (cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol))
     with np.errstate(divide="ignore"):
         factor = np.minimum(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
     accept = accept & (error < 1.0)
     factor = np.where(accept, np.where(rejected, np.minimum(1.0, factor), factor),
                       np.maximum(MIN_FACTOR, factor))
-    return accept, np.where(accept & land, h, step * factor)
+    return accept, step * factor
+
+
+def _dense_output(field, t, y, y_new, stages, h):
+    """The coefficients h c_1, ..., h c_5 of each row's bootstrapped quintic
+    over an accepted step (``BOOTSTRAP``), from one field call at both
+    nodes, and the rows whose field is undefined at a node."""
+    nodes, quartic_rows, rows = BOOTSTRAP
+    probes = []
+    for row in quartic_rows:
+        u = _combine(row, stages, h)
+        u += y
+        probes.append(u)
+    g = field(np.concatenate([t + c * h for c in nodes]), np.concatenate(probes))
+    g1, g2 = g[:len(y)], g[len(y):]
+    data = ((y_new - y) / h[:, None], stages[0], stages[-1], g1, g2)
+    return [_combine(row, data, h) for row in rows], _nan_rows(g1) | _nan_rows(g2)
+
+
+def _interpolate(field, ts, sign, t, y, y_new, t_new, h, stages, held):
+    """States at the sample times inside each row's accepted step from
+    ``t`` to ``t_new``: those from index ``held`` on that lie before both
+    ``t_new`` and the last sample, from the bootstrapped quintic.  Returns
+    their sample indices, the row each belongs to and the states, each row's
+    next sample index, and the rows whose field is undefined at a bootstrap
+    node (which get no samples)."""
+    coeffs, bad = _dense_output(field, t, y, y_new, stages, h)
+    end = np.minimum(np.searchsorted(sign * ts, sign * t_new), len(ts) - 1)
+    count = np.where(bad, 0, end - held)
+    row = np.repeat(np.arange(len(t)), count)
+    idx = held[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    x = ((ts[idx] - t[row]) / h[row])[:, None]
+    value = coeffs[-1][row]
+    for c in coeffs[-2::-1]:
+        value = value * x + c[row]
+    return idx, row, y[row] + value * x, held + count, bad
 
 
 def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
@@ -319,25 +403,42 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     NaN row where the field is undefined.
 
     Each member has its own step size, error norm, step count and
-    termination, so its samples are bitwise the same in any batch.  It lands
-    on a sample time by clipping its step to it, then keeps its controller's
-    step.  It stops at its last sample when the field is undefined at one of
-    its stages (``domain_error``), after ``max_steps`` step attempts, or when
-    its step falls below ten float spacings (``integration_failure``).
-    Sample velocities are the field at ``t0`` and the last stage of each
-    landing step, at the sample state (at a time that may differ from the
-    sample time in the last bit; both models' fields ignore ``t``).
+    termination, so its samples are bitwise the same in any batch.  It steps
+    freely, clipping a step only to land on ``t_end``; a sample time before
+    the end of an accepted step takes its state from the step's
+    bootstrapped quintic (``BOOTSTRAP``), whose two extra field values come
+    from one more ``rhs`` call over the rows that have such a sample.  It
+    stops at its last sample when the field is undefined at one of its
+    stages or at a bootstrap node (``domain_error``), after ``max_steps``
+    step attempts, or when its step falls below ten float spacings
+    (``integration_failure``).  Sample velocities are the field at each
+    sample state: at ``t0`` and ``t_end`` the stepper's own evaluations, at
+    interpolated samples one ``rhs`` call over all of them after the loop
+    (at the sample time, or at ``t_end`` a time that may differ from it in
+    the last bit; both models' fields ignore ``t``).
     """
     cfg = config or IntegratorConfig()
+    evals = 0
+
+    def counted(t, y):
+        nonlocal evals
+        evals += len(y)
+        return rhs(t, y)
+
     y = np.asarray(y0, dtype=float)
     n, dim = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
-    f = rhs(np.full(n, ts[0]), y)
+    f = counted(np.full(n, ts[0]), y)
     states = np.full((len(ts), n, dim), np.nan)
     velocities = np.full_like(states, np.nan)
     states[0], velocities[0] = y, f
     lengths = np.ones(n, dtype=np.intp)
     code = np.where(_nan_rows(f), _DOMAIN, _COMPLETED)
+    # The direction of integration, the last sample's index, and the
+    # (sample, member) indices filled by interpolation.
+    sign = math.copysign(1.0, t_end - t0)
+    last, filled = len(ts) - 1, []
+    steps_accepted = steps_rejected = 0
 
     # One entry per running member: id, time, state, field, samples held,
     # step attempts, step, and whether the last attempt met an undefined
@@ -348,7 +449,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     held, tries = np.ones(m, np.int32), np.zeros(m, np.int32)
     h, undefined, rejected = np.zeros(m), np.zeros(m, bool), np.zeros(m, bool)
     if m:
-        h, undefined = _initial_steps(rhs, t, y, f, t_end - t0, cfg)
+        h, undefined = _initial_steps(counted, t, y, f, t_end - t0, cfg)
 
     while ids.size:
         reason = np.where(undefined, _DOMAIN,
@@ -363,25 +464,47 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
             if not ids.size:
                 break
 
-        target = ts[held]
-        land = np.abs(target - t) <= np.abs(h)
-        step = np.where(land, target - t, h)
-        y_new, f_new, undefined, error = _attempt(rhs, t, y, f, step)
-        accept, h = _control(error, y, y_new, ~undefined, rejected, land, h, step, cfg)
+        land = np.abs(t_end - t) <= np.abs(h)
+        step = np.where(land, t_end - t, h)
+        dense = None
+        if last > 1:    # rows whose next sample, not the last, lies before their attempt's end
+            t_new = np.where(land, t_end, t + step)
+            dense = (held < last) & (sign * ts[held] < sign * t_new)
+            dense = dense if dense.any() else None
+        y_new, f_new, undefined, error, stages = _attempt(counted, t, y, f, step, dense)
+        accept, h = _control(error, y, y_new, ~undefined, rejected, step, cfg)
+
+        if dense is not None and (fits := accept[dense]).any():
+            rows = np.flatnonzero(dense)[fits]
+            idx, owner, values, end, bad = _interpolate(
+                counted, ts, sign, t[rows], y[rows], y_new[rows], t_new[rows], step[rows],
+                [k[fits] for k in stages], held[rows])
+            accept[rows[bad]], undefined[rows[bad]] = False, True
+            members = ids[rows[owner]]
+            states[idx, members] = values
+            filled.append((idx, members))
+            held[rows] = end
+
         rejected = ~accept
         tries += 1
+        steps_accepted += int(np.count_nonzero(accept))
+        steps_rejected += int(np.count_nonzero(rejected))
 
         landed = accept & land
-        t = np.where(accept, np.where(land, target, t + step), t)
+        t = np.where(accept, np.where(land, t_end, t + step), t)
         y = np.where(accept[:, None], y_new, y)
         f = np.where(accept[:, None], f_new, f)
         states[held[landed], ids[landed]] = y[landed]
         velocities[held[landed], ids[landed]] = f[landed]
         held = held + landed
-        del y_new, f_new, error     # before the next attempt (peak memory)
+        del y_new, f_new, error, stages     # before the next attempt (peak memory)
 
+    if filled:
+        idx, members = (np.concatenate(a) for a in zip(*filled))
+        velocities[idx, members] = counted(ts[idx], states[idx, members])
     return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
-                           terminations=tuple(_REASONS[c] for c in code.tolist()))
+                           terminations=tuple(_REASONS[c] for c in code.tolist()),
+                           work=IntegratorWork(evals, steps_accepted, steps_rejected))
 
 
 def bracketed_root(g: Callable[[float], float], lo: float, hi: float,

@@ -25,9 +25,11 @@ from .numerics import RootScanReport, bracketed_root, require_defined, scan_root
 # is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
 
-# Smallest a + b: every density divides by (a + b)^2, which must stay a
-# normal float (below this it loses precision, then underflows to zero).
+# Smallest and largest a + b: every density divides by (a + b)^2, which must
+# stay a normal float (below the floor it loses precision, then underflows to
+# zero; above the cap it overflows).
 MIN_AMPLITUDE_SUM = math.sqrt(sys.float_info.min)
+MAX_AMPLITUDE_SUM = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class PlaneWavePair:
         if self.a + self.b < MIN_AMPLITUDE_SUM:
             raise ValueError(f"amplitudes a and b must not both vanish (a + b >= "
                              f"{MIN_AMPLITUDE_SUM:.3g})")
+        if self.a + self.b > MAX_AMPLITUDE_SUM:
+            raise ValueError(f"amplitudes too large (a + b <= {MAX_AMPLITUDE_SUM:.3g})")
         for name in ("momentum", "mass", "hbar"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -272,6 +272,18 @@ class TestMain:
         assert captured.err.startswith("configuration error: box_length: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_overflowing_amplitudes_exit_one(self, tmp_path, capsys):
+        # (a + b)^2 overflows past sqrt(float max): the norm raised
+        # OverflowError before the check.
+        out = tmp_path / "out"
+        code = cli.main(["run", "--a", "1e200", "--b", "0", "--analysis", "trajectories",
+                         "--output-dir", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: a, b: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 1
 

@@ -68,12 +68,14 @@ class TestIntegrateOde:
         assert abs(back.states[-1, 0, 0] - 0.7) < 100 * cfg.rel_tol
 
     def test_max_steps_truncates(self):
-        cfg = IntegratorConfig(max_steps=8)    # fewer attempts than the 10 sample gaps
+        # The member needs 20 steps (growth is capped at 2x a step); 8 free
+        # steps end between the samples at 0.3 and 0.4.
+        cfg = IntegratorConfig(max_steps=8)
         traj = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, cfg,
                              sample_times=np.linspace(0, 1, 11)).member(0)
         assert not traj.complete
         assert traj.termination == "max_steps"
-        assert traj.final_time == pytest.approx(0.2)
+        assert traj.final_time == pytest.approx(0.3)
 
     def test_domain_error_truncates(self):
         def rhs(t, y):  # undefined past t = 0.5
@@ -172,10 +174,13 @@ class TestPerMemberControl:
 
         flow = integrate_ode(rhs, [[0.0], [0.5]], 0.0, 1.0,
                              sample_times=np.linspace(0.0, 1.0, 11))
+        # The second member's first attempt past t = 0.5 starts between the
+        # samples at 0.3 and 0.4, so it holds the samples up to 0.3.
         assert flow.terminations[0] == "completed"
         assert flow.terminations[1].startswith("domain_error")
-        assert flow.lengths.tolist() == [11, 6]
-        assert np.all(np.isnan(flow.states[6:, 1]))
+        assert flow.lengths.tolist() == [11, 4]
+        assert np.all(np.isnan(flow.states[4:, 1]))
+        assert not np.isnan(flow.states[:, 0]).any()
 
 
 def reevaluated_velocities(rhs, traj):
@@ -188,8 +193,10 @@ MODELS = [(PlaneWavePair(a=1.0, b=0.2), 2.0), (SlitPair(wavenumber=1.0, slit_off
 
 
 class TestSampleVelocities:
-    """Sample velocities reuse the stepper's own evaluations; both models'
-    fields ignore t, so they equal a fresh evaluation at each sample."""
+    """Sample velocities are the field at each sample state: the stepper's
+    own evaluations at the end points, one call over the interpolated
+    samples; both models' fields ignore t, so they equal a fresh evaluation
+    at each sample."""
 
     @staticmethod
     def field_and_start(model):
@@ -198,15 +205,19 @@ class TestSampleVelocities:
         return (lambda t, y: model.batch_rhs(t, y)), y0
 
     @pytest.mark.parametrize("model, t_end", MODELS)
-    @pytest.mark.parametrize("cfg", [IntegratorConfig(),
-                                     # fewer attempts than the 10 sample gaps
-                                     IntegratorConfig(max_steps=8)],
-                             ids=["rk45", "rk45-max-steps"])
-    def test_bitwise_equal_to_reevaluation(self, model, t_end, cfg):
+    @pytest.mark.parametrize("share", [None, 0.75], ids=["rk45", "rk45-max-steps"])
+    def test_bitwise_equal_to_reevaluation(self, model, t_end, share):
+        # With ``share``, max_steps is that share of the attempts the member
+        # needs, so it stops partway.
         rhs, y0 = self.field_and_start(model)
-        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg,
-                             sample_times=np.linspace(0, t_end, 11)).member(0)
-        assert traj.complete == (cfg.max_steps > 100) and len(traj) > 1
+        times = np.linspace(0, t_end, 11)
+        cfg = IntegratorConfig()
+        if share is not None:
+            work = integrate_ode(rhs, y0, 0.0, t_end, cfg, sample_times=times).work
+            cfg = IntegratorConfig(
+                max_steps=int(share * (work.accepted_steps + work.rejected_steps)))
+        traj = integrate_ode(rhs, y0, 0.0, t_end, cfg, sample_times=times).member(0)
+        assert traj.complete == (share is None) and len(traj) > 1
         assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj))
 
     @pytest.mark.parametrize("model, t_end", MODELS)
@@ -222,28 +233,118 @@ class TestSampleVelocities:
         assert np.array_equal(traj.velocities, reevaluated_velocities(rhs, traj),
                               equal_nan=True)
 
+    @staticmethod
+    def counted_rows(field):
+        """``field`` plus the list of the row counts it was called with."""
+        rows = []
+
+        def rhs(t, y):
+            rows.append(len(y))
+            return field(t, y)
+        return rhs, rows
+
+    @staticmethod
+    def attempts_are_exact(field, y0, t_end, times, attempts):
+        """True when ``attempts`` step attempts are exactly those the member
+        needs: it completes with that cap and stops one short of it."""
+        def run(cap):
+            return integrate_ode(field, y0, 0.0, t_end, IntegratorConfig(max_steps=cap), times)
+        return run(attempts).complete and run(attempts - 1).terminations == ("max_steps",)
+
     @pytest.mark.parametrize("model, t_end", MODELS)
     def test_rk45_evaluation_count(self, model, t_end):
         field, y0 = self.field_and_start(model)
+        rhs, rows = self.counted_rows(field)
+        times = np.linspace(0.0, t_end, 11)
+        flow = integrate_ode(rhs, y0, 0.0, t_end, sample_times=times)
+        assert flow.complete
+        # One evaluation to start and one initial-step probe, then six per
+        # step attempt (the last stage is the next step's first), each on
+        # the member's one row; one call on two rows, the bootstrap nodes,
+        # per accepted step with an interior sample; and last one call on
+        # the nine interior samples for their velocities.
+        assert rows[-1] == 9
+        assert set(rows[:-1]) == {1, 2}
+        attempts, extra = divmod(rows.count(1) - 2, 6)
+        assert extra == 0
+        assert 0 < rows.count(2) <= flow.work.accepted_steps
+        assert attempts == flow.work.accepted_steps + flow.work.rejected_steps
+        assert flow.work.rhs_evals == sum(rows)
+        assert self.attempts_are_exact(field, y0, t_end, times, attempts)
+
+    @pytest.mark.parametrize("model, t_end", MODELS)
+    def test_end_points_evaluation_count(self, model, t_end):
+        # Without interior samples there is no dense-output work: two
+        # evaluations to start, then six per step attempt (the ensemble
+        # runs' cost).
+        field, y0 = self.field_and_start(model)
+        rhs, rows = self.counted_rows(field)
+        flow = integrate_ode(rhs, y0, 0.0, t_end)
+        assert flow.complete and set(rows) == {1}
+        attempts, extra = divmod(len(rows) - 2, 6)
+        assert extra == 0
+        assert attempts == flow.work.accepted_steps + flow.work.rejected_steps
+        assert self.attempts_are_exact(field, y0, t_end, None, attempts)
+        # In a batch, each call evaluates the running members' rows.
+        batch = sample_configurations(model, 64, seed=5)[0]
+        rhs, rows = self.counted_rows(field)
+        flow = integrate_ode(rhs, batch, 0.0, t_end)
+        assert (len(rows) - 2) % 6 == 0 and flow.work.rhs_evals == sum(rows)
+
+
+class TestDenseOutput:
+    """Interior samples come from each accepted step's bootstrapped quintic."""
+
+    @pytest.mark.parametrize("model, t_end", MODELS)
+    def test_interpolated_samples_match_runs_ending_there(self, model, t_end):
+        # A run ending at a sample time lands there by clipping its last
+        # step.  The two differ by both runs' global errors, within ten
+        # times the per-step error scale abs_tol + rel_tol |y| (the largest
+        # ratio seen at seeds 5-7 is 1.3).
+        cfg = IntegratorConfig()
+        y0 = sample_configurations(model, 4, seed=5)[0]
+        times = np.linspace(0.0, t_end, 11)
+        flow = integrate_ode(model.batch_rhs, y0, 0.0, t_end, cfg, times)
+        assert flow.complete
+        for k, s in enumerate(times[1:-1], 1):
+            ref = integrate_ode(model.batch_rhs, y0, 0.0, s, cfg).states[-1]
+            scale = cfg.abs_tol + cfg.rel_tol * np.abs(ref)
+            assert np.all(np.abs(flow.states[k] - ref) <= 10 * scale)
+
+    def test_undefined_bootstrap_node_truncates(self):
+        # One member's only two-row calls are the bootstrap nodes: the second
+        # is undefined, so the member stops with the samples it holds.
         calls = [0]
 
         def rhs(t, y):
-            calls[0] += 1
-            return field(t, y)
+            if len(y) == 2:
+                calls[0] += 1
+                if calls[0] == 2:
+                    return np.full_like(y, np.nan)
+            return y
 
-        times = np.linspace(0.0, t_end, 11)
-        assert integrate_ode(rhs, y0, 0.0, t_end, sample_times=times).complete
-        # One evaluation to start and one initial-step probe, then six per
-        # step attempt (the last stage is the next step's first), and the
-        # sample velocities come free: the attempts this count implies are
-        # exactly those the member needs.
-        attempts, extra = divmod(calls[0] - 2, 6)
-        assert extra == 0
-        assert integrate_ode(field, y0, 0.0, t_end, IntegratorConfig(max_steps=attempts),
-                             times).complete
-        short = integrate_ode(field, y0, 0.0, t_end, IntegratorConfig(max_steps=attempts - 1),
-                              times)
-        assert short.terminations == ("max_steps",)
+        times = np.linspace(0.0, 1.0, 11)
+        flow = integrate_ode(rhs, [[1.0]], 0.0, 1.0, sample_times=times)
+        full = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, sample_times=times)
+        k = flow.lengths[0]
+        assert flow.terminations == ("domain_error: field undefined",) and 1 < k < 11
+        assert np.array_equal(flow.states[:k], full.states[:k])
+        assert np.array_equal(flow.velocities[:k], full.velocities[:k])
+        assert np.all(np.isnan(flow.states[k:]))
+
+    @settings(max_examples=20)
+    @given(a=st.floats(0.1, 10.0), ratio=st.floats(0.0, 0.7), seed=st.integers(0, 2 ** 16))
+    def test_separation_relation_at_every_dense_sample(self, a, ratio, seed):
+        # A short sweep-style batch: the relation holds within the 1e-6 of
+        # separation_relation_conserved at every sample.  The draw stops at
+        # b / a = 0.7: from about 0.8 on the default tolerances miss 1e-6
+        # at step ends too, with or without interior samples.
+        model = PlaneWavePair(a=a, b=ratio * a)
+        y0 = sample_configurations(model, 8, seed=seed)[0]
+        flow = integrate_ode(model.batch_rhs, y0, 0.0, 1.0,
+                             sample_times=np.linspace(0.0, 1.0, 21))
+        assert flow.complete
+        assert model.residual_drift(flow) <= 1e-6
 
 
 class TestRootFinding:

@@ -40,6 +40,9 @@ class TestParams:
         # (a + b)^2 underflows: the densities would be 0 / 0.
         with pytest.raises(ValueError):
             PlaneWavePair(a=2.3631264284052937e-307, b=2.3631264284052937e-307)
+        # (a + b)^2 overflows.
+        with pytest.raises(ValueError):
+            PlaneWavePair(a=1e200, b=0.0)
         with pytest.raises(ValueError):
             PlaneWavePair(a=1.0, b=0.0, momentum=0.0)
         with pytest.raises(ValueError):
