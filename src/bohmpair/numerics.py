@@ -313,7 +313,8 @@ def _attempt(field, t, y, f, h, keep=None):
     """One Dormand-Prince step of size ``h`` from each row: the new states,
     the field there, the rows whose field was undefined at a stage, the
     error estimate, and the seven stages of the rows in the mask ``keep``
-    (None without one; the other rows' stages are dropped here)."""
+    (None without one or when it holds no row; the other rows' stages are
+    dropped here)."""
     nodes, rows, error_row = DORMAND_PRINCE
     stages = [f]
     for c, row in zip(nodes, rows):
@@ -321,7 +322,7 @@ def _attempt(field, t, y, f, h, keep=None):
         y_new += y
         stages.append(field(t + c * h, y_new))
     undefined = np.any([_nan_rows(k) for k in stages[1:]], axis=0)
-    kept = None if keep is None else [k[keep] for k in stages]
+    kept = [k[keep] for k in stages] if keep is not None and keep.any() else None
     return y_new, stages[-1], undefined, _combine(error_row, stages, h), kept
 
 
@@ -337,10 +338,14 @@ def _control(error, y, y_new, accept, rejected, step, cfg: IntegratorConfig):
     return accept, step * factor
 
 
-def _dense_output(field, t, y, y_new, stages, h):
-    """The coefficients h c_1, ..., h c_5 of each row's bootstrapped quintic
-    over an accepted step (``BOOTSTRAP``), from one field call at both
-    nodes, and the rows whose field is undefined at a node."""
+def _interpolate(field, ts, sign, t, y, y_new, t_new, h, stages, held):
+    """States at the sample times inside each row's accepted step from
+    ``t`` to ``t_new``: those from index ``held`` on that lie before both
+    ``t_new`` and the last sample, from the bootstrapped quintic
+    (``BOOTSTRAP``), whose field values at both nodes come from one call.
+    Returns their sample indices, the row each belongs to and the states,
+    each row's next sample index, and the rows whose field is undefined at
+    a node (which get no samples)."""
     nodes, quartic_rows, rows = BOOTSTRAP
     probes = []
     for row in quartic_rows:
@@ -350,17 +355,8 @@ def _dense_output(field, t, y, y_new, stages, h):
     g = field(np.concatenate([t + c * h for c in nodes]), np.concatenate(probes))
     g1, g2 = g[:len(y)], g[len(y):]
     data = ((y_new - y) / h[:, None], stages[0], stages[-1], g1, g2)
-    return [_combine(row, data, h) for row in rows], _nan_rows(g1) | _nan_rows(g2)
-
-
-def _interpolate(field, ts, sign, t, y, y_new, t_new, h, stages, held):
-    """States at the sample times inside each row's accepted step from
-    ``t`` to ``t_new``: those from index ``held`` on that lie before both
-    ``t_new`` and the last sample, from the bootstrapped quintic.  Returns
-    their sample indices, the row each belongs to and the states, each row's
-    next sample index, and the rows whose field is undefined at a bootstrap
-    node (which get no samples)."""
-    coeffs, bad = _dense_output(field, t, y, y_new, stages, h)
+    coeffs = [_combine(row, data, h) for row in rows]     # h c_1, ..., h c_5
+    bad = _nan_rows(g1) | _nan_rows(g2)
     end = np.minimum(np.searchsorted(sign * ts, sign * t_new), len(ts) - 1)
     count = np.where(bad, 0, end - held)
     row = np.repeat(np.arange(len(t)), count)
@@ -407,15 +403,19 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     freely, clipping a step only to land on ``t_end``; a sample time before
     the end of an accepted step takes its state from the step's
     bootstrapped quintic (``BOOTSTRAP``), whose two extra field values come
-    from one more ``rhs`` call over the rows that have such a sample.  It
-    stops at its last sample when the field is undefined at one of its
-    stages or at a bootstrap node (``domain_error``), after ``max_steps``
-    step attempts, or when its step falls below ten float spacings
+    from one more ``rhs`` call over the rows that have such a sample.  An
+    attempt over a sample that meets an undefined field, at a stage or a
+    bootstrap node, is tried once more with its step clipped to land on
+    that sample; when that fails too, the member stops at its last sample
+    (``domain_error``).  It also stops after ``max_steps`` step attempts,
+    or when its step falls below ten float spacings
     (``integration_failure``).  Sample velocities are the field at each
-    sample state: at ``t0`` and ``t_end`` the stepper's own evaluations, at
-    interpolated samples one ``rhs`` call over all of them after the loop
-    (at the sample time, or at ``t_end`` a time that may differ from it in
-    the last bit; both models' fields ignore ``t``).
+    sample state: at ``t0``, ``t_end`` and landed samples the stepper's own
+    evaluations, at interpolated samples one ``rhs`` call over all of them
+    after the loop (at the sample time, or at ``t_end`` a time that may
+    differ from it in the last bit; both models' fields ignore ``t``).  An
+    interpolated sample the field is undefined at ends its member there
+    (``domain_error``).
     """
     cfg = config or IntegratorConfig()
     evals = 0
@@ -441,13 +441,14 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     steps_accepted = steps_rejected = 0
 
     # One entry per running member: id, time, state, field, samples held,
-    # step attempts, step, and whether the last attempt met an undefined
-    # field or was rejected.
+    # step attempts, step, whether the last attempt met an undefined field
+    # or was rejected, and whether the next attempt lands on the next sample.
     ids = np.flatnonzero(code == _COMPLETED) if len(ts) > 1 else np.empty(0, np.intp)
     m = len(ids)
     t, y, f = np.full(m, ts[0]), y[ids], f[ids]
     held, tries = np.ones(m, np.int32), np.zeros(m, np.int32)
     h, undefined, rejected = np.zeros(m), np.zeros(m, bool), np.zeros(m, bool)
+    clip = np.zeros(m, bool)
     if m:
         h, undefined = _initial_steps(counted, t, y, f, t_end - t0, cfg)
 
@@ -459,31 +460,38 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         done = (reason != _COMPLETED) | (held == len(ts))
         if done.any():
             lengths[ids[done]], code[ids[done]] = held[done], reason[done]
-            ids, t, y, f, held, tries, h, rejected = (
-                a[~done] for a in (ids, t, y, f, held, tries, h, rejected))
+            ids, t, y, f, held, tries, h, rejected, clip = (
+                a[~done] for a in (ids, t, y, f, held, tries, h, rejected, clip))
             if not ids.size:
                 break
 
-        land = np.abs(t_end - t) <= np.abs(h)
-        step = np.where(land, t_end - t, h)
+        target = np.where(clip, ts[held], t_end) if last > 1 else t_end
+        land = np.abs(target - t) <= np.abs(h)
+        step = np.where(land, target - t, h)
         dense = None
         if last > 1:    # rows whose next sample, not the last, lies before their attempt's end
-            t_new = np.where(land, t_end, t + step)
+            t_new = np.where(land, target, t + step)
             dense = (held < last) & (sign * ts[held] < sign * t_new)
-            dense = dense if dense.any() else None
         y_new, f_new, undefined, error, stages = _attempt(counted, t, y, f, step, dense)
         accept, h = _control(error, y, y_new, ~undefined, rejected, step, cfg)
 
-        if dense is not None and (fits := accept[dense]).any():
-            rows = np.flatnonzero(dense)[fits]
-            idx, owner, values, end, bad = _interpolate(
-                counted, ts, sign, t[rows], y[rows], y_new[rows], t_new[rows], step[rows],
-                [k[fits] for k in stages], held[rows])
-            accept[rows[bad]], undefined[rows[bad]] = False, True
-            members = ids[rows[owner]]
-            states[idx, members] = values
-            filled.append((idx, members))
-            held[rows] = end
+        if dense is not None:
+            if (fits := accept[dense]).any():
+                rows = np.flatnonzero(dense)[fits]
+                idx, owner, values, end, bad = _interpolate(
+                    counted, ts, sign, t[rows], y[rows], y_new[rows], t_new[rows],
+                    step[rows], [k[fits] for k in stages], held[rows])
+                accept[rows[bad]], undefined[rows[bad]] = False, True
+                members = ids[rows[owner]]
+                states[idx, members] = values
+                filled.append((idx, members))
+                held[rows] = end
+            # An attempt over a sample that met an undefined field is tried
+            # once more, landing on that sample, before the member stops.
+            retry = dense & undefined
+            undefined &= ~retry
+            h[retry] = step[retry]
+            clip = retry | (clip & ~(accept & land))
 
         rejected = ~accept
         tries += 1
@@ -491,7 +499,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         steps_rejected += int(np.count_nonzero(rejected))
 
         landed = accept & land
-        t = np.where(accept, np.where(land, t_end, t + step), t)
+        t = np.where(accept, np.where(land, target, t + step), t)
         y = np.where(accept[:, None], y_new, y)
         f = np.where(accept[:, None], f_new, f)
         states[held[landed], ids[landed]] = y[landed]
@@ -501,7 +509,13 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
 
     if filled:
         idx, members = (np.concatenate(a) for a in zip(*filled))
-        velocities[idx, members] = counted(ts[idx], states[idx, members])
+        velocities[idx, members] = v = counted(ts[idx], states[idx, members])
+        # A sample state the field is undefined at ends its member there.
+        cut, nan = np.full(n, len(ts)), _nan_rows(v)
+        np.minimum.at(cut, members[nan], idx[nan])
+        for i in np.flatnonzero(cut < lengths):
+            lengths[i], code[i] = cut[i], _DOMAIN
+            states[cut[i]:, i] = velocities[cut[i]:, i] = np.nan
     return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
                            terminations=tuple(_REASONS[c] for c in code.tolist()),
                            work=IntegratorWork(evals, steps_accepted, steps_rejected))

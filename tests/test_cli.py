@@ -272,6 +272,18 @@ class TestMain:
         assert captured.err.startswith("configuration error: box_length: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_separation_relation_holds_near_equal_amplitudes(self, tmp_path, seed):
+        # At b / a = 0.8 the relation weighs a separation's error by up to
+        # (a + b) / (a - b) = 9; the probe's tightened rel_tol keeps it in 1e-6.
+        out = tmp_path / "out"
+        assert cli.main(["run", "--a", "1", "--b", "0.8", "--seed", str(seed),
+                         "--trajectory-count", "32", "--trajectory-samples", "201",
+                         "--analysis", "constraints", "--output-dir", str(out)]) == 0
+        report = json.loads((out / "claims_report.json").read_text())
+        claim = next(c for c in report if c["claim_id"] == "separation_relation_conserved")
+        assert claim["status"] == "pass" and claim["value"] < 1e-6
+
     def test_overflowing_amplitudes_exit_one(self, tmp_path, capsys):
         # (a + b)^2 overflows past sqrt(float max): the norm raised
         # OverflowError before the check.

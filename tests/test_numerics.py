@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from bohmpair.analyses import trajectory_ensemble
 from bohmpair.ensemble import sample_configurations
 from bohmpair.errors import BracketError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode, scan_roots
@@ -169,17 +170,18 @@ class TestPerMemberControl:
         assert np.max(np.abs(pulled - (y0[:, 0] - y0[:, 1]))) <= 1e-6
 
     def test_undefined_row_truncates_its_member_only(self):
-        def rhs(t, y):  # undefined once a member passes x = 1
-            return np.where(y > 1.0, np.nan, np.ones_like(y))
+        def rhs(t, y):  # undefined once a member passes x = 1.05
+            return np.where(y > 1.05, np.nan, np.ones_like(y))
 
         flow = integrate_ode(rhs, [[0.0], [0.5]], 0.0, 1.0,
                              sample_times=np.linspace(0.0, 1.0, 11))
-        # The second member's first attempt past t = 0.5 starts between the
-        # samples at 0.3 and 0.4, so it holds the samples up to 0.3.
+        # The second member holds every sample the field is defined at,
+        # up to t = 0.5, though its first attempt past x = 1.05 starts
+        # before the sample at 0.4.
         assert flow.terminations[0] == "completed"
         assert flow.terminations[1].startswith("domain_error")
-        assert flow.lengths.tolist() == [11, 4]
-        assert np.all(np.isnan(flow.states[4:, 1]))
+        assert flow.lengths.tolist() == [11, 6]
+        assert np.all(np.isnan(flow.states[6:, 1]))
         assert not np.isnan(flow.states[:, 0]).any()
 
 
@@ -225,7 +227,8 @@ class TestSampleVelocities:
         field, y0 = self.field_and_start(model)
 
         def rhs(t, y):  # undefined once any coordinate moved 0.2 from its start
-            return np.where(np.max(np.abs(y - y0)) > 0.2, np.nan, field(t, y))
+            return np.where(np.max(np.abs(y - y0), axis=1, keepdims=True) > 0.2,
+                            np.nan, field(t, y))
 
         traj = integrate_ode(rhs, y0, 0.0, t_end,
                              sample_times=np.linspace(0, t_end, 21)).member(0)
@@ -311,38 +314,42 @@ class TestDenseOutput:
             scale = cfg.abs_tol + cfg.rel_tol * np.abs(ref)
             assert np.all(np.abs(flow.states[k] - ref) <= 10 * scale)
 
-    def test_undefined_bootstrap_node_truncates(self):
-        # One member's only two-row calls are the bootstrap nodes: the second
-        # is undefined, so the member stops with the samples it holds.
-        calls = [0]
-
+    def test_undefined_bootstrap_node_retries_landing(self):
+        # The member's only two-row calls are the bootstrap nodes, all
+        # undefined: each attempt over a sample is tried again landing on
+        # that sample, so the member still holds every sample.
         def rhs(t, y):
-            if len(y) == 2:
-                calls[0] += 1
-                if calls[0] == 2:
-                    return np.full_like(y, np.nan)
-            return y
+            return np.full_like(y, np.nan) if len(y) == 2 else y
 
         times = np.linspace(0.0, 1.0, 11)
         flow = integrate_ode(rhs, [[1.0]], 0.0, 1.0, sample_times=times)
-        full = integrate_ode(lambda t, y: y, [[1.0]], 0.0, 1.0, sample_times=times)
-        k = flow.lengths[0]
-        assert flow.terminations == ("domain_error: field undefined",) and 1 < k < 11
-        assert np.array_equal(flow.states[:k], full.states[:k])
-        assert np.array_equal(flow.velocities[:k], full.velocities[:k])
-        assert np.all(np.isnan(flow.states[k:]))
+        assert flow.complete and flow.work.rejected_steps > 0
+        assert np.allclose(flow.states[:, 0, 0], np.exp(times), rtol=1e-8)
+        assert np.array_equal(flow.velocities, flow.states)
+
+    def test_undefined_sample_state_truncates(self):
+        # The field is undefined only at the interpolated sample t = 0.5, so
+        # the final velocity call ends the member there.
+        def rhs(t, y):
+            y = np.array(y)
+            return np.where(np.isin(t, [0.5])[:, None], np.nan, y)
+
+        times = np.linspace(0.0, 1.0, 11)
+        flow = integrate_ode(rhs, [[1.0]], 0.0, 1.0, sample_times=times)
+        assert flow.terminations == ("domain_error: field undefined",)
+        assert flow.lengths.tolist() == [5]
+        assert np.all(np.isnan(flow.states[5:])) and np.all(np.isnan(flow.velocities[5:]))
+        assert not np.isnan(flow.velocities[:5]).any()
 
     @settings(max_examples=20)
-    @given(a=st.floats(0.1, 10.0), ratio=st.floats(0.0, 0.7), seed=st.integers(0, 2 ** 16))
+    @given(a=st.floats(0.1, 10.0), ratio=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 16))
     def test_separation_relation_at_every_dense_sample(self, a, ratio, seed):
-        # A short sweep-style batch: the relation holds within the 1e-6 of
-        # separation_relation_conserved at every sample.  The draw stops at
-        # b / a = 0.7: from about 0.8 on the default tolerances miss 1e-6
-        # at step ends too, with or without interior samples.
+        # A claims-sweep batch, integrated as the constraint analysis does
+        # (rel_tol scaled by the amplitude contrast): the relation holds
+        # within the 1e-6 of separation_relation_conserved at every sample,
+        # b / a up to 0.99 included.
         model = PlaneWavePair(a=a, b=ratio * a)
-        y0 = sample_configurations(model, 8, seed=seed)[0]
-        flow = integrate_ode(model.batch_rhs, y0, 0.0, 1.0,
-                             sample_times=np.linspace(0.0, 1.0, 21))
+        flow = trajectory_ensemble(model, 32, seed, 0.0, 3.0, IntegratorConfig(), samples=201)
         assert flow.complete
         assert model.residual_drift(flow) <= 1e-6
 
