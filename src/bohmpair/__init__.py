@@ -13,8 +13,7 @@ from .ensemble import (DistributionReport, Ensemble, GlobalConstraintReport,
                        SamplerReport, build_ensemble, compare_distribution,
                        evolve_ensemble, global_constraint_analysis, ks_critical_value,
                        ks_critical_value_two_sample, ks_statistic, ks_two_sample,
-                       quadrature_cdf, sample_configurations, separation_marginal,
-                       write_ensemble_csv, write_metadata)
+                       sample_configurations, write_ensemble_csv, write_metadata)
 
 __all__ = [
     "BracketError", "ConfigurationError", "DegenerateParametersError",
@@ -25,6 +24,6 @@ __all__ = [
     "DistributionReport", "Ensemble", "GlobalConstraintReport", "SamplerReport",
     "build_ensemble", "compare_distribution", "evolve_ensemble",
     "global_constraint_analysis", "ks_critical_value", "ks_critical_value_two_sample",
-    "ks_statistic", "ks_two_sample", "quadrature_cdf", "sample_configurations",
-    "separation_marginal", "write_ensemble_csv", "write_metadata",
+    "ks_statistic", "ks_two_sample", "sample_configurations",
+    "write_ensemble_csv", "write_metadata",
 ]

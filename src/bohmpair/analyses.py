@@ -14,7 +14,7 @@ import numpy as np
 
 from .ensemble import (Ensemble, build_ensemble, compare_distribution, evolve_ensemble,
                        global_constraint_analysis, ks_critical_value, ks_statistic,
-                       ks_two_sample, sample_configurations, separation_cdf)
+                       ks_two_sample, sample_configurations)
 from .errors import ConfigurationError, InsufficientSampleError
 from .numerics import IntegratorConfig, integrate_ode
 from .oracles import phase_gradient, velocity_from_psi
@@ -262,7 +262,7 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
     if model.tag == "planewave":
         initial = ens0.initial_states()
         deltas = initial[:, 0] - initial[:, 1]
-        ks0 = ks_statistic(deltas, separation_cdf(model))
+        ks0 = ks_statistic(deltas, model.separation_cdf)
         claims.append(_tolerance_claim(
             "initial_sampling_ks",
             "prescription (3): P_t0 = |psi|^2 (separation marginal)",

@@ -83,7 +83,7 @@ class DistributionReport:
     survival_fraction: float           # members contributing a sample at t
     t: float
     coordinate: str
-    method: str                        # "pullback-quadrature" or "two-sample"
+    method: str                        # "pullback-closed-form" or "two-sample"
     critical_value_99: float
 
     @property
@@ -143,27 +143,6 @@ def ks_critical_value_two_sample(n: int, m: int) -> float:
     ``n`` and ``m``: 1.63 sqrt((n + m) / (n m)) (Smirnov, Ann. Math.
     Statist. 19 (1948) 279-281)."""
     return KS_COEFF_99 * math.sqrt((n + m) / (n * m))
-
-
-def quadrature_cdf(density: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   points: int = 20001):
-    """Cumulative distribution of an (unnormalized) density on [lo, hi] by
-    trapezoid quadrature; returns a vectorised CDF callable."""
-    xs = np.linspace(lo, hi, points)
-    vals = np.asarray(density(xs), dtype=float)
-    if np.any(vals < -1e-12):
-        raise ValueError("density must be nonnegative")
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(xs)
-    cum = np.concatenate([[0.0], np.cumsum(increments)])
-    total = cum[-1]
-    if total <= 0:
-        raise ValueError("density integrates to zero on the interval")
-    cum /= total
-
-    def cdf(q):
-        return np.interp(q, xs, cum, left=0.0, right=1.0)
-
-    return cdf
 
 
 # -- sampling ----------------------------------------------------------------
@@ -262,25 +241,6 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
 
 # -- distribution comparison ---------------------------------------------------
 
-def separation_marginal(model) -> Callable:
-    """Density of the separation x1 - x2 induced on the box: the model
-    density times the box overlap width."""
-    L = model.box_length
-
-    def marginal(d):
-        d = np.asarray(d, dtype=float)
-        return (np.asarray(model._density_shape(d), dtype=float)
-                * np.clip(L - np.abs(d), 0.0, None))
-
-    return marginal
-
-
-def separation_cdf(model) -> Callable:
-    """Quadrature CDF of :func:`separation_marginal` on [-L, L]."""
-    L = model.box_length
-    return quadrature_cdf(separation_marginal(model), -L, L)
-
-
 def compare_distribution(ensemble: Ensemble, t: float,
                          min_survivors: int = 100) -> DistributionReport:
     """Kolmogorov-Smirnov comparison of the ensemble at time ``t`` against the
@@ -289,10 +249,11 @@ def compare_distribution(ensemble: Ensemble, t: float,
     Plane-wave ensembles compare the separation marginal: each sample is
     pulled back to the sampling time along the exact conserved relation (the
     flow transports the separation monotonically), and the pulled-back
-    sample is tested against the quadrature CDF of the marginal on the
-    initial box.  Spherical ensembles compare the x1 marginal against a
-    fresh reference sample by the two-sample statistic, since no closed
-    transport is available in six dimensions.
+    sample is tested against the closed-form CDF of the marginal on the
+    initial box (``PlaneWavePair.separation_cdf``).  Spherical ensembles
+    compare the x1 marginal against a fresh reference sample by the
+    two-sample statistic, since no closed transport is available in six
+    dimensions.
     """
     model = ensemble.model
     states = ensemble.states_at(t)
@@ -304,8 +265,8 @@ def compare_distribution(ensemble: Ensemble, t: float,
         coordinate = "separation"
         samples = states[:, 0] - states[:, 1]
         pulled = np.asarray(model.inverse_flow(samples, t - ensemble.t0))
-        ks = ks_statistic(pulled, separation_cdf(model))
-        method = "pullback-quadrature"
+        ks = ks_statistic(pulled, model.separation_cdf)
+        method = "pullback-closed-form"
         critical = ks_critical_value(len(samples))
     else:
         coordinate = "x1"
@@ -332,7 +293,7 @@ def global_constraint_analysis(ensemble: Ensemble) -> GlobalConstraintReport:
     initial = ensemble.initial_states()
     deltas = initial[:, 0] - initial[:, 1]
     zero_times = model.zero_separation_times(deltas, ensemble.t0)
-    at_zero = float(separation_cdf(model)(np.array([0.0]))[0])
+    at_zero = float(model.separation_cdf(0.0))
     point_mass_ks = max(at_zero, 1.0 - at_zero)
 
     return GlobalConstraintReport(zero_times=zero_times,
@@ -377,6 +338,14 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> None:
             fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
+def integrator_metadata(ensemble: Ensemble) -> dict | None:
+    """The ensemble's integrator settings, then the work the integration did,
+    summed over members; None for an ensemble never evolved."""
+    if ensemble.integrator is None:
+        return None
+    return {**asdict(ensemble.integrator), **asdict(ensemble.work)}
+
+
 def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> dict:
     """Run metadata: the creation time, the ensemble's model, sampling and
     integrator (when there is an ensemble), then ``extra``."""
@@ -394,9 +363,7 @@ def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> d
             "acceptance_rate": ensemble.acceptance_rate,
             "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
             "survival_fraction": ensemble.survival_fraction,
-            # Settings, then the work the integration did, summed over members.
-            "integrator": None if ensemble.integrator is None
-            else {**asdict(ensemble.integrator), **asdict(ensemble.work)},
+            "integrator": integrator_metadata(ensemble),
         })
     if extra:
         meta.update(extra)

@@ -551,18 +551,13 @@ def scan_roots(g: Callable, lo: float, hi: float, grid: int = 1001,
     """Locate every sign-change root of ``g`` on a uniform grid over
     ``[lo, hi]`` and report whether the sampled values are monotone.
 
-    ``g`` may be vectorised over numpy arrays; scalar-only callables are
-    evaluated pointwise.  Exact zeros at grid points count as roots.
+    ``g`` is evaluated once on the whole grid array, then on scalars while
+    bisecting each bracket.  Exact zeros at grid points count as roots.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     xs = np.linspace(lo, hi, grid)
-    try:
-        vals = np.asarray(g(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(g(x)) for x in xs])
+    vals = np.asarray(g(xs), dtype=float)
 
     roots: list[float] = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
     products = vals[:-1] * vals[1:]

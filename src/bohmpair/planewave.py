@@ -12,7 +12,6 @@ an exactness oracle for the integrator.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,12 +23,6 @@ from .numerics import RootScanReport, bracketed_root, require_defined, scan_root
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
 # is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
-
-# Smallest and largest a + b: every density divides by (a + b)^2, which must
-# stay a normal float (below the floor it loses precision, then underflows to
-# zero; above the cap it overflows).
-MIN_AMPLITUDE_SUM = math.sqrt(sys.float_info.min)
-MAX_AMPLITUDE_SUM = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -63,13 +56,10 @@ class PlaneWavePair:
     proposal = "uniform_box"
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError("amplitudes a and b must be nonnegative")
-        if self.a + self.b < MIN_AMPLITUDE_SUM:
-            raise ValueError(f"amplitudes a and b must not both vanish (a + b >= "
-                             f"{MIN_AMPLITUDE_SUM:.3g})")
-        if self.a + self.b > MAX_AMPLITUDE_SUM:
-            raise ValueError(f"amplitudes too large (a + b <= {MAX_AMPLITUDE_SUM:.3g})")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ValueError("amplitudes a and b must be finite and nonnegative")
+        if self.a == 0 and self.b == 0:
+            raise ValueError("amplitudes a and b must not both vanish")
         for name in ("momentum", "mass", "hbar"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -80,10 +70,19 @@ class PlaneWavePair:
 
     # -- derived parameters -------------------------------------------------
 
+    @cached_property
+    def _amplitudes(self) -> tuple[float, float]:
+        """(a / m, b / m) with m = max(a, b).  Every quantity depends on the
+        amplitudes through their ratio only, so the formulas below read these,
+        which neither overflow nor underflow at any scale of a and b."""
+        m = max(self.a, self.b)
+        return self.a / m, self.b / m
+
     @property
     def contrast(self) -> float:
         """(a - b) / (a + b), the amplitude contrast in [-1, 1]."""
-        return (self.a - self.b) / (self.a + self.b)
+        a, b = self._amplitudes
+        return (a - b) / (a + b)
 
     @property
     def energy(self) -> float:
@@ -103,7 +102,7 @@ class PlaneWavePair:
         ((a^2 + b^2) L^2 + 2ab s^2 sin^2(L / s)) / (a + b)^2;
         both terms are nonnegative, so nothing cancels."""
         L, s = self.box_length, self.hbar / self.momentum
-        a, b = self.a, self.b
+        a, b = self._amplitudes
         return ((a * a + b * b) * L * L + 2 * a * b * (s * math.sin(L / s)) ** 2) / (a + b) ** 2
 
     def _density_shape(self, delta):
@@ -113,7 +112,7 @@ class PlaneWavePair:
         negative, so it keeps its relative accuracy near the nodes even
         when b is close to a."""
         th = self.momentum * np.asarray(delta, dtype=float) / self.hbar
-        a, b = self.a, self.b
+        a, b = self._amplitudes
         return ((a - b) ** 2 + 4 * a * b * np.cos(th) ** 2) / (a + b) ** 2
 
     # -- wavefunction, density, phase ---------------------------------------
@@ -121,20 +120,22 @@ class PlaneWavePair:
     def psi_values(self, x1, x2, t):
         """Wavefunction on arrays of positions and times (broadcasting)."""
         th = self.momentum * (np.asarray(x1) - np.asarray(x2)) / self.hbar
-        bracket = self.a * np.exp(1j * th) + self.b * np.exp(-1j * th)
+        a, b = self._amplitudes
+        bracket = a * np.exp(1j * th) + b * np.exp(-1j * th)
         clock = np.exp(-1j * self.energy * np.asarray(t) / self.hbar)
-        return bracket * clock / (math.sqrt(self.norm) * (self.a + self.b))
+        return bracket * clock / (math.sqrt(self.norm) * (a + b))
 
     def density_values(self, x1, x2, t=0.0):
-        """|psi|^2; time independent and a function of x1 - x2 only."""
-        return np.abs(self.psi_values(x1, x2, t)) ** 2
+        """|psi|^2, the density shape over the norm; time independent and a
+        function of x1 - x2 only."""
+        return self._density_shape(np.asarray(x1) - np.asarray(x2)) / self.norm
 
     def density_single_angle_values(self, x1, x2):
         """Variant of the density with cos(theta) in place of cos(2 theta)
         in the interference term; retained verbatim so the two closed forms
         can be compared (see the density-discrepancy analysis)."""
         th = self.momentum * (np.asarray(x1) - np.asarray(x2)) / self.hbar
-        a, b = self.a, self.b
+        a, b = self._amplitudes
         return (a * a + b * b + 2 * a * b * np.cos(th)) / (self.norm * (a + b) ** 2)
 
     def phase_values(self, x1, x2, t):
@@ -199,7 +200,7 @@ class PlaneWavePair:
         """(lin, amp): the coefficients of delta and of sin(2 p delta / hbar)
         in the conserved separation relation."""
         self._require_nondegenerate()
-        a, b = self.a, self.b
+        a, b = self._amplitudes
         return ((a * a + b * b) / (a * a - b * b),
                 (self.hbar / self.momentum) * a * b / (a * a - b * b))
 
@@ -309,7 +310,7 @@ class PlaneWavePair:
         offset = 2.0 * self.speed * (t - t0)
         scan = scan_roots(lambda d: self.constraint_lhs(d) - offset,
                           -half_width, half_width, grid=grid)
-        a, b = self.a, self.b
+        a, b = self._amplitudes
         monotone_condition = 4 * a * b < a * a + b * b
         ratio_condition = b < a / 3
         return UniquenessReport(monotone_condition=monotone_condition,
@@ -335,4 +336,24 @@ class PlaneWavePair:
 
     def density_batch(self, points: np.ndarray) -> np.ndarray:
         """Density at an (n, 2) array of configurations, at time zero."""
-        return self.density_values(points[:, 0], points[:, 1], 0.0)
+        return self.density_values(points[:, 0], points[:, 1])
+
+    def separation_cdf(self, delta):
+        """Exact CDF of the separation x1 - x2 under |psi|^2 on the box
+        (vectorised): 0 below -L, 1 above L.
+
+        The separation marginal is (L - |d|) (c0 + c1 cos kd) with k = 2p/hbar,
+        c0 = a^2 + b^2 and c1 = 2ab; its integral from 0 to d >= 0 is
+        G(d) = c0 (L d - d^2/2) + c1 ((L - d) sin(kd)/k + (1 - cos kd)/k^2),
+        and the marginal is even, so F(d) = 1/2 + sign(d) G(|d|) / (2 G(L)).
+        """
+        a, b = self._amplitudes
+        L, k = self.box_length, 2.0 * self.momentum / self.hbar
+        c0, c1 = a * a + b * b, 2.0 * a * b
+
+        def g(d):
+            return c0 * (L * d - 0.5 * d * d) + c1 * ((L - d) * np.sin(k * d) / k
+                                                      + (1.0 - np.cos(k * d)) / (k * k))
+
+        d = np.clip(np.asarray(delta, dtype=float), -L, L)
+        return 0.5 + np.sign(d) * g(np.abs(d)) / (2.0 * g(L))

@@ -10,8 +10,7 @@ import pytest
 import bohmpair.cli as cli
 from bohmpair.analyses import random_valid_states
 from bohmpair.ensemble import (build_ensemble, evolve_ensemble, ks_critical_value,
-                               ks_statistic, quadrature_cdf, sample_configurations,
-                               separation_marginal)
+                               ks_statistic, sample_configurations)
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import phase_gradient, velocity_from_psi
 from bohmpair.planewave import PlaneWavePair
@@ -140,9 +139,7 @@ def test_criterion_06_sampler_correctness():
         model = PlaneWavePair(a=a, b=b)
         pts, _ = sample_configurations(model, 100_000, seed=600 + i)
         deltas = pts[:, 0] - pts[:, 1]
-        cdf = quadrature_cdf(separation_marginal(model),
-                             -model.box_length, model.box_length)
-        ks = ks_statistic(deltas, cdf)
+        ks = ks_statistic(deltas, model.separation_cdf)
         crit = ks_critical_value(100_000)
         results.append(f"(a,b)=({a},{b}): KS={ks:.5f}")
         ok = ok and ks < crit

@@ -14,8 +14,8 @@ from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensem
                                compare_distribution, evolve_ensemble,
                                global_constraint_analysis, ks_critical_value,
                                ks_critical_value_two_sample, ks_statistic,
-                               ks_two_sample, quadrature_cdf, sample_configurations,
-                               separation_marginal, write_ensemble_csv, write_metadata)
+                               ks_two_sample, sample_configurations, write_ensemble_csv,
+                               write_metadata)
 from bohmpair.errors import (ConfigurationError, DegenerateParametersError,
                              InsufficientSampleError)
 from bohmpair.numerics import IntegratorConfig
@@ -86,11 +86,6 @@ class TestKsHelpers:
         assert ks_critical_value_two_sample(800, 800) == pytest.approx(
             math.sqrt(2) * ks_critical_value(800))
 
-    def test_quadrature_cdf_uniform(self):
-        cdf = quadrature_cdf(lambda x: np.ones_like(x), 0.0, 2.0)
-        qs = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-        assert np.allclose(cdf(qs), [0.0, 0.25, 0.5, 1.0, 1.0])
-
 
 class TestSampling:
     def test_deterministic(self, mild):
@@ -116,8 +111,7 @@ class TestSampling:
         m = PlaneWavePair(a=1.0, b=0.0)
         pts, _ = sample_configurations(m, 20_000, seed=11)
         deltas = pts[:, 0] - pts[:, 1]
-        cdf = quadrature_cdf(separation_marginal(m), -m.box_length, m.box_length)
-        assert ks_statistic(deltas, cdf) < ks_critical_value(len(deltas))
+        assert ks_statistic(deltas, m.separation_cdf) < ks_critical_value(len(deltas))
         uniform = lambda q: np.clip(q / m.box_length, 0.0, 1.0)
         assert ks_statistic(pts[:, 0], uniform) < ks_critical_value(len(pts))
         assert ks_statistic(pts[:, 1], uniform) < ks_critical_value(len(pts))
@@ -125,8 +119,7 @@ class TestSampling:
     def test_structured_density_separation_marginal(self, mild):
         pts, _ = sample_configurations(mild, 20_000, seed=13)
         deltas = pts[:, 0] - pts[:, 1]
-        cdf = quadrature_cdf(separation_marginal(mild), -mild.box_length, mild.box_length)
-        assert ks_statistic(deltas, cdf) < ks_critical_value(len(deltas))
+        assert ks_statistic(deltas, mild.separation_cdf) < ks_critical_value(len(deltas))
 
     def test_interference_nodes_avoided(self):
         # For a = b the density vanishes quadratically at cos(theta) = 0, so
@@ -290,7 +283,7 @@ class TestCompareDistribution:
         evolved = evolve_ensemble(ens, 2.0)
         report = compare_distribution(evolved, 2.0)
         assert report.below_critical
-        assert report.method == "pullback-quadrature"
+        assert report.method == "pullback-closed-form"
 
     def test_static_density_any_time(self):
         m = PlaneWavePair(a=1.0, b=1.0)

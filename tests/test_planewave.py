@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bohmpair.errors import DegenerateParametersError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, Trajectory, bracketed_root, integrate_ode
 from bohmpair.oracles import phase_gradient, velocity_from_psi
-from bohmpair.planewave import MIN_AMPLITUDE_SUM, NODE_DENSITY_FLOOR, PlaneWavePair
+from bohmpair.planewave import NODE_DENSITY_FLOOR, PlaneWavePair
 
 
 def x_at_theta(model, theta):
@@ -37,12 +37,11 @@ class TestParams:
             PlaneWavePair(a=-0.1, b=1.0)
         with pytest.raises(ValueError):
             PlaneWavePair(a=0.0, b=0.0)
-        # (a + b)^2 underflows: the densities would be 0 / 0.
-        with pytest.raises(ValueError):
-            PlaneWavePair(a=2.3631264284052937e-307, b=2.3631264284052937e-307)
-        # (a + b)^2 overflows.
-        with pytest.raises(ValueError):
-            PlaneWavePair(a=1e200, b=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PlaneWavePair(a=bad, b=1.0)
+            with pytest.raises(ValueError):
+                PlaneWavePair(a=1.0, b=bad)
         with pytest.raises(ValueError):
             PlaneWavePair(a=1.0, b=0.0, momentum=0.0)
         with pytest.raises(ValueError):
@@ -82,12 +81,32 @@ class TestParams:
         # error estimate reaches 1e-13 (it warns); the assertion checks the
         # agreement itself.
         b = a if b == "equal" else b
-        assume(a + b >= MIN_AMPLITUDE_SUM)
+        assume(a > 0 or b > 0)
         m = PlaneWavePair(a=a, b=b, momentum=momentum, box_length=box_length)
         L = m.box_length
         reference, _ = quad(lambda d: (L - abs(d)) * m._density_shape(d), -L, L,
                             points=[0.0], limit=400, epsabs=1e-13, epsrel=1e-13)
         assert abs(m.norm - reference) <= 1e-12 * reference
+
+    @settings(max_examples=32)
+    @given(a=st.floats(0.1, 10.0), ratio=st.floats(0.0, 1.0))
+    @example(a=1.0, ratio=1.0)
+    @example(a=1.0, ratio=0.0)
+    def test_separation_cdf_matches_trapezoid(self, a, ratio):
+        # Reference: the cumulative trapezoid of the separation marginal
+        # (L - |d|) shape(d) on a 200,001-point grid, normalized to one.
+        m = PlaneWavePair(a=a, b=ratio * a)
+        L = m.box_length
+        d = np.linspace(-L, L, 200_001)
+        marginal = (L - np.abs(d)) * m._density_shape(d)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (marginal[1:] + marginal[:-1])
+                                               * np.diff(d))])
+        cdf = m.separation_cdf(d)
+        assert np.max(np.abs(cdf - cum / cum[-1])) < 1e-8
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert m.separation_cdf(L) == 1.0 and m.separation_cdf(2 * L) == 1.0
+        assert m.separation_cdf(-L) == 0.0 and m.separation_cdf(-2 * L) == 0.0
+        assert m.separation_cdf(0.0) == 0.5
 
     def test_density_integrates_to_one(self, mild):
         L = mild.box_length

@@ -298,6 +298,17 @@ class TestOnePassKernel:
         reference = np.abs(model._bracket(*dist)) * (r1a * r2b + r1b * r2a) / 2.0
         assert np.max(np.abs(model.node_measure_of(*dist) / reference - 1.0)) < 1e-12
 
+    @given(**KERNEL_CASES)
+    def test_density_matches_bracket(self, k, d, seed):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        states = random_valid_states(model, 64, seed)
+        reference = np.abs(model._bracket(*model.distances_of(states[:, :3],
+                                                               states[:, 3:]))) ** 2
+        assert np.max(np.abs(model.density_batch(states) / reference - 1.0)) < 1e-12
+        # A point on a source (and within slit_exclusion of one) scores zero.
+        at_source = np.array([[0.0, d, 0.0, 1.0, 0.3, 0.2], [0.0, -d, 1e-7, 1.0, 0.3, 0.2]])
+        assert np.array_equal(model.density_batch(at_source), [0.0, 0.0])
+
     def test_one_pass_per_call(self, model, count_calls, monkeypatch):
         states = random_valid_states(model, 32, seed=5)
         count_calls(SlitPair, "_phase_terms")
