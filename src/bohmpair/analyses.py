@@ -14,7 +14,7 @@ import numpy as np
 
 from .ensemble import (Ensemble, build_ensemble, compare_distribution, evolve_ensemble,
                        global_constraint_analysis, ks_critical_value, ks_statistic,
-                       ks_two_sample, sample_configurations)
+                       ks_two_sample, reference_sample)
 from .errors import ConfigurationError, InsufficientSampleError
 from .numerics import IntegratorConfig, integrate_ode
 from .oracles import phase_gradient, velocity_from_psi
@@ -55,9 +55,12 @@ def _measured(claim_id: str, anchor: str, value) -> ClaimCheck:
 
 # Relative density or node measure below which stencils are untrustworthy.
 STENCIL_DENSITY_FLOOR = 1e-3
-# Rounds in a row keeping no candidate after which the box is given up (past
-# ~1e77 the spherical node measure is NaN everywhere).
+# Rounds in a row keeping no candidate after which the box is given up.
 MAX_EMPTY_ROUNDS = 100
+# Random valid states at which the oracle crosscheck compares velocities.
+ORACLE_STATES = 1000
+# Separations over one period at which the two density forms are compared.
+DENSITY_GAP_POINTS = 4097
 
 
 def random_valid_states(model, count: int, seed: int) -> np.ndarray:
@@ -91,18 +94,19 @@ def random_valid_states(model, count: int, seed: int) -> np.ndarray:
 
 # -- oracle crosscheck -----------------------------------------------------------
 
-def oracle_crosscheck(model, seed: int = 1000, count: int = 1000) -> list[ClaimCheck]:
+def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
     """Analytic guidance velocities against the finite-difference phase-gradient
-    oracle, plus the exact limiting cases where they apply."""
+    oracle at ``ORACLE_STATES`` random valid states, plus the exact limiting
+    cases where they apply."""
     claims: list[ClaimCheck] = []
-    states = random_valid_states(model, count, seed)
+    states = random_valid_states(model, ORACLE_STATES, seed)
 
     if model.tag == "planewave":
         rng = np.random.Generator(np.random.Philox(seed + 1))
         # Separations within 1e-3 of the removable tangent singularity.
-        th = 0.5 * math.pi + rng.uniform(-1e-3, 1e-3, size=count)
+        th = 0.5 * math.pi + rng.uniform(-1e-3, 1e-3, size=ORACLE_STATES)
         th[np.abs(th - 0.5 * math.pi) < 1e-9] += 1e-6
-        near = np.column_stack([th * model.hbar / model.momentum, np.zeros(count)])
+        near = np.column_stack([th * model.hbar / model.momentum, np.zeros(ORACLE_STATES)])
         all_states = np.vstack([states, near]) if model.a != model.b else states
         v1 = model.velocity_of_separation(all_states[:, 0] - all_states[:, 1])
         oracle = velocity_from_psi(model, all_states, t=0.0)
@@ -199,9 +203,8 @@ def mirror_probe_state(model: SlitPair) -> np.ndarray:
 
 # -- closed-form analyses -------------------------------------------------------------
 
-def uniqueness_claims(model: PlaneWavePair, t: float = 0.0, t0: float = 0.0,
-                      grid: int = 100_000) -> list[ClaimCheck]:
-    report = model.uniqueness_analysis(t=t, t0=t0, grid=grid)
+def uniqueness_claims(model: PlaneWavePair) -> list[ClaimCheck]:
+    report = model.uniqueness_analysis()
     count = report.scan.root_count
     claims = [ClaimCheck(
         "separation_constraint_root_count",
@@ -225,11 +228,12 @@ def uniqueness_claims(model: PlaneWavePair, t: float = 0.0, t0: float = 0.0,
     return claims
 
 
-def density_discrepancy_claims(model: PlaneWavePair, points: int = 4097) -> list[ClaimCheck]:
+def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
     """Measure the gap between |psi|^2 and the single-angle density variant
-    over a full period, with the b = 0 limit as an exactness control."""
+    over a full period (``DENSITY_GAP_POINTS`` separations), with the b = 0
+    limit as an exactness control."""
     def max_gap(m: PlaneWavePair) -> float:
-        deltas = np.linspace(0.0, 2.0 * math.pi, points) * m.hbar / m.momentum
+        deltas = np.linspace(0.0, 2.0 * math.pi, DENSITY_GAP_POINTS) * m.hbar / m.momentum
         zeros = np.zeros_like(deltas)
         gap = np.abs(m.density_values(deltas, zeros, 0.0)
                      - m.density_single_angle_values(deltas, zeros))
@@ -269,9 +273,7 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
             ks0, ks_critical_value(len(deltas))))
     else:
         initial = ens0.initial_states()
-        ref, _ = sample_configurations(model, max(2 * len(initial), 10_000),
-                                       seed=ens0.seed + 1)
-        ks0 = ks_two_sample(initial[:, 0], ref[:, 0])
+        ks0 = ks_two_sample(initial[:, 0], reference_sample(ens0, len(initial))[:, 0])
         claims.append(_measured(
             "initial_sampling_ks_two_sample",
             "prescription (3): P_t0 = |psi|^2 (x1 marginal, two-sample)", ks0))

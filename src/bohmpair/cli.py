@@ -66,9 +66,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class FieldRule:
@@ -191,9 +188,10 @@ def validate_config(raw) -> RunConfig:
 
 
 def build_model(config: RunConfig):
-    """The configured model, given every config field it has a parameter for."""
+    """The configured model, given the config field of each of its parameters
+    (every model parameter is a config field)."""
     cls = PlaneWavePair if config.model == "planewave" else SlitPair
-    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if hasattr(config, f.name)})
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 def integrator_config(config: RunConfig) -> IntegratorConfig:
@@ -205,9 +203,9 @@ def run(config: RunConfig) -> int:
     """Execute the configured analyses and write artifacts to ``output_dir``:
     ``claims_report.json`` and ``meta.json`` always, ``trajectories.csv`` for
     trajectory-level analyses, ``ensemble.csv`` for ensemble-level ones."""
+    model = build_model(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = build_model(config)
     cfg = integrator_config(config)
     claims: list[ClaimCheck] = []
     probe = ensemble_for_meta = None
@@ -223,7 +221,7 @@ def run(config: RunConfig) -> int:
     if "oracle_crosscheck" in config.analyses:
         claims.extend(oracle_crosscheck(model, seed=config.seed + 1_000_003))
     if "uniqueness" in config.analyses:
-        claims.extend(uniqueness_claims(model, t=config.t0, t0=config.t0))
+        claims.extend(uniqueness_claims(model))
     if "density_discrepancy" in config.analyses:
         claims.extend(density_discrepancy_claims(model))
 

@@ -28,6 +28,10 @@ MIN_SAMPLER_EFFICIENCY = 1e-4
 # is rounding (the plane-wave density reaches its bound exactly), not clipping.
 ENVELOPE_RTOL = 1e-12
 
+# Fewest members with a sample at the compared time that compare_distribution
+# accepts.
+MIN_SURVIVORS = 100
+
 ENSEMBLE_CSV_COLUMNS = ("member_id", "t", "x1", "y1", "z1", "x2", "y2", "z2",
                         "v1x", "v1y", "v1z", "v2x", "v2y", "v2z", "truncated")
 
@@ -64,10 +68,18 @@ class Ensemble(TrajectoryBatch):
 
     model: Any
     seed: int
-    sampling: str                      # "density" or "user"
-    t0: float
     integrator: IntegratorConfig | None = None
     sampler: SamplerReport | None = None   # None for user-supplied states
+
+    @property
+    def t0(self) -> float:
+        """The time the members start from."""
+        return float(self.times[0])
+
+    @property
+    def sampling(self) -> str:
+        """``"density"`` for sampled states, ``"user"`` for supplied ones."""
+        return "user" if self.sampler is None else "density"
 
     @property
     def acceptance_rate(self) -> float | None:
@@ -80,9 +92,6 @@ class DistributionReport:
 
     ks_statistic: float
     sample_size: int
-    survival_fraction: float           # members contributing a sample at t
-    t: float
-    coordinate: str
     method: str                        # "pullback-closed-form" or "two-sample"
     critical_value_99: float
 
@@ -196,24 +205,30 @@ def sample_configurations(model, n: int, seed: int):
     return points, SamplerReport(model.proposal, proposed, got, violations)
 
 
+def reference_sample(ensemble: Ensemble, n: int) -> np.ndarray:
+    """Configurations from the ensemble's model density to compare a sample
+    of ``n`` of its members against: max(2 n, 10,000) rows, drawn at the
+    ensemble's seed + 1."""
+    points, _ = sample_configurations(ensemble.model, max(2 * n, 10_000),
+                                      seed=ensemble.seed + 1)
+    return points
+
+
 def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
                    initial_states: np.ndarray | None = None) -> Ensemble:
     """Create an unevolved ensemble, sampling initial configurations from the
     model density unless explicit states are supplied."""
     if initial_states is None:
         points, report = sample_configurations(model, n, seed)
-        sampling = "density"
     else:
         points = np.atleast_2d(np.asarray(initial_states, dtype=float))
         report = None
-        sampling = "user"
     # Own copy: the caller keeps its array, and the sampler's rows are a view
     # of a larger buffer.
     points = np.array(points, dtype=float)
     velocities = model.batch_rhs(t0, points)    # NaN rows where undefined
     n = len(points)
-    return Ensemble(model=model, seed=seed, sampling=sampling, t0=t0,
-                    times=np.array([float(t0)]), states=points[None],
+    return Ensemble(model=model, seed=seed, times=np.array([float(t0)]), states=points[None],
                     velocities=velocities[None], lengths=np.ones(n, dtype=np.intp),
                     terminations=("completed",) * n, sampler=report)
 
@@ -234,15 +249,13 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
     model = ensemble.model
     flow = integrate_ode(model.batch_rhs, ensemble.initial_states(), ensemble.t0, t_end,
                          cfg, sample_times)
-    return Ensemble(**vars(flow), model=model, seed=ensemble.seed,
-                    sampling=ensemble.sampling, t0=ensemble.t0, integrator=cfg,
+    return Ensemble(**vars(flow), model=model, seed=ensemble.seed, integrator=cfg,
                     sampler=ensemble.sampler)
 
 
 # -- distribution comparison ---------------------------------------------------
 
-def compare_distribution(ensemble: Ensemble, t: float,
-                         min_survivors: int = 100) -> DistributionReport:
+def compare_distribution(ensemble: Ensemble, t: float) -> DistributionReport:
     """Kolmogorov-Smirnov comparison of the ensemble at time ``t`` against the
     model density.
 
@@ -251,36 +264,31 @@ def compare_distribution(ensemble: Ensemble, t: float,
     flow transports the separation monotonically), and the pulled-back
     sample is tested against the closed-form CDF of the marginal on the
     initial box (``PlaneWavePair.separation_cdf``).  Spherical ensembles
-    compare the x1 marginal against a fresh reference sample by the
-    two-sample statistic, since no closed transport is available in six
-    dimensions.
+    compare the x1 marginal against a fresh reference sample
+    (:func:`reference_sample`) by the two-sample statistic, since no closed
+    transport is available in six dimensions.  Fewer than ``MIN_SURVIVORS``
+    members with a sample at ``t`` raise :class:`InsufficientSampleError`.
     """
     model = ensemble.model
     states = ensemble.states_at(t)
-    if len(states) < min_survivors:
+    if len(states) < MIN_SURVIVORS:
         raise InsufficientSampleError(
-            f"only {len(states)} members have a sample at t={t} (need {min_survivors})")
+            f"only {len(states)} members have a sample at t={t} (need {MIN_SURVIVORS})")
 
     if model.tag == "planewave":
-        coordinate = "separation"
         samples = states[:, 0] - states[:, 1]
         pulled = np.asarray(model.inverse_flow(samples, t - ensemble.t0))
         ks = ks_statistic(pulled, model.separation_cdf)
         method = "pullback-closed-form"
         critical = ks_critical_value(len(samples))
     else:
-        coordinate = "x1"
         samples = states[:, 0]
-        ref_points, _ = sample_configurations(model, max(2 * len(samples), 10_000),
-                                              seed=ensemble.seed + 1)
-        ref_samples = ref_points[:, 0]
+        ref_samples = reference_sample(ensemble, len(samples))[:, 0]
         ks = ks_two_sample(samples, ref_samples)
         method = "two-sample"
         critical = ks_critical_value_two_sample(len(samples), len(ref_samples))
 
-    return DistributionReport(ks_statistic=ks, sample_size=len(samples),
-                              survival_fraction=len(samples) / max(ensemble.size, 1),
-                              t=t, coordinate=coordinate, method=method,
+    return DistributionReport(ks_statistic=ks, sample_size=len(samples), method=method,
                               critical_value_99=critical)
 
 

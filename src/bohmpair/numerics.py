@@ -14,6 +14,12 @@ import numpy as np
 
 from .errors import BracketError, ModelDomainError
 
+# Distance from a requested time within which TrajectoryBatch.states_at takes
+# a sample as at that time.
+SAMPLE_TIME_TOL = 1e-9
+# Bracket width at which bracketed_root stops bisecting.
+ROOT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -127,11 +133,12 @@ class TrajectoryBatch:
                           complete=bool(k == len(self.times)),
                           termination=self.terminations[i])
 
-    def states_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
-        """Configurations of every member holding a sample at time ``t``
-        (truncated members are skipped past their last sample)."""
+    def states_at(self, t: float) -> np.ndarray:
+        """Configurations of every member holding a sample within
+        ``SAMPLE_TIME_TOL`` of time ``t`` (truncated members are skipped past
+        their last sample)."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol:
+        if abs(self.times[idx] - t) > SAMPLE_TIME_TOL:
             return np.empty((0, self.states.shape[2]))
         return self.states[idx, self.lengths > idx]
 
@@ -160,8 +167,6 @@ class _Members(Sequence):
 class RootScanReport:
     """Outcome of a sign-change scan over a uniform grid."""
 
-    interval: tuple[float, float]
-    grid_points: int
     roots: tuple[float, ...]
     is_monotone_on_interval: bool
 
@@ -521,11 +526,10 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
                            work=IntegratorWork(evals, steps_accepted, steps_rejected))
 
 
-def bracketed_root(g: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-10) -> float:
-    """Root of ``g`` inside ``[lo, hi]`` within ``tol``, by bisection;
+def bracketed_root(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``g`` inside ``[lo, hi]`` within ``ROOT_TOL``, by bisection;
     requires a sign change on the bracket.  Stops at adjacent floats when
-    ``tol`` is below the float spacing at the root."""
+    ``ROOT_TOL`` is below the float spacing at the root."""
     flo, fhi = g(lo), g(hi)
     if flo == 0.0:
         return float(lo)
@@ -535,7 +539,7 @@ def bracketed_root(g: Callable[[float], float], lo: float, hi: float,
         raise BracketError(f"g({lo}) = {flo} and g({hi}) = {fhi} do not bracket a root")
     while True:
         mid = 0.5 * (lo + hi)
-        if abs(hi - lo) <= 2.0 * tol or mid == lo or mid == hi:
+        if abs(hi - lo) <= 2.0 * ROOT_TOL or mid == lo or mid == hi:
             return float(mid)
         fmid = g(mid)
         if fmid == 0.0:
@@ -546,8 +550,7 @@ def bracketed_root(g: Callable[[float], float], lo: float, hi: float,
             hi = mid
 
 
-def scan_roots(g: Callable, lo: float, hi: float, grid: int = 1001,
-               tol: float = 1e-10) -> RootScanReport:
+def scan_roots(g: Callable, lo: float, hi: float, grid: int) -> RootScanReport:
     """Locate every sign-change root of ``g`` on a uniform grid over
     ``[lo, hi]`` and report whether the sampled values are monotone.
 
@@ -562,7 +565,7 @@ def scan_roots(g: Callable, lo: float, hi: float, grid: int = 1001,
     roots: list[float] = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
     products = vals[:-1] * vals[1:]
     for i in np.nonzero(products < 0)[0]:
-        roots.append(bracketed_root(g, xs[i], xs[i + 1], tol=tol))
+        roots.append(bracketed_root(g, xs[i], xs[i + 1]))
     roots.sort()
 
     spacing = (hi - lo) / (grid - 1)
@@ -573,5 +576,4 @@ def scan_roots(g: Callable, lo: float, hi: float, grid: int = 1001,
 
     diffs = np.diff(vals)
     monotone = not (np.any(diffs > 0) and np.any(diffs < 0))
-    return RootScanReport(interval=(float(lo), float(hi)), grid_points=grid,
-                          roots=tuple(deduped), is_monotone_on_interval=monotone)
+    return RootScanReport(roots=tuple(deduped), is_monotone_on_interval=monotone)

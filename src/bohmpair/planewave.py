@@ -23,12 +23,14 @@ from .numerics import RootScanReport, bracketed_root, require_defined, scan_root
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
 # is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
+# Grid points of the uniqueness analysis's root scan.
+UNIQUENESS_GRID = 100_000
 
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Root structure of the separation constraint at a fixed time, beside
-    the two candidate sufficiency conditions for a unique root."""
+    """Root structure of the separation constraint at t = t0, beside the
+    two candidate sufficiency conditions for a unique root."""
 
     monotone_condition: bool        # 4ab < a^2 + b^2
     amplitude_ratio_condition: bool  # b < a/3
@@ -294,22 +296,21 @@ class PlaneWavePair:
                                   lo[i] - 1e-12, hi[i] + 1e-12)
         return x if np.ndim(delta) else float(x[0])
 
-    def uniqueness_analysis(self, t: float = 0.0, t0: float = 0.0,
-                            grid: int = 100_000) -> UniquenessReport:
-        """Scan the separation constraint at time ``t`` for roots and report
-        the two candidate uniqueness conditions side by side.
+    def uniqueness_analysis(self) -> UniquenessReport:
+        """Scan the separation constraint at t = t0 for roots, on
+        ``UNIQUENESS_GRID`` points, and report the two candidate uniqueness
+        conditions side by side.
 
-        The scanned equation is constraint_lhs(delta) = 2 v (t - t0).  The
-        monotone condition 4ab < a^2 + b^2 is exactly the positivity of its
-        slope; b < a/3 is the looser amplitude-ratio condition.  The two
-        disagree on part of parameter space, which the report exposes rather
-        than resolves.  The scan covers |delta| <= 4 pi hbar / p.
+        The scanned equation is constraint_lhs(delta) = 0 (Eq. (14) at
+        t = t0).  The monotone condition 4ab < a^2 + b^2 is exactly the
+        positivity of its slope; b < a/3 is the looser amplitude-ratio
+        condition.  The two disagree on part of parameter space, which the
+        report exposes rather than resolves.  The scan covers
+        |delta| <= 4 pi hbar / p.
         """
         self._require_nondegenerate()
         half_width = 4.0 * math.pi * self.hbar / self.momentum
-        offset = 2.0 * self.speed * (t - t0)
-        scan = scan_roots(lambda d: self.constraint_lhs(d) - offset,
-                          -half_width, half_width, grid=grid)
+        scan = scan_roots(self.constraint_lhs, -half_width, half_width, grid=UNIQUENESS_GRID)
         a, b = self._amplitudes
         monotone_condition = 4 * a * b < a * a + b * b
         ratio_condition = b < a / 3

@@ -14,13 +14,26 @@ velocity equations, and the flow preserves that manifold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ModelDomainError
+from .errors import ConfigurationError, ModelDomainError
 from .numerics import require_defined
+
+# Configurations closer than this to a source lie outside the support.
+SLIT_EXCLUSION = 1e-6
+# Scale-aware node measure (SlitPair.node_measure_of) below which the phase
+# and the field are undefined.
+NODE_THRESHOLD = 1e-12
+# Draws and seed of the importance-sampled norm estimate.
+NORM_SAMPLES = 200_000
+NORM_SEED = 0
+# Largest source distance R whose R^8, a bound on the squared distance
+# product (r1A r2B r1B r2A)^2 in the density, is a finite float.
+MAX_SOURCE_DISTANCE = sys.float_info.max ** 0.125
 
 
 @dataclass(frozen=True)
@@ -52,11 +65,13 @@ class SlitPair:
     """Model parameters for the two-source spherical-wave pair.
 
     ``slit_offset`` is the source half-separation d.  States closer than
-    ``slit_exclusion`` to a source, or with a scale-aware wavefunction
-    modulus below ``node_threshold``, are rejected as domain errors.
+    ``SLIT_EXCLUSION`` to a source, or with a scale-aware wavefunction
+    modulus below ``NODE_THRESHOLD``, are rejected as domain errors.
     Normalization over the finite box is estimated once by importance
-    sampling from the source-mixture proposal (seeded, with a reported
-    standard error) the first time it is needed.
+    sampling from the source-mixture proposal (``NORM_SAMPLES`` draws at
+    ``NORM_SEED``, with a reported standard error) the first time it is
+    needed.  A box reaching farther than ``MAX_SOURCE_DISTANCE`` from a
+    source is a :class:`ConfigurationError`: its density overflows.
     """
 
     wavenumber: float
@@ -64,10 +79,6 @@ class SlitPair:
     mass: float = 1.0
     hbar: float = 1.0
     box_length: float | None = None
-    slit_exclusion: float = 1e-6
-    node_threshold: float = 1e-12
-    norm_samples: int = 200_000
-    norm_seed: int = 0
 
     dimension = 6
     tag = "spherical"
@@ -81,6 +92,13 @@ class SlitPair:
             object.__setattr__(self, "box_length", 40.0 / self.wavenumber)
         elif self.box_length <= 0:
             raise ValueError("box_length must be positive")
+        # R >= L; testing L first keeps the squares inside R in float range.
+        if not (self.box_length <= MAX_SOURCE_DISTANCE
+                and self._proposal_radius <= MAX_SOURCE_DISTANCE):
+            raise ConfigurationError(
+                f"box_length: {self.box_length:.3g} puts a box corner farther than "
+                f"{MAX_SOURCE_DISTANCE:.3g} from a source, where the density's squared "
+                "distance product overflows")
 
     @property
     def energy(self) -> float:
@@ -109,9 +127,9 @@ class SlitPair:
 
     def _supported(self, r1, r2, distances):
         """Where configurations lie in the model's support: the x >= 0
-        half-space, at least ``slit_exclusion`` from both sources."""
+        half-space, at least ``SLIT_EXCLUSION`` from both sources."""
         return ((np.asarray(r1)[..., 0] >= -1e-12) & (np.asarray(r2)[..., 0] >= -1e-12)
-                & (nearest_source(*distances) >= self.slit_exclusion))
+                & (nearest_source(*distances) >= SLIT_EXCLUSION))
 
     def _supported_distances(self, r1, r2):
         """:meth:`distances_of`, raising :class:`ModelDomainError` outside the
@@ -119,7 +137,7 @@ class SlitPair:
         distances = self.distances_of(r1, r2)
         if not np.all(self._supported(r1, r2, distances)):
             raise ModelDomainError("configuration outside the x >= 0 half-space or "
-                                   f"within {self.slit_exclusion} of a source point")
+                                   f"within {SLIT_EXCLUSION} of a source point")
         return distances
 
     # -- wavefunction and phase ----------------------------------------------
@@ -182,9 +200,9 @@ class SlitPair:
         """Phase on arrays of positions of shape (..., 3) (principal values,
         see :meth:`phase_from_distances`); raises :class:`ModelDomainError`
         outside the support or at a node (node measure below
-        ``node_threshold``), where the field is undefined."""
+        ``NODE_THRESHOLD``), where the field is undefined."""
         distances = self._supported_distances(r1, r2)
-        if np.any(self.node_measure_of(*distances) < self.node_threshold):
+        if np.any(self.node_measure_of(*distances) < NODE_THRESHOLD):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
         return self.phase_from_distances(*distances, t=t)
 
@@ -226,7 +244,7 @@ class SlitPair:
     def batch_rhs(self, t, y):
         """Field on configuration rows: y is (m, 6), or (m * 6,) flattened
         C-order, and the result has its shape, with NaN rows outside the
-        support and at nodes (node measure below ``node_threshold``)."""
+        support and at nodes (node measure below ``NODE_THRESHOLD``)."""
         y = np.asarray(y, dtype=float)
         pts = y.reshape(-1, 6)
         r1, r2 = pts[:, :3], pts[:, 3:]
@@ -236,7 +254,7 @@ class SlitPair:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = self._phase_terms(*distances)
             defined = (self._supported(r1, r2, distances)
-                       & (self._node_measure(terms) >= self.node_threshold))
+                       & (self._node_measure(terms) >= NODE_THRESHOLD))
             g1a, g1b, g2a, g2b = self._distance_derivatives(*distances, terms)
             u = lambda r, src, d: (r - src) / d[..., None]
             v1 = (g1a[..., None] * u(r1, self.source_a, r1a)
@@ -272,13 +290,13 @@ class SlitPair:
         variance is finite, unlike that of uniform Monte Carlo, whose
         integrand f^2 diverges at the sources.
         """
-        rng = np.random.Generator(np.random.Philox(self.norm_seed))
+        rng = np.random.Generator(np.random.Philox(NORM_SEED))
         total = 0.0
         total_sq = 0.0
         n = 0
         chunk = 50_000
-        while n < self.norm_samples:
-            m = min(chunk, self.norm_samples - n)
+        while n < NORM_SAMPLES:
+            m = min(chunk, NORM_SAMPLES - n)
             pts, weight = self.propose(rng, m)
             ratio = self.density_batch(pts) / weight   # out-of-box draws add 0
             total += float(np.sum(ratio))
@@ -303,7 +321,7 @@ class SlitPair:
         if "_norm_estimate" not in vars(self):
             return None
         value, se = self._norm_estimate
-        return {"value": value, "standard_error": se, "samples": self.norm_samples}
+        return {"value": value, "standard_error": se, "samples": NORM_SAMPLES}
 
     def sampling_box(self) -> list[tuple[float, float]]:
         """Per-coordinate bounds: x in [0, L], y and z in [-L/2, L/2] for
@@ -315,11 +333,12 @@ class SlitPair:
     def density_batch(self, points: np.ndarray) -> np.ndarray:
         """Unnormalized density |bracket|^2 = (N^2 + D^2) / (q rr)^2 (see
         :meth:`_phase_terms`) at an (n, 6) array of configurations; points
-        inside the source exclusion balls score zero.  Used by the rejection
-        sampler, where the normalization constant cancels."""
+        outside the support (:meth:`_supported`) score zero.  Used by the
+        rejection sampler, where the normalization constant cancels."""
         pts = np.asarray(points, dtype=float)
-        distances = self.distances_of(pts[:, :3], pts[:, 3:])
-        ok = nearest_source(*distances) > self.slit_exclusion
+        r1, r2 = pts[:, :3], pts[:, 3:]
+        distances = self.distances_of(r1, r2)
+        ok = self._supported(r1, r2, distances)
         # A point at a source divides by zero; it is zeroed below.
         with np.errstate(divide="ignore", invalid="ignore"):
             q, rr, *_, nval, dval = self._phase_terms(*distances)

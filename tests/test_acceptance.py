@@ -93,11 +93,11 @@ def test_criterion_03_conserved_quantities():
 
 
 def test_criterion_04_uniqueness_condition(tmp_path):
-    held = PlaneWavePair(a=1.0, b=0.2).uniqueness_analysis(grid=100_000)
+    held = PlaneWavePair(a=1.0, b=0.2).uniqueness_analysis()
     ok_held = (held.monotone_condition and held.scan.root_count == 1
                and held.scan.is_monotone_on_interval)
 
-    broken = PlaneWavePair(a=1.0, b=0.3).uniqueness_analysis(grid=100_000)
+    broken = PlaneWavePair(a=1.0, b=0.3).uniqueness_analysis()
     ok_broken = (not broken.monotone_condition and broken.amplitude_ratio_condition
                  and not broken.conditions_agree)
 

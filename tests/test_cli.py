@@ -8,12 +8,13 @@ import subprocess
 import sys
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 import bohmpair.cli as cli
 from bohmpair.analyses import ClaimCheck
 from bohmpair.errors import ConfigurationError
+from bohmpair.planewave import PlaneWavePair
+from bohmpair.spherical import SlitPair
 
 
 class TestValidateConfig:
@@ -69,7 +70,7 @@ class TestValidateConfig:
         cfg = cli.validate_config({"model": "planewave", "a": 1.0, "b": 0.3,
                                    "n": 500, "seed": 9,
                                    "analyses": ["uniqueness", "equivariance"]})
-        assert cli.validate_config(cfg.serialize()) == cfg
+        assert cli.validate_config(json.dumps(cfg.to_dict())) == cfg
 
 
 NUMERIC_FIELDS = [f.name for f in fields(cli.RunConfig)
@@ -95,6 +96,12 @@ def _other_value(name: str) -> str:
 
 
 class TestFieldTable:
+    @pytest.mark.parametrize("model", [PlaneWavePair, SlitPair])
+    def test_every_model_parameter_is_a_config_field(self, model):
+        # build_model passes every model field from the config of that name.
+        assert ({f.name for f in fields(model)}
+                <= {f.name for f in fields(cli.RunConfig)})
+
     def test_every_field_but_sample_times_has_one_flag(self):
         actions = [a for a in _run_parser()._actions if a.dest not in ("help", "config")]
         dests = [a.dest for a in actions]
@@ -209,6 +216,17 @@ class TestRun:
         assert (set(json.loads((out / "meta.json").read_text()))
                 == {"config", "created_utc", "package_version"} | keys)
 
+    def test_spherical_meta_params_and_norm(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = cli.validate_config({"model": "spherical", "n": 200, "t_end": 0.2,
+                                   "analyses": ["equivariance", "oracle_crosscheck"],
+                                   "output_dir": str(out)})
+        assert cli.run(cfg) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta["params"]) == {"wavenumber", "slit_offset", "mass", "hbar",
+                                       "box_length"}
+        assert meta["norm"]["samples"] == 200_000
+
     def test_spherical_run(self, tmp_path):
         out = tmp_path / "out"
         cfg = cli.validate_config({
@@ -227,7 +245,7 @@ class TestRun:
         assert rows and rows[0]["z2"] != ""  # 3D columns populated
 
     def test_failing_claim_exits_two(self, tmp_path, monkeypatch):
-        def fake_crosscheck(model, seed=0, count=10):
+        def fake_crosscheck(model, seed):
             return [ClaimCheck("forced", "none", "fail", 1.0, 0.5)]
 
         monkeypatch.setattr(cli, "oracle_crosscheck", fake_crosscheck)
@@ -261,16 +279,34 @@ class TestMain:
                 == "configuration error: unknown config keys: method, step\n")
 
     def test_box_without_valid_states_exits_one(self, tmp_path, capsys):
-        # Past ~1e77 the spherical node measure overflows to NaN everywhere,
-        # so no random state in the box is fit for the oracle's stencils.
-        with np.errstate(all="ignore"):
-            code = cli.main(["run", "--model", "spherical", "--box-length", "1e200",
-                             "--analysis", "oracle_crosscheck",
-                             "--output-dir", str(tmp_path / "out")])
+        # Past ~1e77 the spherical node measure would overflow to NaN
+        # everywhere; the model refuses such a box before any state is drawn.
+        code = cli.main(["run", "--model", "spherical", "--box-length", "1e200",
+                         "--analysis", "oracle_crosscheck",
+                         "--output-dir", str(tmp_path / "out")])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: box_length: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--wavenumber", "1e-40"], ["--box-length", "1e40"]])
+    def test_box_past_density_range_exits_one(self, tmp_path, capsys, argv):
+        # The far box corner R has R^8, which bounds the density's squared
+        # distance product (r1A r2B r1B r2A)^2, past the float range.  With
+        # the default box of 40 / k, k L is 40 in the first case.
+        out = tmp_path / "out"
+        assert cli.main(["run", "--model", "spherical", *argv, "--analysis", "equivariance",
+                         "--n", "20", "--t-end", "0.1", "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: box_length: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_box_inside_density_range_runs(self, tmp_path):
+        # R ~ 1.2e38, below the bound of ~3.4e38; a RuntimeWarning fails the test.
+        assert cli.main(["run", "--model", "spherical", "--box-length", "1e38",
+                         "--analysis", "equivariance", "--n", "20", "--t-end", "0.1",
+                         "--output-dir", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_separation_relation_holds_near_equal_amplitudes(self, tmp_path, seed):

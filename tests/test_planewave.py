@@ -429,7 +429,7 @@ class TestUniquenessAnalysis:
         assert bracketed_root(g, -0.1, 0.1) == pytest.approx(0.0, abs=1e-10)
 
     def test_mild_amplitudes_unique_root(self, mild):
-        rep = mild.uniqueness_analysis(grid=100_000)
+        rep = mild.uniqueness_analysis()
         assert rep.monotone_condition and rep.amplitude_ratio_condition
         assert rep.conditions_agree
         assert rep.scan.root_count == 1
@@ -440,12 +440,12 @@ class TestUniquenessAnalysis:
         m = PlaneWavePair(a=1.0, b=0.0)
         # With b = 0 the scanned expression reduces to delta / 2.
         assert float(m.constraint_lhs(0.8)) == pytest.approx(0.4, rel=1e-12)
-        rep = m.uniqueness_analysis(grid=20_000)
+        rep = m.uniqueness_analysis()
         assert rep.scan.root_count == 1 and rep.scan.is_monotone_on_interval
 
     def test_conditions_disagree_for_intermediate_amplitude(self):
         m = PlaneWavePair(a=1.0, b=0.3)
-        rep = m.uniqueness_analysis(grid=100_000)
+        rep = m.uniqueness_analysis()
         assert not rep.monotone_condition      # 4ab = 1.2 > 1.09
         assert rep.amplitude_ratio_condition   # 0.3 < 1/3
         assert not rep.conditions_agree
@@ -458,7 +458,7 @@ class TestUniquenessAnalysis:
             a = rng.uniform(0.3, 2.0)
             b = rng.uniform(0.0, a * 0.99)
             m = PlaneWavePair(a=a, b=b)
-            rep = m.uniqueness_analysis(grid=50_000)
+            rep = m.uniqueness_analysis()
             assert rep.scan.is_monotone_on_interval == rep.monotone_condition
 
     def test_degenerate_rejected(self):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bohmpair.analyses import random_valid_states
-from bohmpair.errors import ModelDomainError
+from bohmpair.analyses import MAX_EMPTY_ROUNDS, random_valid_states
+from bohmpair.errors import ConfigurationError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
 from bohmpair.spherical import SlitPair
@@ -291,6 +291,27 @@ class TestOnePassKernel:
         assert np.array_equal(model.batch_rhs(0.0, states * flip), v * flip)
 
     @given(**KERNEL_CASES)
+    def test_state_symmetries_bitwise(self, k, d, seed):
+        # Exchanging the particles, reflecting both y coordinates, or both
+        # (the mirror map) leaves the density, node measure and phase
+        # unchanged, and the field commutes with the mirror map.
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        states = random_valid_states(model, 64, seed)
+        flip = np.array([1.0, -1.0, 1.0] * 2)
+        exchange = np.roll(states, 3, axis=1)
+
+        def scalars(rows):
+            dist = model.distances_of(rows[:, :3], rows[:, 3:])
+            return (model.density_batch(rows), model.node_measure_of(*dist),
+                    model.phase_values(rows[:, :3], rows[:, 3:], 0.0))
+
+        reference = scalars(states)
+        for image in (exchange, states * flip, exchange * flip):
+            assert all(np.array_equal(a, b) for a, b in zip(scalars(image), reference))
+        assert np.array_equal(model.batch_rhs(0.0, exchange * flip),
+                              np.roll(model.batch_rhs(0.0, states), 3, axis=1) * flip)
+
+    @given(**KERNEL_CASES)
     def test_node_measure_matches_bracket(self, k, d, seed):
         model = SlitPair(wavenumber=k, slit_offset=d)
         states = random_valid_states(model, 64, seed)
@@ -305,7 +326,7 @@ class TestOnePassKernel:
         reference = np.abs(model._bracket(*model.distances_of(states[:, :3],
                                                                states[:, 3:]))) ** 2
         assert np.max(np.abs(model.density_batch(states) / reference - 1.0)) < 1e-12
-        # A point on a source (and within slit_exclusion of one) scores zero.
+        # A point on a source (and within SLIT_EXCLUSION of one) scores zero.
         at_source = np.array([[0.0, d, 0.0, 1.0, 0.3, 0.2], [0.0, -d, 1e-7, 1.0, 0.3, 0.2]])
         assert np.array_equal(model.density_batch(at_source), [0.0, 0.0])
 
@@ -316,6 +337,17 @@ class TestOnePassKernel:
         monkeypatch.setattr(SlitPair, "_bracket", None)   # no complex exponential
         model.batch_rhs(0.0, states)
         assert calls == {"_phase_terms": 1, "sin": 2, "cos": 2}
+
+
+def test_random_valid_states_gives_up(monkeypatch, count_calls):
+    # A box with no state fit for the stencils is refused after
+    # MAX_EMPTY_ROUNDS rounds, not searched forever.
+    model = SlitPair(wavenumber=1.0, slit_offset=0.5)
+    monkeypatch.setattr(SlitPair, "node_measure_of", lambda self, *dist: np.zeros_like(dist[0]))
+    calls = count_calls(SlitPair, "distances_of")
+    with pytest.raises(ConfigurationError, match="^box_length: "):
+        random_valid_states(model, 1, seed=0)
+    assert calls["distances_of"] == MAX_EMPTY_ROUNDS
 
 
 class TestConstraintManifold:
