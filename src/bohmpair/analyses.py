@@ -1,4 +1,5 @@
-"""Claim-level analyses composed from the model, oracle, and ensemble layers.
+"""Claim-level analyses: the one module that turns model, oracle, and
+ensemble quantities into claims.
 
 Each analysis returns :class:`ClaimCheck` records for the consolidated claims
 report: ``pass``/``fail`` entries carry a pinned tolerance, ``measured``
@@ -13,10 +14,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .ensemble import (Ensemble, build_ensemble, compare_distribution, evolve_ensemble,
-                       global_constraint_analysis, ks_critical_value, ks_statistic,
-                       ks_two_sample, reference_sample)
+                       ks_critical_value, ks_statistic, ks_two_sample, reference_sample)
 from .errors import ConfigurationError, InsufficientSampleError
-from .numerics import IntegratorConfig, integrate_ode
+from .numerics import IntegratorConfig, integrate_ode, scan_roots
 from .oracles import phase_gradient, velocity_from_psi
 from .planewave import PlaneWavePair
 from .spherical import SlitPair, nearest_source
@@ -61,6 +61,8 @@ MAX_EMPTY_ROUNDS = 100
 ORACLE_STATES = 1000
 # Separations over one period at which the two density forms are compared.
 DENSITY_GAP_POINTS = 4097
+# Grid points of the uniqueness claims' root scan.
+UNIQUENESS_GRID = 100_000
 
 
 def random_valid_states(model, count: int, seed: int) -> np.ndarray:
@@ -184,13 +186,13 @@ def constraint_claims(model, evolved: Ensemble) -> list[ClaimCheck]:
         probe = integrate_ode(model.batch_rhs, [mirror_probe_state(model)], 0.0, 1.0,
                               evolved.integrator,
                               sample_times=np.linspace(0.0, 1.0, 101)).states[:, 0]
-        dev = model.max_constraint_deviations(probe)
+        mirror, axial = model.max_constraint_deviations(probe)
         claims.append(_tolerance_claim(
             "mirror_manifold_preserved",
-            "Eq. (R), mirrored pairing r1A = r2B and r1B = r2A", dev.mirror, 1e-6))
+            "Eq. (R), mirrored pairing r1A = r2B and r1B = r2A", mirror, 1e-6))
         claims.append(_measured(
             "axial_reading_deviation",
-            "Eq. (R), literal second equality r2B = r2A", dev.axial))
+            "Eq. (R), literal second equality r2B = r2A", axial))
     return claims
 
 
@@ -204,28 +206,35 @@ def mirror_probe_state(model: SlitPair) -> np.ndarray:
 # -- closed-form analyses -------------------------------------------------------------
 
 def uniqueness_claims(model: PlaneWavePair) -> list[ClaimCheck]:
-    report = model.uniqueness_analysis()
-    count = report.scan.root_count
-    claims = [ClaimCheck(
-        "separation_constraint_root_count",
-        "Eq. (14) at t = t0: root count of the separation constraint",
-        "pass" if (report.monotone_condition and count == 1) else "measured",
-        count, 1 if report.monotone_condition else None)]
-    claims.append(_measured("uniqueness_monotone_condition",
-                            "post-Eq. (14): 4ab < a^2 + b^2",
-                            report.monotone_condition))
-    claims.append(_measured("uniqueness_amplitude_ratio_condition",
-                            "post-Eq. (14): b < a/3", report.amplitude_ratio_condition))
-    claims.append(_measured("uniqueness_conditions_agree",
-                            "post-Eq. (14): the two sufficiency conditions",
-                            report.conditions_agree))
-    monotone_matches = report.scan.is_monotone_on_interval == report.monotone_condition
-    claims.append(ClaimCheck(
-        "monotonicity_matches_condition",
-        "slope of Eq. (14) lhs positive everywhere iff 4ab < a^2 + b^2",
-        "pass" if monotone_matches else "fail",
-        bool(report.scan.is_monotone_on_interval), None))
-    return claims
+    """Roots of the separation constraint at t = t0, constraint_lhs(delta) = 0
+    (Eq. (14)), scanned on ``UNIQUENESS_GRID`` points over
+    |delta| <= 4 pi hbar / p, beside the two candidate conditions for a
+    unique root: 4ab < a^2 + b^2, exactly the positivity of the scanned
+    slope, and the looser b < a/3.  The two disagree on part of parameter
+    space, which the claims expose rather than resolve.  Raises
+    :class:`DegenerateParametersError` when a == b."""
+    half_width = 4.0 * math.pi * model.hbar / model.momentum
+    roots, monotone = scan_roots(model.constraint_lhs, -half_width, half_width,
+                                 UNIQUENESS_GRID)
+    a, b = model._amplitudes
+    monotone_condition = 4 * a * b < a * a + b * b
+    ratio_condition = b < a / 3
+    return [
+        ClaimCheck("separation_constraint_root_count",
+                   "Eq. (14) at t = t0: root count of the separation constraint",
+                   "pass" if (monotone_condition and len(roots) == 1) else "measured",
+                   len(roots), 1 if monotone_condition else None),
+        _measured("uniqueness_monotone_condition", "post-Eq. (14): 4ab < a^2 + b^2",
+                  monotone_condition),
+        _measured("uniqueness_amplitude_ratio_condition", "post-Eq. (14): b < a/3",
+                  ratio_condition),
+        _measured("uniqueness_conditions_agree",
+                  "post-Eq. (14): the two sufficiency conditions",
+                  monotone_condition == ratio_condition),
+        ClaimCheck("monotonicity_matches_condition",
+                   "slope of Eq. (14) lhs positive everywhere iff 4ab < a^2 + b^2",
+                   "pass" if monotone == monotone_condition else "fail", monotone, None),
+    ]
 
 
 def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
@@ -240,7 +249,7 @@ def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
         return float(np.max(gap))
 
     gap = max_gap(model)
-    control = max_gap(PlaneWavePair(a=model.a, b=0.0, momentum=model.momentum,
+    control = max_gap(PlaneWavePair(a=1.0, b=0.0, momentum=model.momentum,
                                     mass=model.mass, hbar=model.hbar,
                                     box_length=model.box_length))
     return [
@@ -283,11 +292,10 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
                             "prescriptions (1)-(2): members evolved without domain errors",
                             evolved.survival_fraction))
     try:
-        report = compare_distribution(evolved, t_end)
         claims.append(_measured(
             "evolved_distribution_ks",
             "section 1 equivalence: P_t vs R^2_t at the final time",
-            report.ks_statistic))
+            compare_distribution(evolved, t_end)))
     except InsufficientSampleError as exc:
         claims.append(_measured("evolved_distribution_ks",
                                 "section 1 equivalence: P_t vs R^2_t at the final time",
@@ -296,24 +304,36 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
 
 
 def global_constraint_claims(ens0: Ensemble) -> list[ClaimCheck]:
+    """Zero-separation times of every member (plane-wave model, a != b), and
+    the mismatch a single shared integration constant would force.
+
+    Under per-member integration constants each trajectory crosses x1 = x2
+    at its own time, a function of its initial separation only.  Under one
+    ensemble-wide constant every member would cross at one common time,
+    collapsing the separation distribution there to a point mass, whose KS
+    distance from the quantum separation marginal F is max(F(0), 1 - F(0)).
+    """
     model = ens0.model
-    report = global_constraint_analysis(ens0)
+    if model.tag != "planewave":
+        raise ValueError("the constraint analysis applies to the plane-wave model")
+    initial = ens0.initial_states()
+    zero_times = model.zero_separation_times(initial[:, 0] - initial[:, 1], ens0.t0)
+    at_zero = float(model.separation_cdf(0.0))
     claims = [
         _measured("zero_time_spread",
                   "'Every pair ... must satisfy this constraint at t = t0': "
-                  "std of per-member zero-separation times", report.zero_time_std),
+                  "std of per-member zero-separation times", np.std(zero_times)),
         _measured("zero_time_range",
-                  "per-member zero-separation times: max - min", report.zero_time_range),
+                  "per-member zero-separation times: max - min", np.ptp(zero_times)),
         _measured("global_constant_point_mass_ks",
                   "impossibility of matching Eq. (4) at t0 under a shared constant: "
-                  "KS(point mass, separation marginal)", report.point_mass_ks),
+                  "KS(point mass, separation marginal)", max(at_zero, 1.0 - at_zero)),
     ]
-    initial = ens0.initial_states()
     shift = 64.0
     shifted = (initial[:, 0] + shift) - (initial[:, 1] + shift)
     moved = model.zero_separation_times(shifted, ens0.t0)
     claims.append(_tolerance_claim(
         "zero_time_translation_invariance",
         "Eq. (13) involves the separation only: t0 unchanged by shifting the pair",
-        float(np.max(np.abs(moved - report.zero_times))), 1e-9))
+        float(np.max(np.abs(moved - zero_times))), 1e-9))
     return claims

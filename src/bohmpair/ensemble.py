@@ -86,39 +86,6 @@ class Ensemble(TrajectoryBatch):
         return None if self.sampler is None else self.sampler.acceptance_rate
 
 
-@dataclass(frozen=True)
-class DistributionReport:
-    """Comparison of an empirical marginal against a reference density."""
-
-    ks_statistic: float
-    sample_size: int
-    method: str                        # "pullback-closed-form" or "two-sample"
-    critical_value_99: float
-
-    @property
-    def below_critical(self) -> bool:
-        return self.ks_statistic < self.critical_value_99
-
-
-@dataclass(frozen=True)
-class GlobalConstraintReport:
-    """Zero-separation times of every member, and the mismatch a single
-    shared integration constant would force.
-
-    Under per-member integration constants each trajectory crosses x1 = x2
-    at its own time (a function of the initial separation only).  Under a
-    single ensemble-wide constant, every member would cross at one common
-    time, collapsing the separation distribution there to a point mass;
-    ``point_mass_ks`` is that point mass's KS distance from the quantum
-    separation marginal.
-    """
-
-    zero_times: np.ndarray
-    zero_time_std: float
-    zero_time_range: float
-    point_mass_ks: float
-
-
 # -- statistics helpers ------------------------------------------------------
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -255,59 +222,32 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
 
 # -- distribution comparison ---------------------------------------------------
 
-def compare_distribution(ensemble: Ensemble, t: float) -> DistributionReport:
-    """Kolmogorov-Smirnov comparison of the ensemble at time ``t`` against the
+def compare_distribution(ensemble: Ensemble, t: float) -> float:
+    """Kolmogorov-Smirnov statistic of the ensemble at time ``t`` against the
     model density.
 
     Plane-wave ensembles compare the separation marginal: each sample is
     pulled back to the sampling time along the exact conserved relation (the
     flow transports the separation monotonically), and the pulled-back
     sample is tested against the closed-form CDF of the marginal on the
-    initial box (``PlaneWavePair.separation_cdf``).  Spherical ensembles
-    compare the x1 marginal against a fresh reference sample
+    initial box (``PlaneWavePair.separation_cdf``); its 99 % critical value
+    is :func:`ks_critical_value` of the members compared.  Spherical
+    ensembles compare the x1 marginal against a fresh reference sample
     (:func:`reference_sample`) by the two-sample statistic, since no closed
-    transport is available in six dimensions.  Fewer than ``MIN_SURVIVORS``
-    members with a sample at ``t`` raise :class:`InsufficientSampleError`.
+    transport is available in six dimensions; its critical value is
+    :func:`ks_critical_value_two_sample` of both sample sizes.  Fewer than
+    ``MIN_SURVIVORS`` members with a sample at ``t`` raise
+    :class:`InsufficientSampleError`.
     """
     model = ensemble.model
     states = ensemble.states_at(t)
     if len(states) < MIN_SURVIVORS:
         raise InsufficientSampleError(
             f"only {len(states)} members have a sample at t={t} (need {MIN_SURVIVORS})")
-
     if model.tag == "planewave":
-        samples = states[:, 0] - states[:, 1]
-        pulled = np.asarray(model.inverse_flow(samples, t - ensemble.t0))
-        ks = ks_statistic(pulled, model.separation_cdf)
-        method = "pullback-closed-form"
-        critical = ks_critical_value(len(samples))
-    else:
-        samples = states[:, 0]
-        ref_samples = reference_sample(ensemble, len(samples))[:, 0]
-        ks = ks_two_sample(samples, ref_samples)
-        method = "two-sample"
-        critical = ks_critical_value_two_sample(len(samples), len(ref_samples))
-
-    return DistributionReport(ks_statistic=ks, sample_size=len(samples), method=method,
-                              critical_value_99=critical)
-
-
-def global_constraint_analysis(ensemble: Ensemble) -> GlobalConstraintReport:
-    """Zero-separation times per member and the point-mass mismatch of the
-    shared-constant reading (plane-wave model, a != b)."""
-    model = ensemble.model
-    if model.tag != "planewave":
-        raise ValueError("the constraint analysis applies to the plane-wave model")
-    initial = ensemble.initial_states()
-    deltas = initial[:, 0] - initial[:, 1]
-    zero_times = model.zero_separation_times(deltas, ensemble.t0)
-    at_zero = float(model.separation_cdf(0.0))
-    point_mass_ks = max(at_zero, 1.0 - at_zero)
-
-    return GlobalConstraintReport(zero_times=zero_times,
-                                  zero_time_std=float(np.std(zero_times)),
-                                  zero_time_range=float(np.ptp(zero_times)),
-                                  point_mass_ks=point_mass_ks)
+        pulled = model.inverse_flow(states[:, 0] - states[:, 1], t - ensemble.t0)
+        return ks_statistic(pulled, model.separation_cdf)
+    return ks_two_sample(states[:, 0], reference_sample(ensemble, len(states))[:, 0])
 
 
 # -- serialization --------------------------------------------------------------

@@ -163,18 +163,6 @@ class _Members(Sequence):
         return self._batch.member(i)
 
 
-@dataclass(frozen=True)
-class RootScanReport:
-    """Outcome of a sign-change scan over a uniform grid."""
-
-    roots: tuple[float, ...]
-    is_monotone_on_interval: bool
-
-    @property
-    def root_count(self) -> int:
-        return len(self.roots)
-
-
 def require_defined(values: np.ndarray, message: str) -> np.ndarray:
     """``values`` unchanged, or :class:`ModelDomainError` with ``message``
     if any of them is NaN: the raising form of a field that returns NaN rows
@@ -376,11 +364,13 @@ def _interpolate(field, ts, sign, t, y, y_new, t_new, h, stages, held):
 def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
     """Sample times of an integration from ``t0`` to ``t_end``: the requested
     times, if any, in the direction of integration, framed by both end
-    points."""
-    ts = np.unique(np.asarray([] if sample_times is None else sample_times, dtype=float))
+    points.  A time up to 1e-12 outside the span is taken as the end point
+    it passes."""
+    ts = np.asarray([] if sample_times is None else sample_times, dtype=float)
     lo, hi = min(t0, t_end), max(t0, t_end)
     if np.any(ts < lo - 1e-12) or np.any(ts > hi + 1e-12):
         raise ValueError("sample_times must lie between the initial and final time")
+    ts = np.unique(np.clip(ts, lo, hi))
     if t_end < t0:
         ts = ts[::-1]
     if ts.size == 0 or ts[0] != t0:
@@ -550,9 +540,10 @@ def bracketed_root(g: Callable[[float], float], lo: float, hi: float) -> float:
             hi = mid
 
 
-def scan_roots(g: Callable, lo: float, hi: float, grid: int) -> RootScanReport:
+def scan_roots(g: Callable, lo: float, hi: float, grid: int) -> tuple[tuple[float, ...], bool]:
     """Locate every sign-change root of ``g`` on a uniform grid over
-    ``[lo, hi]`` and report whether the sampled values are monotone.
+    ``[lo, hi]``: returns the sorted roots and whether the sampled values
+    are monotone.
 
     ``g`` is evaluated once on the whole grid array, then on scalars while
     bisecting each bracket.  Exact zeros at grid points count as roots.
@@ -576,4 +567,4 @@ def scan_roots(g: Callable, lo: float, hi: float, grid: int) -> RootScanReport:
 
     diffs = np.diff(vals)
     monotone = not (np.any(diffs > 0) and np.any(diffs < 0))
-    return RootScanReport(roots=tuple(deduped), is_monotone_on_interval=monotone)
+    return tuple(deduped), monotone

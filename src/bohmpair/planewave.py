@@ -18,24 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateParametersError, ModelDomainError
-from .numerics import RootScanReport, bracketed_root, require_defined, scan_roots
+from .numerics import bracketed_root, require_defined
 
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
 # is treated as a node of the wavefunction.
 NODE_DENSITY_FLOOR = 1e-24
-# Grid points of the uniqueness analysis's root scan.
-UNIQUENESS_GRID = 100_000
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Root structure of the separation constraint at t = t0, beside the
-    two candidate sufficiency conditions for a unique root."""
-
-    monotone_condition: bool        # 4ab < a^2 + b^2
-    amplitude_ratio_condition: bool  # b < a/3
-    conditions_agree: bool
-    scan: RootScanReport
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,7 @@ class PlaneWavePair:
 
     def constraint_lhs(self, delta):
         """Separation-constraint expression scanned by the uniqueness
-        analyzer: identical to :meth:`trajectory_invariant` except that the
+        claims: identical to :meth:`trajectory_invariant` except that the
         linear coefficient is halved.  This is the variant whose slope is
         positive everywhere exactly when 4ab < a^2 + b^2; only the unhalved
         form is conserved by the flow (the claims report measures both).
@@ -295,29 +282,6 @@ class PlaneWavePair:
             x[i] = bracketed_root(lambda z: lin * z + amp * math.sin(w * z) - target[i],
                                   lo[i] - 1e-12, hi[i] + 1e-12)
         return x if np.ndim(delta) else float(x[0])
-
-    def uniqueness_analysis(self) -> UniquenessReport:
-        """Scan the separation constraint at t = t0 for roots, on
-        ``UNIQUENESS_GRID`` points, and report the two candidate uniqueness
-        conditions side by side.
-
-        The scanned equation is constraint_lhs(delta) = 0 (Eq. (14) at
-        t = t0).  The monotone condition 4ab < a^2 + b^2 is exactly the
-        positivity of its slope; b < a/3 is the looser amplitude-ratio
-        condition.  The two disagree on part of parameter space, which the
-        report exposes rather than resolves.  The scan covers
-        |delta| <= 4 pi hbar / p.
-        """
-        self._require_nondegenerate()
-        half_width = 4.0 * math.pi * self.hbar / self.momentum
-        scan = scan_roots(self.constraint_lhs, -half_width, half_width, grid=UNIQUENESS_GRID)
-        a, b = self._amplitudes
-        monotone_condition = 4 * a * b < a * a + b * b
-        ratio_condition = b < a / 3
-        return UniquenessReport(monotone_condition=monotone_condition,
-                                amplitude_ratio_condition=ratio_condition,
-                                conditions_agree=monotone_condition == ratio_condition,
-                                scan=scan)
 
     # -- ensemble support ----------------------------------------------------
 

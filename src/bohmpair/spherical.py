@@ -36,20 +36,6 @@ NORM_SEED = 0
 MAX_SOURCE_DISTANCE = sys.float_info.max ** 0.125
 
 
-@dataclass(frozen=True)
-class ConstraintReadings:
-    """Deviations from the two readings of the decoupling constraint.
-
-    ``mirror``: max(|r1A - r2B|, |r1B - r2A|), the mirrored pairing under
-    which the velocity equations separate.  ``axial``: max(|r1A - r2B|,
-    |r2A - r2B|), the alternative pairing that additionally forces particle
-    2 onto the y = 0 plane.  Both are reported; neither is asserted.
-    """
-
-    mirror: float
-    axial: float
-
-
 def _norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(v * v, axis=-1))
 
@@ -184,27 +170,19 @@ class SlitPair:
         dval = rr * cos_a + q * cos_b
         return q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval
 
-    def phase_from_distances(self, r1a, r1b, r2a, r2b, t=0.0):
-        """Phase as a function of the four source distances (vectorised).
-
-        Uses atan2, so it is defined wherever the wavefunction is nonzero,
-        including where the denominator alone vanishes; values are principal
-        per call, to be unwrapped by continuity along sampled paths.
-        """
-        *_, nval, dval = self._phase_terms(r1a, r1b, r2a, r2b)
-        if np.any(np.hypot(nval, dval) == 0.0):
-            raise ModelDomainError("phase undefined at a node of the wavefunction")
-        return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
-
     def phase_values(self, r1, r2, t):
-        """Phase on arrays of positions of shape (..., 3) (principal values,
-        see :meth:`phase_from_distances`); raises :class:`ModelDomainError`
-        outside the support or at a node (node measure below
-        ``NODE_THRESHOLD``), where the field is undefined."""
-        distances = self._supported_distances(r1, r2)
-        if np.any(self.node_measure_of(*distances) < NODE_THRESHOLD):
+        """Phase on arrays of positions of shape (..., 3): hbar atan2(N, D)
+        - E t (see :meth:`_phase_terms`), so it is defined wherever the
+        wavefunction is nonzero, including where D alone vanishes.  Values
+        are principal per call, to be unwrapped by continuity along sampled
+        paths.  Raises :class:`ModelDomainError` outside the support or at a
+        node (node measure below ``NODE_THRESHOLD``), where the field is
+        undefined."""
+        terms = self._phase_terms(*self._supported_distances(r1, r2))
+        if np.any(self._node_measure(terms) < NODE_THRESHOLD):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
-        return self.phase_from_distances(*distances, t=t)
+        *_, nval, dval = terms
+        return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
 
     # -- phase derivatives and velocities --------------------------------------
 
@@ -267,15 +245,21 @@ class SlitPair:
 
     # -- decoupling constraint -------------------------------------------------
 
-    def max_constraint_deviations(self, states) -> ConstraintReadings:
-        """Worst-case deviations from both constraint readings over
-        configuration rows of shape (..., 6), such as the samples of a
-        trajectory."""
+    def max_constraint_deviations(self, states) -> tuple[float, float]:
+        """Worst-case deviations (mirror, axial) from the two readings of the
+        decoupling constraint over configuration rows of shape (..., 6), such
+        as the samples of a trajectory.
+
+        mirror: max(|r1A - r2B|, |r1B - r2A|), the mirrored pairing under
+        which the velocity equations separate.  axial: max(|r1A - r2B|,
+        |r2A - r2B|), the alternative pairing that additionally forces
+        particle 2 onto the y = 0 plane.
+        """
         pts = np.asarray(states, dtype=float).reshape(-1, 2, 3)
         r1a, r1b, r2a, r2b = self.distances_of(pts[:, 0], pts[:, 1])
         mirror = np.maximum(np.abs(r1a - r2b), np.abs(r1b - r2a))
         axial = np.maximum(np.abs(r1a - r2b), np.abs(r2a - r2b))
-        return ConstraintReadings(mirror=float(np.max(mirror)), axial=float(np.max(axial)))
+        return float(np.max(mirror)), float(np.max(axial))
 
     # -- normalization and ensemble support -------------------------------------
 

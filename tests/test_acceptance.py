@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bohmpair.cli as cli
-from bohmpair.analyses import random_valid_states
+from bohmpair.analyses import random_valid_states, uniqueness_claims
 from bohmpair.ensemble import (build_ensemble, evolve_ensemble, ks_critical_value,
                                ks_statistic, sample_configurations)
 from bohmpair.numerics import IntegratorConfig, integrate_ode
@@ -93,13 +93,18 @@ def test_criterion_03_conserved_quantities():
 
 
 def test_criterion_04_uniqueness_condition(tmp_path):
-    held = PlaneWavePair(a=1.0, b=0.2).uniqueness_analysis()
-    ok_held = (held.monotone_condition and held.scan.root_count == 1
-               and held.scan.is_monotone_on_interval)
+    def values(a, b):
+        return {c.claim_id: c.value for c in uniqueness_claims(PlaneWavePair(a=a, b=b))}
 
-    broken = PlaneWavePair(a=1.0, b=0.3).uniqueness_analysis()
-    ok_broken = (not broken.monotone_condition and broken.amplitude_ratio_condition
-                 and not broken.conditions_agree)
+    held = values(1.0, 0.2)
+    ok_held = (held["uniqueness_monotone_condition"]
+               and held["separation_constraint_root_count"] == 1
+               and held["monotonicity_matches_condition"])
+
+    broken = values(1.0, 0.3)
+    ok_broken = (not broken["uniqueness_monotone_condition"]
+                 and broken["uniqueness_amplitude_ratio_condition"]
+                 and not broken["uniqueness_conditions_agree"])
 
     out = tmp_path / "uniq"
     cfg = cli.validate_config({"model": "planewave", "a": 1.0, "b": 0.3,
@@ -109,10 +114,12 @@ def test_criterion_04_uniqueness_condition(tmp_path):
               json.loads((out / "claims_report.json").read_text())}
     flagged = claims["uniqueness_conditions_agree"]["value"] is False
     report(4, ok_held and ok_broken and flagged,
-           f"(1,0.2): root count {held.scan.root_count} (condition holds); "
-           f"(1,0.3): root count {broken.scan.root_count}, conditions disagree "
-           f"(4ab<a^2+b^2: {broken.monotone_condition}, b<a/3: "
-           f"{broken.amplitude_ratio_condition}), claims report flags it: {flagged}")
+           f"(1,0.2): root count {held['separation_constraint_root_count']} "
+           f"(condition holds); (1,0.3): root count "
+           f"{broken['separation_constraint_root_count']}, conditions disagree "
+           f"(4ab<a^2+b^2: {broken['uniqueness_monotone_condition']}, b<a/3: "
+           f"{broken['uniqueness_amplitude_ratio_condition']}), "
+           f"claims report flags it: {flagged}")
 
 
 def test_criterion_05_density_discrepancy():
@@ -166,9 +173,9 @@ def test_criterion_08_mirror_manifold():
     traj = integrate_ode(model.batch_rhs, [start], 0.0, 1.0,
                          sample_times=np.linspace(0.0, 1.0, 101)).member(0)
     assert traj.complete
-    dev = model.max_constraint_deviations(traj.states)
-    ok = dev.mirror < 1e-6
-    report(8, ok, f"T=1 trajectory: max(|r1A - r2B|, |r1B - r2A|) = {dev.mirror:.3e} < 1e-6")
+    mirror, _ = model.max_constraint_deviations(traj.states)
+    ok = mirror < 1e-6
+    report(8, ok, f"T=1 trajectory: max(|r1A - r2B|, |r1B - r2A|) = {mirror:.3e} < 1e-6")
 
 
 def test_criterion_09_chain_rule_gradient():

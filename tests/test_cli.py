@@ -266,6 +266,17 @@ class TestMain:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["b"] == 0.0
 
+    def test_zero_a_density_discrepancy_runs(self, tmp_path, capsys):
+        # a = 0 < b is a valid pair; the b = 0 control is built at a = 1.
+        out = tmp_path / "out"
+        code = cli.main(["run", "--a", "0", "--b", "1", "--analysis", "density_discrepancy",
+                         "--output-dir", str(out)])
+        assert code == 0
+        claims = {c["claim_id"]: c for c in
+                  json.loads((out / "claims_report.json").read_text())}
+        assert claims["density_forms_agree_single_wave"]["status"] == "pass"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--b", "-0.5", "--output-dir", str(tmp_path)])
         assert code == 1

@@ -9,13 +9,12 @@ import pytest
 from scipy import stats
 
 import bohmpair.ensemble as ensemble_module
-from bohmpair.analyses import constraint_claims
+from bohmpair.analyses import constraint_claims, global_constraint_claims
 from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensemble,
-                               compare_distribution, evolve_ensemble,
-                               global_constraint_analysis, ks_critical_value,
+                               compare_distribution, evolve_ensemble, ks_critical_value,
                                ks_critical_value_two_sample, ks_statistic,
-                               ks_two_sample, sample_configurations, write_ensemble_csv,
-                               write_metadata)
+                               ks_two_sample, reference_sample, sample_configurations,
+                               write_ensemble_csv, write_metadata)
 from bohmpair.errors import (ConfigurationError, DegenerateParametersError,
                              InsufficientSampleError)
 from bohmpair.numerics import IntegratorConfig
@@ -281,23 +280,25 @@ class TestCompareDistribution:
         m = PlaneWavePair(a=1.0, b=0.0)
         ens = build_ensemble(m, 5000, seed=37)
         evolved = evolve_ensemble(ens, 2.0)
-        report = compare_distribution(evolved, 2.0)
-        assert report.below_critical
-        assert report.method == "pullback-closed-form"
+        ks = compare_distribution(evolved, 2.0)
+        assert ks < ks_critical_value(5000)
+        # The separations pulled back along the conserved relation, against
+        # the closed-form marginal.
+        states = evolved.states_at(2.0)
+        pulled = m.inverse_flow(states[:, 0] - states[:, 1], 2.0)
+        assert ks == ks_statistic(pulled, m.separation_cdf)
 
     def test_static_density_any_time(self):
         m = PlaneWavePair(a=1.0, b=1.0)
         ens = build_ensemble(m, 5000, seed=41)
         evolved = evolve_ensemble(ens, 1.0)
-        report = compare_distribution(evolved, 1.0)
-        assert report.below_critical
+        assert compare_distribution(evolved, 1.0) < ks_critical_value(5000)
 
     def test_structured_flow(self, mild):
         ens = build_ensemble(mild, 5000, seed=43)
         evolved = evolve_ensemble(ens, 3.0)
-        report = compare_distribution(evolved, 3.0)
-        assert 0.0 <= report.ks_statistic <= 1.0
-        assert report.sample_size == 5000
+        assert 0.0 <= compare_distribution(evolved, 3.0) <= 1.0
+        assert len(evolved.states_at(3.0)) == 5000
 
     def test_insufficient_sample(self, mild):
         ens = build_ensemble(mild, 50, seed=47)
@@ -307,11 +308,13 @@ class TestCompareDistribution:
     def test_spherical_two_sample(self):
         m = SlitPair(wavenumber=5.0, slit_offset=0.5)
         ens = build_ensemble(m, 300, seed=53)
-        report = compare_distribution(ens, 0.0)
-        assert report.method == "two-sample"
-        assert 0.0 <= report.ks_statistic < 0.2
-        # Against the 10,000-point reference sample.
-        assert report.critical_value_99 == ks_critical_value_two_sample(300, 10_000)
+        ks = compare_distribution(ens, 0.0)
+        assert 0.0 <= ks < 0.2
+        # Two-sample, against the 10,000-point reference sample.
+        reference = reference_sample(ens, 300)
+        assert len(reference) == 10_000
+        assert ks == ks_two_sample(ens.initial_states()[:, 0], reference[:, 0])
+        assert ks < ks_critical_value_two_sample(300, 10_000)
 
 
 class TestGlobalConstraint:
@@ -325,23 +328,31 @@ class TestGlobalConstraint:
     def test_single_wave_zero_time_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         ens = build_ensemble(m, 500, seed=59)
-        report = global_constraint_analysis(ens)
         init = ens.initial_states()
+        zero_times = m.zero_separation_times(init[:, 0] - init[:, 1], ens.t0)
         expected = -(init[:, 0] - init[:, 1]) / (2.0 * m.speed)
-        assert np.max(np.abs(report.zero_times - expected)) < 1e-12
+        assert np.max(np.abs(zero_times - expected)) < 1e-12
+        claims = {c.claim_id: c for c in global_constraint_claims(ens)}
+        assert claims["zero_time_spread"].value == float(np.std(zero_times))
+        assert claims["zero_time_range"].value == float(np.ptp(zero_times))
 
     def test_point_mass_distance_for_symmetric_marginal(self, mild):
         ens = build_ensemble(mild, 300, seed=61)
-        report = global_constraint_analysis(ens)
+        claims = {c.claim_id: c for c in global_constraint_claims(ens)}
         # The separation marginal is symmetric, so its CDF at zero is 1/2.
-        assert report.point_mass_ks == pytest.approx(0.5, abs=1e-9)
-        assert report.zero_time_std > 0.1
+        assert claims["global_constant_point_mass_ks"].value == pytest.approx(0.5, abs=1e-9)
+        assert claims["zero_time_spread"].value > 0.1
 
     def test_requires_unequal_amplitudes(self):
         m = PlaneWavePair(a=1.0, b=1.0)
         ens = build_ensemble(m, 200, seed=67)
         with pytest.raises(DegenerateParametersError):
-            global_constraint_analysis(ens)
+            global_constraint_claims(ens)
+
+    def test_requires_plane_wave_model(self):
+        ens = build_ensemble(SlitPair(wavenumber=5.0, slit_offset=0.5), 10, seed=67)
+        with pytest.raises(ValueError, match="plane-wave model"):
+            global_constraint_claims(ens)
 
 
 class TestSerialization:

@@ -97,6 +97,16 @@ class TestIntegrateOde:
         traj = integrate_ode(lambda t, y: y, [[2.0]], 1.0, 1.0).member(0)
         assert len(traj) == 1 and traj.final_state[0] == 2.0
 
+    def test_sample_times_within_rounding_merge_with_end_points(self):
+        # Times up to 1e-12 past either end are taken as that end point, so
+        # the grid stays monotone and nothing is sampled before t0.
+        f = lambda t, y: np.zeros_like(y)
+        for late_or_early in (1.0 + 5e-13, -5e-13):
+            batch = integrate_ode(f, [[0.0]], 0.0, 1.0, sample_times=[late_or_early, 0.5])
+            assert batch.times.tolist() == [0.0, 0.5, 1.0] and batch.complete
+        with pytest.raises(ValueError):
+            integrate_ode(f, [[0.0]], 0.0, 1.0, sample_times=[1.0 + 1e-9])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=-1e-9)
@@ -386,34 +396,34 @@ class TestRootFinding:
 
 class TestScanRoots:
     def test_identity_single_root(self):
-        report = scan_roots(lambda x: x, -1.0, 1.0, grid=100)
-        assert report.root_count == 1
-        assert report.roots[0] == pytest.approx(0.0, abs=1e-10)
-        assert report.is_monotone_on_interval
+        roots, monotone = scan_roots(lambda x: x, -1.0, 1.0, grid=100)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(0.0, abs=1e-10)
+        assert monotone
 
     def test_polynomial_known_roots(self):
         g = lambda x: (x - 1.0) * (x + 2.0) * x
-        report = scan_roots(g, -3.0, 3.0, grid=2000)
-        assert report.root_count == 3
-        for found, true in zip(report.roots, (-2.0, 0.0, 1.0)):
+        roots, monotone = scan_roots(g, -3.0, 3.0, grid=2000)
+        assert len(roots) == 3
+        for found, true in zip(roots, (-2.0, 0.0, 1.0)):
             assert found == pytest.approx(true, abs=1e-9)
-        assert not report.is_monotone_on_interval
+        assert not monotone
 
     def test_vectorised_callable(self):
-        report = scan_roots(lambda x: np.sin(x), 0.5, 7.0, grid=5000)
-        assert report.root_count == 2
-        assert report.roots[0] == pytest.approx(math.pi, abs=1e-9)
-        assert report.roots[1] == pytest.approx(2 * math.pi, abs=1e-9)
+        roots, _ = scan_roots(lambda x: np.sin(x), 0.5, 7.0, grid=5000)
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(math.pi, abs=1e-9)
+        assert roots[1] == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_exact_grid_zero(self):
-        report = scan_roots(lambda x: x, -1.0, 1.0, grid=101)  # 0.0 lands on the grid
-        assert report.root_count == 1 and report.roots[0] == 0.0
+        roots, _ = scan_roots(lambda x: x, -1.0, 1.0, grid=101)  # 0.0 lands on the grid
+        assert roots == (0.0,)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             scan_roots(lambda x: x, 0.0, 1.0, grid=1)
 
     def test_roots_sorted(self):
-        report = scan_roots(lambda x: np.cos(x), 0.0, 20.0, grid=4000)
-        assert list(report.roots) == sorted(report.roots)
-        assert report.root_count == 6  # odd multiples of pi/2 below 20
+        roots, _ = scan_roots(lambda x: np.cos(x), 0.0, 20.0, grid=4000)
+        assert list(roots) == sorted(roots)
+        assert len(roots) == 6  # odd multiples of pi/2 below 20

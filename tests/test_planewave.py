@@ -1,5 +1,5 @@
 """Plane-wave pair model: wavefunction, phase, velocities, conserved
-quantities, and the separation-constraint analyzer."""
+quantities, and the uniqueness claims."""
 
 import cmath
 import math
@@ -10,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bohmpair.analyses import UNIQUENESS_GRID, uniqueness_claims
 from bohmpair.errors import DegenerateParametersError, ModelDomainError
-from bohmpair.numerics import IntegratorConfig, Trajectory, bracketed_root, integrate_ode
+from bohmpair.numerics import Trajectory, bracketed_root, integrate_ode, scan_roots
 from bohmpair.oracles import phase_gradient, velocity_from_psi
 from bohmpair.planewave import NODE_DENSITY_FLOOR, PlaneWavePair
 
@@ -423,44 +424,57 @@ class TestConservedQuantities:
             2.0 - (1.5 - 0.25) / (2.0 * m.speed), abs=1e-14)
 
 
+def uniqueness(model):
+    """The uniqueness claims of ``model`` by claim id."""
+    return {c.claim_id: c for c in uniqueness_claims(model)}
+
+
 class TestUniquenessAnalysis:
     def test_constraint_root_at_reference_time(self, mild):
         g = lambda d: float(mild.constraint_lhs(d))
         assert bracketed_root(g, -0.1, 0.1) == pytest.approx(0.0, abs=1e-10)
 
     def test_mild_amplitudes_unique_root(self, mild):
-        rep = mild.uniqueness_analysis()
-        assert rep.monotone_condition and rep.amplitude_ratio_condition
-        assert rep.conditions_agree
-        assert rep.scan.root_count == 1
-        assert rep.scan.roots[0] == pytest.approx(0.0, abs=1e-9)
-        assert rep.scan.is_monotone_on_interval
+        claims = uniqueness(mild)
+        assert claims["uniqueness_monotone_condition"].value is True
+        assert claims["uniqueness_amplitude_ratio_condition"].value is True
+        assert claims["uniqueness_conditions_agree"].value is True
+        count = claims["separation_constraint_root_count"]
+        assert count.value == 1 and count.status == "pass"
+        assert claims["monotonicity_matches_condition"].value is True
+        # The claims' scan, whose one root lies at the reference time.
+        half = 4.0 * math.pi * mild.hbar / mild.momentum
+        roots, _ = scan_roots(mild.constraint_lhs, -half, half, UNIQUENESS_GRID)
+        assert roots[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_wave_trivially_monotone(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         # With b = 0 the scanned expression reduces to delta / 2.
         assert float(m.constraint_lhs(0.8)) == pytest.approx(0.4, rel=1e-12)
-        rep = m.uniqueness_analysis()
-        assert rep.scan.root_count == 1 and rep.scan.is_monotone_on_interval
+        claims = uniqueness(m)
+        assert claims["separation_constraint_root_count"].value == 1
+        assert claims["monotonicity_matches_condition"].value is True
 
     def test_conditions_disagree_for_intermediate_amplitude(self):
-        m = PlaneWavePair(a=1.0, b=0.3)
-        rep = m.uniqueness_analysis()
-        assert not rep.monotone_condition      # 4ab = 1.2 > 1.09
-        assert rep.amplitude_ratio_condition   # 0.3 < 1/3
-        assert not rep.conditions_agree
-        assert not rep.scan.is_monotone_on_interval
-        assert rep.scan.root_count == 1        # frozen from a grid >= 1e5 scan
+        claims = uniqueness(PlaneWavePair(a=1.0, b=0.3))
+        assert claims["uniqueness_monotone_condition"].value is False    # 4ab = 1.2 > 1.09
+        assert claims["uniqueness_amplitude_ratio_condition"].value is True  # 0.3 < 1/3
+        assert claims["uniqueness_conditions_agree"].value is False
+        assert claims["monotonicity_matches_condition"].value is False
+        count = claims["separation_constraint_root_count"]
+        assert count.value == 1         # frozen from a grid >= 1e5 scan
+        assert count.status == "measured" and count.tolerance is None
 
     def test_monotonicity_equivalence_random_params(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             a = rng.uniform(0.3, 2.0)
             b = rng.uniform(0.0, a * 0.99)
-            m = PlaneWavePair(a=a, b=b)
-            rep = m.uniqueness_analysis()
-            assert rep.scan.is_monotone_on_interval == rep.monotone_condition
+            claims = uniqueness(PlaneWavePair(a=a, b=b))
+            assert (claims["monotonicity_matches_condition"].value
+                    == claims["uniqueness_monotone_condition"].value)
+            assert claims["monotonicity_matches_condition"].status == "pass"
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateParametersError):
-            PlaneWavePair(a=1.0, b=1.0).uniqueness_analysis()
+            uniqueness_claims(PlaneWavePair(a=1.0, b=1.0))

@@ -186,11 +186,16 @@ class TestDistanceDerivatives:
             if math.hypot(nval, dval) < 1e-3:
                 continue
             grads = model._distance_derivatives(*r, terms)
-            _, diffs, steps = _stencil(lambda q: model.phase_from_distances(*q.T), [r])
+
+            def phase(q):   # hbar atan2(N, D), the phase at t = 0
+                *_, n, d = model._phase_terms(*q.T)
+                return model.hbar * np.arctan2(n, d)
+
+            _, diffs, steps = _stencil(phase, [r])
             fd = diffs[0] / (2.0 * steps[0])   # steps of 1e-6 at these distances
-            # phase_from_distances returns principal values; steps are far
-            # below the wrap scale at these states, so no unwrap is needed
-            # away from the +-pi seam.
+            # The phase takes principal values; steps are far below the wrap
+            # scale at these states, so no unwrap is needed away from the
+            # +-pi seam.
             if np.max(np.abs(fd)) > 100:
                 continue
             assert np.max(np.abs(np.asarray(grads) - fd)) < 1e-6
@@ -352,25 +357,25 @@ def test_random_valid_states_gives_up(monkeypatch, count_calls):
 
 class TestConstraintManifold:
     def test_mirror_state_zero_deviation(self, model):
-        dev = model.max_constraint_deviations(row((1.0, 0.3, 0.2), (1.0, -0.3, 0.2)))
-        assert dev.mirror == 0.0
-        assert dev.axial > 0.0  # the literal reading demands y2 = 0 as well
+        mirror, axial = model.max_constraint_deviations(row((1.0, 0.3, 0.2), (1.0, -0.3, 0.2)))
+        assert mirror == 0.0
+        assert axial > 0.0  # the literal reading demands y2 = 0 as well
 
     def test_generic_state_reports_without_error(self, model):
-        dev = model.max_constraint_deviations(row((1.0, 0.7, 0.0), (2.0, 0.4, -0.5)))
-        assert dev.mirror > 0.0 and dev.axial > 0.0
+        mirror, axial = model.max_constraint_deviations(row((1.0, 0.7, 0.0), (2.0, 0.4, -0.5)))
+        assert mirror > 0.0 and axial > 0.0
 
     def test_flow_preserves_mirror_manifold(self, model):
         start = row((1.0, 0.3, 0.0), (1.0, -0.3, 0.0))
         traj = integrate_ode(model.batch_rhs, [start], 0.0, 2.0,
                              sample_times=np.linspace(0.0, 2.0, 101)).member(0)
         assert traj.complete
-        dev = model.max_constraint_deviations(traj.states)
-        assert dev.mirror < 1e-6
+        mirror, _ = model.max_constraint_deviations(traj.states)
+        assert mirror < 1e-6
 
     def test_off_axis_start_breaks_literal_reading(self, model):
         start = row((1.0, 0.3, 0.0), (1.0, -0.3, 0.0))
         traj = integrate_ode(model.batch_rhs, [start], 0.0, 1.0,
                              sample_times=np.linspace(0.0, 1.0, 51)).member(0)
-        dev = model.max_constraint_deviations(traj.states)
-        assert dev.axial > 1e-2
+        _, axial = model.max_constraint_deviations(traj.states)
+        assert axial > 1e-2
