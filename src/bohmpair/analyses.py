@@ -36,14 +36,22 @@ class ClaimCheck:
         return asdict(self)
 
 
+def _finite(value: float) -> float | None:
+    """``value`` as a float, or None (JSON null) when it is NaN or infinite,
+    which strict JSON cannot hold."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _tolerance_claim(claim_id: str, anchor: str, value: float, tolerance: float) -> ClaimCheck:
-    status = "pass" if value < tolerance else "fail"
-    return ClaimCheck(claim_id, anchor, status, float(value), tolerance)
+    value = _finite(value)
+    status = "pass" if value is not None and value < tolerance else "fail"
+    return ClaimCheck(claim_id, anchor, status, value, tolerance)
 
 
 def _measured(claim_id: str, anchor: str, value) -> ClaimCheck:
     if isinstance(value, (np.floating, float)):
-        value = float(value)
+        value = _finite(value)
     elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
         value = int(value)
     elif isinstance(value, np.bool_):
@@ -108,7 +116,7 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
         # Separations within 1e-3 of the removable tangent singularity.
         th = 0.5 * math.pi + rng.uniform(-1e-3, 1e-3, size=ORACLE_STATES)
         th[np.abs(th - 0.5 * math.pi) < 1e-9] += 1e-6
-        near = np.column_stack([th * model.hbar / model.momentum, np.zeros(ORACLE_STATES)])
+        near = np.column_stack([th / model.momentum, np.zeros(ORACLE_STATES)])
         all_states = np.vstack([states, near]) if model.a != model.b else states
         v1 = model.velocity_of_separation(all_states[:, 0] - all_states[:, 1])
         oracle = velocity_from_psi(model, all_states, t=0.0)
@@ -119,7 +127,7 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
             dev, 1e-6))
         if model.b == 0.0:
             lim = np.max(np.abs(model.velocity_of_separation(states[:, 0] - states[:, 1])
-                                - model.speed))
+                                - model.momentum))
             claims.append(_tolerance_claim(
                 "single_wave_limit", "Eqs. (6)-(7) with b = 0: v = (p/m, -p/m)",
                 float(lim), 1e-12))
@@ -136,7 +144,7 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
             "velocity_oracle_agreement",
             "Eqs. (20)-(27) vs (hbar/m) Im(grad psi / psi)", dev, 1e-6))
         fd = phase_gradient(model, states, t=0.0)
-        dev = float(np.max(np.abs(model.mass * analytic - fd)))
+        dev = float(np.max(np.abs(analytic - fd)))
         claims.append(_tolerance_claim(
             "phase_gradient_consistency",
             "Eqs. (20)-(27) chain rule vs finite differences of Eq. (19)", dev, 1e-6))
@@ -208,12 +216,12 @@ def mirror_probe_state(model: SlitPair) -> np.ndarray:
 def uniqueness_claims(model: PlaneWavePair) -> list[ClaimCheck]:
     """Roots of the separation constraint at t = t0, constraint_lhs(delta) = 0
     (Eq. (14)), scanned on ``UNIQUENESS_GRID`` points over
-    |delta| <= 4 pi hbar / p, beside the two candidate conditions for a
+    |delta| <= 4 pi / p, beside the two candidate conditions for a
     unique root: 4ab < a^2 + b^2, exactly the positivity of the scanned
     slope, and the looser b < a/3.  The two disagree on part of parameter
     space, which the claims expose rather than resolve.  Raises
     :class:`DegenerateParametersError` when a == b."""
-    half_width = 4.0 * math.pi * model.hbar / model.momentum
+    half_width = 4.0 * math.pi / model.momentum
     roots, monotone = scan_roots(model.constraint_lhs, -half_width, half_width,
                                  UNIQUENESS_GRID)
     a, b = model._amplitudes
@@ -242,7 +250,7 @@ def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
     over a full period (``DENSITY_GAP_POINTS`` separations), with the b = 0
     limit as an exactness control."""
     def max_gap(m: PlaneWavePair) -> float:
-        deltas = np.linspace(0.0, 2.0 * math.pi, DENSITY_GAP_POINTS) * m.hbar / m.momentum
+        deltas = np.linspace(0.0, 2.0 * math.pi, DENSITY_GAP_POINTS) / m.momentum
         zeros = np.zeros_like(deltas)
         gap = np.abs(m.density_values(deltas, zeros, 0.0)
                      - m.density_single_angle_values(deltas, zeros))
@@ -250,7 +258,6 @@ def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
 
     gap = max_gap(model)
     control = max_gap(PlaneWavePair(a=1.0, b=0.0, momentum=model.momentum,
-                                    mass=model.mass, hbar=model.hbar,
                                     box_length=model.box_length))
     return [
         _measured("density_forms_gap",

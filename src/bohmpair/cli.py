@@ -37,8 +37,9 @@ MODELS = ("planewave", "spherical")
 class RunConfig:
     """Fully validated, default-filled run configuration (flat schema).
 
-    Defaults: hbar = mass = 1, box_length of 20 hbar/p (plane-wave) or 40/k
-    (spherical) when left null, adaptive integrator at rel_tol 1e-9.
+    Units are natural (hbar = m = 1), so neither is a field.  Defaults:
+    box_length of 20/p (plane-wave) or 40/k (spherical) when left null,
+    adaptive integrator at rel_tol 1e-9.
     """
 
     model: str = "planewave"
@@ -47,8 +48,6 @@ class RunConfig:
     momentum: float = 1.0
     wavenumber: float = 1.0
     slit_offset: float = 0.5
-    mass: float = 1.0
-    hbar: float = 1.0
     box_length: float | None = None
     n: int = 1000
     seed: int = 0
@@ -112,8 +111,6 @@ FIELD_RULES = {
     "momentum": FieldRule(float, positive=True),
     "wavenumber": FieldRule(float, positive=True),
     "slit_offset": FieldRule(float, positive=True),
-    "mass": FieldRule(float, positive=True),
-    "hbar": FieldRule(float, positive=True),
     "box_length": FieldRule(float, positive=True, nullable=True),
     "n": FieldRule(int, minimum=1),
     "seed": FieldRule(int, minimum=0),
@@ -238,7 +235,7 @@ def run(config: RunConfig) -> int:
         write_ensemble_csv(out / "ensemble.csv", ensemble_for_meta)
 
     with open(out / "claims_report.json", "w") as fh:
-        json.dump([c.to_dict() for c in claims], fh, indent=2, sort_keys=True)
+        json.dump([c.to_dict() for c in claims], fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     extra = {"config": config.to_dict(), "package_version": __version__}

@@ -166,8 +166,8 @@ def sample_configurations(model, n: int, seed: int):
         got += len(kept)
         if proposed >= max(100_000, 20 * n) and got / proposed < MIN_SAMPLER_EFFICIENCY:
             raise ConfigurationError(
-                f"rejection efficiency {got / proposed:.2e} below {MIN_SAMPLER_EFFICIENCY}; "
-                "the proposal or density envelope is pathological")
+                f"box_length: rejection efficiency {got / proposed:.2e} below "
+                f"{MIN_SAMPLER_EFFICIENCY}; the proposal or density envelope is pathological")
     points = np.concatenate(accepted, axis=0)[:n]
     return points, SamplerReport(model.proposal, proposed, got, violations)
 

@@ -70,14 +70,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
 
 @dataclass(frozen=True)
 class TrajectoryBatch:

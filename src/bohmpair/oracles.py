@@ -2,7 +2,9 @@
 
 Everything here differentiates the wavefunction or the phase numerically and
 never touches the models' closed-form velocity expressions, so agreement is
-a genuine two-route check rather than a tautology.
+a genuine two-route check rather than a tautology.  The models are in
+natural units (hbar = m = 1), so the paper's (hbar/m) Im(grad psi / psi) is
+Im(grad psi / psi) here and the phase wraps at 2 pi.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _stencil(f, points):
 
 
 def velocity_from_psi(model, points: np.ndarray, t=0.0) -> np.ndarray:
-    """(hbar/m) Im(grad psi / psi) by central differences of the wavefunction.
+    """Im(grad psi / psi) by central differences of the wavefunction.
 
     ``points`` is an (n, dim) array of flat configurations; returns (n, dim)
     velocities.  The model only needs ``psi_values`` of the two particles'
@@ -40,7 +42,7 @@ def velocity_from_psi(model, points: np.ndarray, t=0.0) -> np.ndarray:
     pts, diffs, steps = _stencil(lambda p: model.psi_values(*_particles(p), t), points)
     grad = diffs / (2.0 * steps)
     psi = model.psi_values(*_particles(pts), t)
-    return (model.hbar / model.mass) * np.imag(grad / psi[:, None])
+    return np.imag(grad / psi[:, None])
 
 
 def _particles(pts: np.ndarray):
@@ -55,11 +57,10 @@ def _particles(pts: np.ndarray):
 def phase_gradient(model, points: np.ndarray, t=0.0) -> np.ndarray:
     """Central differences of the phase with wrap handling.
 
-    The phase is defined modulo 2 pi hbar, so each difference is reduced to
+    The phase is defined modulo 2 pi, so each difference is reduced to
     the nearest equivalent before dividing; for small steps the true
     difference is far below the wrap scale and the reduction is exact.
     """
     _, diffs, steps = _stencil(lambda p: model.phase_values(*_particles(p), t), points)
-    wrap = TWO_PI * model.hbar
-    diffs -= wrap * np.round(diffs / wrap)
+    diffs -= TWO_PI * np.round(diffs / TWO_PI)
     return diffs / (2.0 * steps)

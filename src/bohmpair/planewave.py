@@ -2,11 +2,14 @@
 relative plane waves.
 
 The wavefunction is a superposition of e^{+i theta} and e^{-i theta} with
-real amplitudes ``a`` and ``b``, where theta = p (x1 - x2) / hbar, evolving
-with total kinetic energy E = p^2 / m and box-normalized on [0, L]^2.  The
-guidance field depends on the separation x1 - x2 only, the centre of mass is
-frozen, and the separation obeys a closed conserved relation that doubles as
-an exactness oracle for the integrator.
+real amplitudes ``a`` and ``b``, where theta = p (x1 - x2), evolving with
+total kinetic energy E = p^2 and box-normalized on [0, L]^2.  The guidance
+field depends on the separation x1 - x2 only, the centre of mass is frozen,
+and the separation obeys a closed conserved relation that doubles as an
+exactness oracle for the integrator.
+
+Units are natural, hbar = m = 1: the paper's formulas are these with p -> p/hbar
+and t -> hbar t / m, and its velocities are hbar / m times these.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ class PlaneWavePair:
     a: float
     b: float
     momentum: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
     box_length: float | None = None
 
     dimension = 2
@@ -49,11 +50,10 @@ class PlaneWavePair:
             raise ValueError("amplitudes a and b must be finite and nonnegative")
         if self.a == 0 and self.b == 0:
             raise ValueError("amplitudes a and b must not both vanish")
-        for name in ("momentum", "mass", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.momentum <= 0:
+            raise ValueError("momentum must be positive")
         if self.box_length is None:
-            object.__setattr__(self, "box_length", 20.0 * self.hbar / self.momentum)
+            object.__setattr__(self, "box_length", 20.0 / self.momentum)
         elif self.box_length <= 0:
             raise ValueError("box_length must be positive")
 
@@ -75,22 +75,17 @@ class PlaneWavePair:
 
     @property
     def energy(self) -> float:
-        return self.momentum ** 2 / self.mass
-
-    @property
-    def speed(self) -> float:
-        """p / m, the velocity scale of the relative motion."""
-        return self.momentum / self.mass
+        return self.momentum ** 2
 
     @cached_property
     def norm(self) -> float:
         """Normalization constant: integral of the unnormalized density over
         the box [0, L]^2, so the density integrates to one.
 
-        In closed form, with s = hbar / p,
+        In closed form, with s = 1 / p,
         ((a^2 + b^2) L^2 + 2ab s^2 sin^2(L / s)) / (a + b)^2;
         both terms are nonnegative, so nothing cancels."""
-        L, s = self.box_length, self.hbar / self.momentum
+        L, s = self.box_length, 1.0 / self.momentum
         a, b = self._amplitudes
         return ((a * a + b * b) * L * L + 2 * a * b * (s * math.sin(L / s)) ** 2) / (a + b) ** 2
 
@@ -100,7 +95,7 @@ class PlaneWavePair:
         ((a - b)^2 + 4ab cos^2 theta) / (a + b)^2, whose terms are never
         negative, so it keeps its relative accuracy near the nodes even
         when b is close to a."""
-        th = self.momentum * np.asarray(delta, dtype=float) / self.hbar
+        th = self.momentum * np.asarray(delta, dtype=float)
         a, b = self._amplitudes
         return ((a - b) ** 2 + 4 * a * b * np.cos(th) ** 2) / (a + b) ** 2
 
@@ -108,10 +103,10 @@ class PlaneWavePair:
 
     def psi_values(self, x1, x2, t):
         """Wavefunction on arrays of positions and times (broadcasting)."""
-        th = self.momentum * (np.asarray(x1) - np.asarray(x2)) / self.hbar
+        th = self.momentum * (np.asarray(x1) - np.asarray(x2))
         a, b = self._amplitudes
         bracket = a * np.exp(1j * th) + b * np.exp(-1j * th)
-        clock = np.exp(-1j * self.energy * np.asarray(t) / self.hbar)
+        clock = np.exp(-1j * self.energy * np.asarray(t))
         return bracket * clock / (math.sqrt(self.norm) * (a + b))
 
     def density_values(self, x1, x2, t=0.0):
@@ -123,7 +118,7 @@ class PlaneWavePair:
         """Variant of the density with cos(theta) in place of cos(2 theta)
         in the interference term; retained verbatim so the two closed forms
         can be compared (see the density-discrepancy analysis)."""
-        th = self.momentum * (np.asarray(x1) - np.asarray(x2)) / self.hbar
+        th = self.momentum * (np.asarray(x1) - np.asarray(x2))
         a, b = self._amplitudes
         return (a * a + b * b + 2 * a * b * np.cos(th)) / (self.norm * (a + b) ** 2)
 
@@ -131,20 +126,20 @@ class PlaneWavePair:
         """Continuous phase S of the wavefunction on arrays of positions and
         times (broadcasting).
 
-        S = hbar arctan(c tan theta) - E t + eta pi hbar, with the integer
+        S = arctan(c tan theta) - E t + eta pi, with the integer
         eta chosen so S is continuous in theta across branch cells: the
         arctangent is evaluated inside the cell of theta, as atan2 of
         c sin and cos of theta - n pi, and eta = n (or -n when c < 0).
         Raises :class:`ModelDomainError` at a node (a = b with cos theta = 0).
         """
-        th = self.momentum * (np.asarray(x1, dtype=float) - np.asarray(x2)) / self.hbar
+        th = self.momentum * (np.asarray(x1, dtype=float) - np.asarray(x2))
         c = self.contrast
         if c == 0.0 and np.any(np.abs(np.cos(th)) < 1e-12):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
         n = np.floor(th / math.pi + 0.5)
         th_cell = th - n * math.pi
         eta = n if c >= 0 else -n
-        return (self.hbar * (np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi)
+        return (np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi
                 - self.energy * np.asarray(t))
 
     # -- guidance velocities -------------------------------------------------
@@ -153,13 +148,13 @@ class PlaneWavePair:
         """Velocity of particle 1 as a function of x1 - x2 (vectorised), NaN
         at a node.
 
-        c (p / m) divided by the density shape, which equals
+        c p divided by the density shape, which equals
         cos^2 theta + c^2 sin^2 theta: finite at cos theta = 0, where the
         tangent-based expression has a removable singularity.  Particle 2
         moves with the opposite velocity.
         """
         shape = self._density_shape(delta)
-        return np.divide(self.speed * self.contrast, shape, out=np.full(shape.shape, np.nan),
+        return np.divide(self.momentum * self.contrast, shape, out=np.full(shape.shape, np.nan),
                          where=shape >= NODE_DENSITY_FLOOR)
 
     def rhs(self, t, y):
@@ -186,24 +181,24 @@ class PlaneWavePair:
                 "the separation relation divides by a^2 - b^2; it requires a != b")
 
     def _relation_coefficients(self) -> tuple[float, float]:
-        """(lin, amp): the coefficients of delta and of sin(2 p delta / hbar)
+        """(lin, amp): the coefficients of delta and of sin(2 p delta)
         in the conserved separation relation."""
         self._require_nondegenerate()
         a, b = self._amplitudes
         return ((a * a + b * b) / (a * a - b * b),
-                (self.hbar / self.momentum) * a * b / (a * a - b * b))
+                (1.0 / self.momentum) * a * b / (a * a - b * b))
 
     def _relation(self, delta, linear_scale: float):
         lin, amp = self._relation_coefficients()
         d = np.asarray(delta, dtype=float)
-        return linear_scale * lin * d + amp * np.sin(2.0 * self.momentum * d / self.hbar)
+        return linear_scale * lin * d + amp * np.sin(2.0 * self.momentum * d)
 
     def trajectory_invariant(self, delta):
         """Left-hand side of the conserved separation relation.
 
         Integrating d(x1 - x2)/dt = 2 v1 in closed form gives
-        ((a^2+b^2)/(a^2-b^2)) * delta + (hbar/p)(ab/(a^2-b^2)) sin(2 p delta / hbar)
-        = 2 v t + beta, so this expression minus 2 v t is constant along any
+        ((a^2+b^2)/(a^2-b^2)) * delta + (1/p)(ab/(a^2-b^2)) sin(2 p delta)
+        = 2 p t + beta, so this expression minus 2 p t is constant along any
         exact trajectory.
         """
         return self._relation(delta, 1.0)
@@ -228,7 +223,7 @@ class PlaneWavePair:
         :meth:`trajectory_invariant` or the printed :meth:`constraint_lhs`)."""
         states = trajectory.states
         times = np.reshape(trajectory.times, (-1,) + (1,) * (states.ndim - 2))
-        values = relation(states[..., 0] - states[..., 1]) - 2.0 * self.speed * times
+        values = relation(states[..., 0] - states[..., 1]) - 2.0 * self.momentum * times
         return float(np.nanmax(np.abs(values - values[0])))
 
     def cm_drift(self, trajectory) -> float:
@@ -248,7 +243,7 @@ class PlaneWavePair:
         Follows from the conserved relation; depends on the separation only,
         not on the centre of mass.
         """
-        return t - np.asarray(self.trajectory_invariant(delta)) / (2.0 * self.speed)
+        return t - np.asarray(self.trajectory_invariant(delta)) / (2.0 * self.momentum)
 
     def inverse_flow(self, delta, elapsed: float):
         """Separation(s) a time ``elapsed`` earlier on the same trajectory.
@@ -262,9 +257,9 @@ class PlaneWavePair:
             return (np.asarray(delta, dtype=float).copy() if np.ndim(delta)
                     else float(delta))
         d = np.atleast_1d(np.asarray(delta, dtype=float))
-        target = np.asarray(self.trajectory_invariant(d)) - 2.0 * self.speed * elapsed
+        target = np.asarray(self.trajectory_invariant(d)) - 2.0 * self.momentum * elapsed
         lin, amp = self._relation_coefficients()
-        w = 2.0 * self.momentum / self.hbar
+        w = 2.0 * self.momentum
         edge_a = (target - abs(amp)) / lin
         edge_b = (target + abs(amp)) / lin
         lo = np.minimum(edge_a, edge_b)   # lin < 0 when a < b
@@ -307,13 +302,13 @@ class PlaneWavePair:
         """Exact CDF of the separation x1 - x2 under |psi|^2 on the box
         (vectorised): 0 below -L, 1 above L.
 
-        The separation marginal is (L - |d|) (c0 + c1 cos kd) with k = 2p/hbar,
+        The separation marginal is (L - |d|) (c0 + c1 cos kd) with k = 2p,
         c0 = a^2 + b^2 and c1 = 2ab; its integral from 0 to d >= 0 is
         G(d) = c0 (L d - d^2/2) + c1 ((L - d) sin(kd)/k + (1 - cos kd)/k^2),
         and the marginal is even, so F(d) = 1/2 + sign(d) G(|d|) / (2 G(L)).
         """
         a, b = self._amplitudes
-        L, k = self.box_length, 2.0 * self.momentum / self.hbar
+        L, k = self.box_length, 2.0 * self.momentum
         c0, c1 = a * a + b * b, 2.0 * a * b
 
         def g(d):

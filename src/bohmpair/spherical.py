@@ -4,11 +4,14 @@ pair of point sources on the y axis.
 Source A sits at (0, +d, 0) and source B at (0, -d, 0); the wavefunction
 superposes "particle 1 from A, particle 2 from B" with the exchanged
 assignment, each term e^{ik(r + r')} / (r r'), restricted to the x >= 0
-half-space and evolving with E = hbar^2 k^2 / m.  The state is symmetric
-under particle interchange and under reflecting both y coordinates, which
-shows up as exact symmetries of the guidance field.  Configurations where
-the cross-pair distances match (r1A = r2B and r1B = r2A) decouple the two
+half-space and evolving with E = k^2.  The state is symmetric under
+particle interchange and under reflecting both y coordinates, which shows up
+as exact symmetries of the guidance field.  Configurations where the
+cross-pair distances match (r1A = r2B and r1B = r2A) decouple the two
 velocity equations, and the flow preserves that manifold.
+
+Units are natural, hbar = m = 1: the paper's formulas are these with
+t -> hbar t / m, and its velocities are hbar / m times these.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ class SlitPair:
 
     wavenumber: float
     slit_offset: float
-    mass: float = 1.0
-    hbar: float = 1.0
     box_length: float | None = None
 
     dimension = 6
@@ -71,7 +72,7 @@ class SlitPair:
     proposal = "source_mixture"
 
     def __post_init__(self) -> None:
-        for name in ("wavenumber", "slit_offset", "mass", "hbar"):
+        for name in ("wavenumber", "slit_offset"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.box_length is None:
@@ -88,7 +89,7 @@ class SlitPair:
 
     @property
     def energy(self) -> float:
-        return self.hbar ** 2 * self.wavenumber ** 2 / self.mass
+        return self.wavenumber ** 2
 
     @property
     def source_a(self) -> np.ndarray:
@@ -137,7 +138,7 @@ class SlitPair:
     def psi_values(self, r1, r2, t):
         """Wavefunction on arrays of positions of shape (..., 3)."""
         r1a, r1b, r2a, r2b = self._supported_distances(r1, r2)
-        clock = np.exp(-1j * self.energy * np.asarray(t) / self.hbar)
+        clock = np.exp(-1j * self.energy * np.asarray(t))
         return self._bracket(r1a, r1b, r2a, r2b) * clock / math.sqrt(self.norm)
 
     def node_measure_of(self, r1a, r1b, r2a, r2b):
@@ -171,7 +172,7 @@ class SlitPair:
         return q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval
 
     def phase_values(self, r1, r2, t):
-        """Phase on arrays of positions of shape (..., 3): hbar atan2(N, D)
+        """Phase on arrays of positions of shape (..., 3): atan2(N, D)
         - E t (see :meth:`_phase_terms`), so it is defined wherever the
         wavefunction is nonzero, including where D alone vanishes.  Values
         are principal per call, to be unwrapped by continuity along sampled
@@ -182,12 +183,12 @@ class SlitPair:
         if np.any(self._node_measure(terms) < NODE_THRESHOLD):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
         *_, nval, dval = terms
-        return self.hbar * np.arctan2(nval, dval) - self.energy * np.asarray(t)
+        return np.arctan2(nval, dval) - self.energy * np.asarray(t)
 
     # -- phase derivatives and velocities --------------------------------------
 
     @staticmethod
-    def _partial(k, hbar, nval, dval, cross, partner, sin_own, cos_own, sin_other, cos_other):
+    def _partial(k, nval, dval, cross, partner, sin_own, cos_own, sin_other, cos_other):
         """d(phase)/d(distance) for one of the four source distances.
 
         ``cross`` is the product of the two distances in the *other* term,
@@ -200,17 +201,17 @@ class SlitPair:
         """
         pn = k * cross * cos_own + partner * sin_other
         pd = -k * cross * sin_own + partner * cos_other
-        return hbar * (pn * dval - nval * pd) / (nval * nval + dval * dval)
+        return (pn * dval - nval * pd) / (nval * nval + dval * dval)
 
     def _distance_derivatives(self, r1a, r1b, r2a, r2b, terms):
         """The four phase partials, given the :meth:`_phase_terms` of these
         distances."""
         k = self.wavenumber
         q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval = terms
-        g1a = self._partial(k, self.hbar, nval, dval, rr, r2b, sin_a, cos_a, sin_b, cos_b)
-        g1b = self._partial(k, self.hbar, nval, dval, q, r2a, sin_b, cos_b, sin_a, cos_a)
-        g2a = self._partial(k, self.hbar, nval, dval, q, r1b, sin_b, cos_b, sin_a, cos_a)
-        g2b = self._partial(k, self.hbar, nval, dval, rr, r1a, sin_a, cos_a, sin_b, cos_b)
+        g1a = self._partial(k, nval, dval, rr, r2b, sin_a, cos_a, sin_b, cos_b)
+        g1b = self._partial(k, nval, dval, q, r2a, sin_b, cos_b, sin_a, cos_a)
+        g2a = self._partial(k, nval, dval, q, r1b, sin_b, cos_b, sin_a, cos_a)
+        g2b = self._partial(k, nval, dval, rr, r1a, sin_a, cos_a, sin_b, cos_b)
         return g1a, g1b, g2a, g2b
 
     def rhs(self, t, y):
@@ -236,9 +237,9 @@ class SlitPair:
             g1a, g1b, g2a, g2b = self._distance_derivatives(*distances, terms)
             u = lambda r, src, d: (r - src) / d[..., None]
             v1 = (g1a[..., None] * u(r1, self.source_a, r1a)
-                  + g1b[..., None] * u(r1, self.source_b, r1b)) / self.mass
+                  + g1b[..., None] * u(r1, self.source_b, r1b))
             v2 = (g2a[..., None] * u(r2, self.source_a, r2a)
-                  + g2b[..., None] * u(r2, self.source_b, r2b)) / self.mass
+                  + g2b[..., None] * u(r2, self.source_b, r2b))
         out = np.concatenate([v1, v2], axis=1)
         out[~defined] = np.nan
         return out.reshape(y.shape)
@@ -293,10 +294,6 @@ class SlitPair:
     @property
     def norm(self) -> float:
         return self._norm_estimate[0]
-
-    @property
-    def norm_standard_error(self) -> float:
-        return self._norm_estimate[1]
 
     def computed_norm(self) -> dict | None:
         """The norm, its standard error and the draws behind them if this

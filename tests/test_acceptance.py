@@ -43,15 +43,15 @@ def test_criterion_01_plane_wave_limits():
     rng = np.random.default_rng(101)
     single = PlaneWavePair(a=1.0, b=0.0)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 2))
-    worst = float(np.max(np.abs(single.rhs(0.0, pts) - [single.speed, -single.speed])))
+    worst = float(np.max(np.abs(single.rhs(0.0, pts) - [single.momentum, -single.momentum])))
     ok = worst < 1e-12
 
     static = PlaneWavePair(a=1.0, b=1.0)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 2))
-    theta = static.momentum * (pts[:, 0] - pts[:, 1]) / static.hbar
+    theta = static.momentum * (pts[:, 0] - pts[:, 1])
     static_ok = bool(np.all(static.rhs(0.0, pts[np.abs(np.cos(theta)) >= 1e-6]) == 0.0))
     report(1, ok and static_ok,
-           f"b=0 max |v - (p/m, -p/m)| = {worst:.3e} < 1e-12; a=b exactly static: {static_ok}")
+           f"b=0 max |v - (p, -p)| = {worst:.3e} < 1e-12; a=b exactly static: {static_ok}")
 
 
 def test_criterion_02_velocity_oracle_agreement():
@@ -59,7 +59,7 @@ def test_criterion_02_velocity_oracle_agreement():
     states = random_valid_states(pw, 1000, seed=202)
     rng = np.random.default_rng(203)
     near_theta = 0.5 * math.pi + rng.uniform(-1e-3, 1e-3, size=1000)
-    near = np.column_stack([near_theta * pw.hbar / pw.momentum, np.zeros(1000)])
+    near = np.column_stack([near_theta / pw.momentum, np.zeros(1000)])
     all_states = np.vstack([states, near])
     v1 = pw.velocity_of_separation(all_states[:, 0] - all_states[:, 1])
     oracle = velocity_from_psi(pw, all_states, t=0.0)
@@ -125,7 +125,7 @@ def test_criterion_04_uniqueness_condition(tmp_path):
 def test_criterion_05_density_discrepancy():
     model = PlaneWavePair(a=1.0, b=1.0)
     thetas = np.linspace(0.0, 2.0 * math.pi, 8193)
-    deltas = thetas * model.hbar / model.momentum
+    deltas = thetas / model.momentum
     zeros = np.zeros_like(deltas)
     gap = float(np.max(np.abs(model.density_values(deltas, zeros, 0.0)
                               - model.density_single_angle_values(deltas, zeros))))
@@ -181,7 +181,7 @@ def test_criterion_08_mirror_manifold():
 def test_criterion_09_chain_rule_gradient():
     model = SlitPair(wavenumber=5.0, slit_offset=0.5)
     states = random_valid_states(model, 1000, seed=900)
-    assembled = model.mass * model.rhs(0.0, states)
+    assembled = model.rhs(0.0, states)
     fd = phase_gradient(model, states, t=0.0)
     dev = float(np.max(np.abs(assembled - fd)))
     ok = dev < 1e-6

@@ -21,7 +21,6 @@ class TestValidateConfig:
     def test_minimal_fills_defaults(self):
         cfg = cli.validate_config('{"model": "planewave", "a": 1, "b": 0.5}')
         assert cfg.a == 1.0 and cfg.b == 0.5
-        assert cfg.hbar == 1.0 and cfg.mass == 1.0
         assert cfg.rel_tol == 1e-9
         assert cfg.box_length is None
         assert cfg.analyses == ["trajectories"]
@@ -223,8 +222,7 @@ class TestRun:
                                    "output_dir": str(out)})
         assert cli.run(cfg) == 0
         meta = json.loads((out / "meta.json").read_text())
-        assert set(meta["params"]) == {"wavenumber", "slit_offset", "mass", "hbar",
-                                       "box_length"}
+        assert set(meta["params"]) == {"wavenumber", "slit_offset", "box_length"}
         assert meta["norm"]["samples"] == 200_000
 
     def test_spherical_run(self, tmp_path):
@@ -283,22 +281,45 @@ class TestMain:
         assert "b:" in capsys.readouterr().err
 
     def test_integrator_keys_beyond_tolerances_and_cap_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"method": "rk45", "step": 0.01}))
-        assert cli.main(["run", "--config", str(cfg_path)]) == 1
-        assert (capsys.readouterr().err
-                == "configuration error: unknown config keys: method, step\n")
+        # hbar and mass are not settings: the models are in natural units.
+        for raw, keys in (({"method": "rk45", "step": 0.01}, "method, step"),
+                          ({"hbar": 1.0, "mass": 1.0}, "hbar, mass")):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(raw))
+            assert cli.main(["run", "--config", str(cfg_path)]) == 1
+            assert (capsys.readouterr().err
+                    == f"configuration error: unknown config keys: {keys}\n")
+
+    def test_nan_claim_value_written_as_null(self, tmp_path):
+        # Two step attempts truncate the constraint probe, so its later
+        # samples, and the deviations over them, are NaN.
+        out = tmp_path / "out"
+        code = cli.main(["run", "--model", "spherical", "--max-steps", "2",
+                         "--analysis", "constraints", "--output-dir", str(out)])
+        assert code == 2
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((out / "claims_report.json").read_text(), parse_constant=refuse)
+        claims = {c["claim_id"]: c for c in report}
+        assert claims["mirror_manifold_preserved"]["status"] == "fail"
+        assert claims["mirror_manifold_preserved"]["value"] is None
 
     def test_box_without_valid_states_exits_one(self, tmp_path, capsys):
         # Past ~1e77 the spherical node measure would overflow to NaN
         # everywhere; the model refuses such a box before any state is drawn.
-        code = cli.main(["run", "--model", "spherical", "--box-length", "1e200",
-                         "--analysis", "oracle_crosscheck",
-                         "--output-dir", str(tmp_path / "out")])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("configuration error: box_length: ")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        # A box of 0.1 about sources 1 apart holds almost none of the
+        # density, so the rejection sampler gives up.
+        for argv in (["--box-length", "1e200", "--analysis", "oracle_crosscheck"],
+                     ["--box-length", "0.1", "--analysis", "equivariance",
+                      "--n", "20", "--t-end", "0.1"]):
+            code = cli.main(["run", "--model", "spherical", *argv,
+                             "--output-dir", str(tmp_path / "out")])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error: box_length: ")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [["--wavenumber", "1e-40"], ["--box-length", "1e40"]])
     def test_box_past_density_range_exits_one(self, tmp_path, capsys, argv):

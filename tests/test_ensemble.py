@@ -33,7 +33,7 @@ NODE_MEMBER = 1
 @pytest.fixture(scope="module")
 def node_ensembles():
     """Static (a == b) ensemble whose member NODE_MEMBER sits on a node of
-    the wavefunction, x1 - x2 = (pi/2) hbar/p: unevolved and evolved."""
+    the wavefunction, x1 - x2 = (pi/2)/p: unevolved and evolved."""
     m = PlaneWavePair(a=1.0, b=1.0)
     states = np.array([[0.4, -0.1], [math.pi / 2, 0.0], [1.0, 0.5], [2.0, 1.2]])
     ens = build_ensemble(m, len(states), seed=0, initial_states=states)
@@ -125,7 +125,7 @@ class TestSampling:
         # the sampled mass near the nodes is far below the uniform share.
         m = PlaneWavePair(a=1.0, b=1.0)
         pts, _ = sample_configurations(m, 20_000, seed=17)
-        thetas = m.momentum * (pts[:, 0] - pts[:, 1]) / m.hbar
+        thetas = m.momentum * (pts[:, 0] - pts[:, 1])
         near_node = np.abs(np.cos(thetas)) < 0.05
         assert np.mean(near_node) < 0.005  # uniform share would be ~0.032
 
@@ -173,8 +173,8 @@ class TestEvolution:
         evolved = evolve_ensemble(ens, 2.5)
         start = ens.initial_states()
         end = evolved.states_at(2.5)
-        assert np.max(np.abs(end[:, 0] - (start[:, 0] + m.speed * 2.5))) < 1e-9
-        assert np.max(np.abs(end[:, 1] - (start[:, 1] - m.speed * 2.5))) < 1e-9
+        assert np.max(np.abs(end[:, 0] - (start[:, 0] + m.momentum * 2.5))) < 1e-9
+        assert np.max(np.abs(end[:, 1] - (start[:, 1] - m.momentum * 2.5))) < 1e-9
 
     def test_conservation_audit(self, mild):
         ens = build_ensemble(mild, 500, seed=23)
@@ -218,7 +218,7 @@ class TestEvolution:
         assert evolved.terminations[NODE_MEMBER].startswith("domain_error")
         assert all(evolved.terminations[i] == "completed" for i in regular)
         assert [m.complete for m in evolved.members] == [i != NODE_MEMBER for i in range(n)]
-        assert evolved.members[NODE_MEMBER].final_time == 0.0
+        assert evolved.members[NODE_MEMBER].times[-1] == 0.0
         assert np.all(np.isnan(evolved.states[1:, NODE_MEMBER]))
         assert np.array_equal(evolved.states_at(1.0), ens.initial_states()[regular])
         assert evolved.survival_fraction == (n - 1) / n
@@ -258,7 +258,7 @@ class TestEvolution:
         printed = 0.0
         for m in members:
             deltas = m.states[:, 0] - m.states[:, 1]
-            vals = np.asarray(mild.constraint_lhs(deltas)) - 2.0 * mild.speed * m.times
+            vals = np.asarray(mild.constraint_lhs(deltas)) - 2.0 * mild.momentum * m.times
             printed = max(printed, float(np.max(np.abs(vals - vals[0]))))
         expected = {"centre_of_mass_frozen": max(mild.cm_drift(m) for m in members),
                     "separation_relation_conserved": max(mild.residual_drift(m)
@@ -330,7 +330,7 @@ class TestGlobalConstraint:
         ens = build_ensemble(m, 500, seed=59)
         init = ens.initial_states()
         zero_times = m.zero_separation_times(init[:, 0] - init[:, 1], ens.t0)
-        expected = -(init[:, 0] - init[:, 1]) / (2.0 * m.speed)
+        expected = -(init[:, 0] - init[:, 1]) / (2.0 * m.momentum)
         assert np.max(np.abs(zero_times - expected)) < 1e-12
         claims = {c.claim_id: c for c in global_constraint_claims(ens)}
         assert claims["zero_time_spread"].value == float(np.std(zero_times))

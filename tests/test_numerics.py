@@ -48,7 +48,7 @@ class TestIntegrateOde:
         traj = integrate_ode(lambda t, y: np.full_like(y, 2.5), [[1.0]], 0.0, 3.0,
                              sample_times=[0.0, 1.5, 3.0]).member(0)
         assert traj.complete
-        assert abs(traj.final_state[0] - (1.0 + 2.5 * 3.0)) < 1e-12
+        assert abs(traj.states[-1, 0] - (1.0 + 2.5 * 3.0)) < 1e-12
         assert np.array_equal(traj.times, [0.0, 1.5, 3.0])
 
     def test_exponential_within_tolerance(self):
@@ -76,7 +76,7 @@ class TestIntegrateOde:
                              sample_times=np.linspace(0, 1, 11)).member(0)
         assert not traj.complete
         assert traj.termination == "max_steps"
-        assert traj.final_time == pytest.approx(0.3)
+        assert traj.times[-1] == pytest.approx(0.3)
 
     def test_domain_error_truncates(self):
         def rhs(t, y):  # undefined past t = 0.5
@@ -86,8 +86,8 @@ class TestIntegrateOde:
                              sample_times=np.linspace(0, 1, 11)).member(0)
         assert not traj.complete
         assert traj.termination.startswith("domain_error")
-        assert traj.final_time == pytest.approx(0.5, abs=0.101)
-        assert np.isnan(traj.velocities[-1, 0]) or traj.final_time <= 0.5
+        assert traj.times[-1] == pytest.approx(0.5, abs=0.101)
+        assert np.isnan(traj.velocities[-1, 0]) or traj.times[-1] <= 0.5
 
     def test_default_samples_are_end_points(self):
         batch = integrate_ode(lambda t, y: y, [[1.0]], 1.0, 0.0)
@@ -95,7 +95,7 @@ class TestIntegrateOde:
 
     def test_zero_span(self):
         traj = integrate_ode(lambda t, y: y, [[2.0]], 1.0, 1.0).member(0)
-        assert len(traj) == 1 and traj.final_state[0] == 2.0
+        assert len(traj) == 1 and traj.states[-1, 0] == 2.0
 
     def test_sample_times_within_rounding_merge_with_end_points(self):
         # Times up to 1e-12 past either end are taken as that end point, so
@@ -123,7 +123,7 @@ class TestRk45MatchesSolveIvp:
         rhs = lambda t, y: np.where(np.asarray(t)[..., None] > 0.5, 1e10, 0.0) * np.ones_like(y)
         traj = integrate_ode(rhs, [[0.0]], 0.0, 1.0, sample_times=[0.0, 0.25, 1.0]).member(0)
         sol = solve_ivp(rhs, (0.25, 1.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11)
-        assert not traj.complete and traj.final_time == 0.25
+        assert not traj.complete and traj.times[-1] == 0.25
         assert traj.termination == f"integration_failure: {sol.message}"
 
 

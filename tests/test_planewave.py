@@ -18,8 +18,8 @@ from bohmpair.planewave import NODE_DENSITY_FLOOR, PlaneWavePair
 
 
 def x_at_theta(model, theta):
-    """Position x1 at which theta = p (x1 - x2) / hbar, with x2 = 0."""
-    return np.asarray(theta, dtype=float) * model.hbar / model.momentum
+    """Position x1 at which theta = p (x1 - x2), with x2 = 0."""
+    return np.asarray(theta, dtype=float) / model.momentum
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +49,10 @@ class TestParams:
             PlaneWavePair(a=1.0, b=0.0, box_length=-1.0)
 
     def test_derived_quantities(self):
-        m = PlaneWavePair(a=1.0, b=0.5, momentum=2.0, mass=4.0)
+        m = PlaneWavePair(a=1.0, b=0.5, momentum=2.0)
         assert m.contrast == pytest.approx((1.0 - 0.5) / 1.5)
-        assert m.energy == pytest.approx(2.0 ** 2 / 4.0)
-        assert m.speed == pytest.approx(0.5)
-        assert m.box_length == pytest.approx(20.0 * 1.0 / 2.0)
+        assert m.energy == pytest.approx(2.0 ** 2)
+        assert m.box_length == pytest.approx(20.0 / 2.0)
 
     def test_norm_single_wave_is_box_area(self):
         m = PlaneWavePair(a=1.0, b=0.0)
@@ -133,7 +132,7 @@ class TestPsiAndDensity:
         theta = math.pi / 4
         x1 = x_at_theta(lopsided, theta)
         expected = ((1.0 * cmath.exp(1j * theta) + 0.5 * cmath.exp(-1j * theta))
-                    * cmath.exp(-1j * lopsided.energy * 0.7 / lopsided.hbar)
+                    * cmath.exp(-1j * lopsided.energy * 0.7)
                     / (math.sqrt(lopsided.norm) * 1.5))
         assert complex(lopsided.psi_values(x1, 0.0, 0.7)) == pytest.approx(expected, abs=1e-15)
 
@@ -173,7 +172,7 @@ class TestDensitySingleAngle:
     def test_single_wave_forms_agree(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         thetas = np.linspace(0, 2 * math.pi, 101)
-        deltas = thetas * m.hbar / m.momentum
+        deltas = thetas / m.momentum
         gap = np.abs(m.density_values(deltas, np.zeros_like(deltas), 0.0)
                      - m.density_single_angle_values(deltas, np.zeros_like(deltas)))
         assert np.max(gap) < 1e-15
@@ -184,7 +183,7 @@ class TestDensitySingleAngle:
         # largest gap is therefore exactly 1/N.
         m = PlaneWavePair(a=1.0, b=1.0)
         thetas = np.linspace(0, 2 * math.pi, 4097)
-        deltas = thetas * m.hbar / m.momentum
+        deltas = thetas / m.momentum
         gap = np.abs(m.density_values(deltas, np.zeros_like(deltas), 0.0)
                      - m.density_single_angle_values(deltas, np.zeros_like(deltas)))
         assert np.max(gap) == pytest.approx(1.0 / m.norm, rel=1e-9)
@@ -197,31 +196,30 @@ class TestPhase:
     def test_single_wave_phase_is_linear(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         thetas = np.linspace(-9.0, 9.0, 61)
-        expected = m.hbar * thetas - m.energy * 0.4
+        expected = thetas - m.energy * 0.4
         np.testing.assert_allclose(m.phase_values(x_at_theta(m, thetas), 0.0, 0.4), expected,
                                    rtol=0, atol=1e-12)
 
     def test_branch_index_past_quarter_turn(self, lopsided):
-        # S = hbar (arctan(c tan theta) + eta pi) - E t: the branch index eta
+        # S = arctan(c tan theta) + eta pi - E t: the branch index eta
         # is n for theta in the cell (n - 1/2, n + 1/2) pi, or -n when c < 0.
         n = np.arange(-3, 4)
         thetas = np.concatenate([n * math.pi - math.pi / 4, n * math.pi + math.pi / 4])
         t = 0.3
         for m in (lopsided, PlaneWavePair(a=0.5, b=1.0)):
             S = m.phase_values(x_at_theta(m, thetas), 0.0, t)
-            eta = ((S + m.energy * t) / m.hbar - np.arctan(m.contrast * np.tan(thetas))) / math.pi
+            eta = (S + m.energy * t - np.arctan(m.contrast * np.tan(thetas))) / math.pi
             np.testing.assert_allclose(eta, np.sign(m.contrast) * np.concatenate([n, n]),
                                        rtol=0, atol=1e-12)
         S = lopsided.phase_values(x_at_theta(lopsided, 3 * math.pi / 4), 0.0, 0.0)
-        assert S == pytest.approx(lopsided.hbar * (math.pi - math.atan(lopsided.contrast)),
-                                  abs=1e-15)
+        assert S == pytest.approx(math.pi - math.atan(lopsided.contrast), abs=1e-15)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.5), (0.5, 1.0), (1.0, 0.2)])
     def test_continuity_along_theta_path(self, a, b):
         m = PlaneWavePair(a=a, b=b)
         thetas = np.arange(-3 * math.pi, 3 * math.pi, math.pi / 200)
         values = m.phase_values(x_at_theta(m, thetas), 0.0, 0.0)
-        assert np.max(np.abs(np.diff(values))) < math.pi * m.hbar / 2
+        assert np.max(np.abs(np.diff(values))) < math.pi / 2
 
     def test_matches_unwrapped_arg_of_psi(self, lopsided):
         thetas = np.arange(-2 * math.pi, 2 * math.pi, math.pi / 300)
@@ -229,11 +227,10 @@ class TestPhase:
         x1 = x_at_theta(lopsided, thetas)
         values = lopsided.phase_values(x1, 0.0, t)
         psis = lopsided.psi_values(x1, 0.0, t)
-        reference = lopsided.hbar * np.unwrap(np.angle(psis))
+        reference = np.unwrap(np.angle(psis))
         offset = values[0] - reference[0]
-        # Agreement up to one global multiple of 2 pi hbar.
-        assert offset / (2 * math.pi * lopsided.hbar) == pytest.approx(
-            round(offset / (2 * math.pi * lopsided.hbar)), abs=1e-9)
+        # Agreement up to one global multiple of 2 pi.
+        assert offset / (2 * math.pi) == pytest.approx(round(offset / (2 * math.pi)), abs=1e-9)
         assert np.max(np.abs(values - reference - offset)) < 1e-9
 
     def test_node_rejected(self):
@@ -248,16 +245,16 @@ class TestPhase:
 
 class TestVelocities:
     def test_single_wave_exact(self):
-        m = PlaneWavePair(a=1.0, b=0.0, momentum=1.3, mass=0.7)
+        m = PlaneWavePair(a=1.0, b=0.0, momentum=1.3)
         rows = np.random.default_rng(3).uniform(-10, 10, size=(200, 2))
         v = m.rhs(0.0, rows)
-        assert np.max(np.abs(v[:, 0] - m.speed)) < 1e-12
+        assert np.max(np.abs(v[:, 0] - m.momentum)) < 1e-12
         assert np.array_equal(v[:, 1], -v[:, 0])
 
     def test_equal_amplitudes_static(self):
         m = PlaneWavePair(a=1.0, b=1.0)
         rows = np.random.default_rng(4).uniform(-10, 10, size=(200, 2))
-        rows = rows[np.abs(np.cos(m.momentum * (rows[:, 0] - rows[:, 1]) / m.hbar)) >= 1e-6]
+        rows = rows[np.abs(np.cos(m.momentum * (rows[:, 0] - rows[:, 1]))) >= 1e-6]
         assert np.all(m.rhs(0.0, rows) == 0.0)
 
     def test_removable_singularity_value(self, lopsided):
@@ -276,8 +273,7 @@ class TestVelocities:
         for _ in range(12):
             a = rng.uniform(0.2, 2.0)
             b = rng.uniform(0.0, a * 0.95)
-            m = PlaneWavePair(a=a, b=b, momentum=rng.uniform(0.5, 2.0),
-                              mass=rng.uniform(0.5, 2.0))
+            m = PlaneWavePair(a=a, b=b, momentum=rng.uniform(0.5, 2.0))
             pts = rng.uniform(-4, 4, size=(80, 2))
             keep = m._density_shape(pts[:, 0] - pts[:, 1]) > 1e-3
             pts = pts[keep]
@@ -290,7 +286,7 @@ class TestVelocities:
         # Both velocities recovered separately from d(phase)/dx1 and d(phase)/dx2.
         rows = np.random.default_rng(13).uniform(-3, 3, size=(40, 2))
         grad = phase_gradient(mild, rows)
-        assert np.max(np.abs(grad / mild.mass - mild.rhs(0.0, rows))) < 1e-6
+        assert np.max(np.abs(grad - mild.rhs(0.0, rows))) < 1e-6
 
     def test_translation_invariance_exact(self, mild):
         # Dyadic coordinates keep (x1+s) - (x2+s) bitwise equal to x1 - x2.
@@ -324,10 +320,10 @@ class TestDensityShapeVelocity:
         rng = np.random.default_rng(seed)
         delta = np.concatenate([rng.uniform(-10.0, 10.0, 200),
                                 math.pi / 2 + rng.uniform(-1e-3, 1e-3, 200)]) / m.momentum
-        theta = m.momentum * delta / m.hbar
+        theta = m.momentum * delta
         c = m.contrast
         denom = np.cos(theta) ** 2 + (c * np.sin(theta)) ** 2
-        reference = np.where(denom < NODE_DENSITY_FLOOR, np.nan, m.speed * c / denom)
+        reference = np.where(denom < NODE_DENSITY_FLOOR, np.nan, m.momentum * c / denom)
         v = m.velocity_of_separation(delta)
         assert np.array_equal(np.isnan(v), np.isnan(reference))
         ok = ~np.isnan(v)
@@ -367,7 +363,7 @@ class TestConservedQuantities:
         traj = integrate_ode(mild.batch_rhs, [[0.4, -0.1]], 0.0, 2.0,
                              sample_times=np.linspace(0, 2, 81)).member(0)
         deltas = traj.states[:, 0] - traj.states[:, 1]
-        vals = np.asarray(mild.constraint_lhs(deltas)) - 2 * mild.speed * traj.times
+        vals = np.asarray(mild.constraint_lhs(deltas)) - 2 * mild.momentum * traj.times
         assert np.max(np.abs(vals - vals[0])) > 1e-3
 
     def test_cm_frozen_long_horizon(self, mild):
@@ -397,12 +393,12 @@ class TestConservedQuantities:
             m.residual_drift(traj)
 
     def test_gradient_of_phase_matches_analytic(self, lopsided):
-        # The phase-gradient oracle reproduces the momentum components
-        # m*v1, m*v2 at the reference point.
+        # The phase-gradient oracle reproduces the velocities v1, v2 (the
+        # momenta, at m = 1) at the reference point.
         grad = phase_gradient(lopsided, [[0.3, 0.1]])[0]
         v1, v2 = lopsided.rhs(0.0, np.array([0.3, 0.1]))
-        assert abs(grad[0] - lopsided.mass * v1) < 1e-6
-        assert abs(grad[1] - lopsided.mass * v2) < 1e-6
+        assert abs(grad[0] - v1) < 1e-6
+        assert abs(grad[1] - v2) < 1e-6
 
     def test_inverse_flow_round_trip(self, mild):
         rng = np.random.default_rng(21)
@@ -421,7 +417,7 @@ class TestConservedQuantities:
     def test_zero_time_single_wave_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         assert m.zero_separation_times(1.5 - 0.25, 2.0) == pytest.approx(
-            2.0 - (1.5 - 0.25) / (2.0 * m.speed), abs=1e-14)
+            2.0 - (1.5 - 0.25) / (2.0 * m.momentum), abs=1e-14)
 
 
 def uniqueness(model):
@@ -443,7 +439,7 @@ class TestUniquenessAnalysis:
         assert count.value == 1 and count.status == "pass"
         assert claims["monotonicity_matches_condition"].value is True
         # The claims' scan, whose one root lies at the reference time.
-        half = 4.0 * math.pi * mild.hbar / mild.momentum
+        half = 4.0 * math.pi / mild.momentum
         roots, _ = scan_roots(mild.constraint_lhs, -half, half, UNIQUENESS_GRID)
         assert roots[0] == pytest.approx(0.0, abs=1e-9)
 
