@@ -43,9 +43,11 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _tolerance_claim(claim_id: str, anchor: str, value: float, tolerance: float) -> ClaimCheck:
+def _tolerance_claim(claim_id: str, anchor: str, value: float, tolerance: float,
+                     checked: bool = True) -> ClaimCheck:
+    """A claim whose evidence is incomplete (``checked`` False) fails."""
     value = _finite(value)
-    status = "pass" if value is not None and value < tolerance else "fail"
+    status = "pass" if checked and value is not None and value < tolerance else "fail"
     return ClaimCheck(claim_id, anchor, status, value, tolerance)
 
 
@@ -119,7 +121,7 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
         near = np.column_stack([th / model.momentum, np.zeros(ORACLE_STATES)])
         all_states = np.vstack([states, near]) if model.a != model.b else states
         v1 = model.velocity_of_separation(all_states[:, 0] - all_states[:, 1])
-        oracle = velocity_from_psi(model, all_states, t=0.0)
+        oracle = velocity_from_psi(model, all_states)
         dev = max(np.max(np.abs(oracle[:, 0] - v1)), np.max(np.abs(oracle[:, 1] + v1)))
         claims.append(_tolerance_claim(
             "velocity_oracle_agreement",
@@ -138,12 +140,12 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
                 "pass" if lim == 0.0 else "fail", float(lim), 0.0))
     else:
         analytic = model.batch_rhs(0.0, states)
-        oracle = velocity_from_psi(model, states, t=0.0)
+        oracle = velocity_from_psi(model, states)
         dev = float(np.max(np.abs(analytic - oracle)))
         claims.append(_tolerance_claim(
             "velocity_oracle_agreement",
             "Eqs. (20)-(27) vs (hbar/m) Im(grad psi / psi)", dev, 1e-6))
-        fd = phase_gradient(model, states, t=0.0)
+        fd = phase_gradient(model, states)
         dev = float(np.max(np.abs(analytic - fd)))
         claims.append(_tolerance_claim(
             "phase_gradient_consistency",
@@ -153,13 +155,13 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
 
 # -- trajectory-based analyses ------------------------------------------------------
 
-def trajectory_ensemble(model, count: int, seed: int, t0: float, t_end: float,
+def trajectory_ensemble(model, count: int, seed: int, t_end: float,
                         cfg: IntegratorConfig, samples: int = 101,
                         sample_times=None) -> Ensemble:
     """Small density-sampled ensemble sampled at ``samples`` evenly spaced
-    times (plus any ``sample_times``), shared by the trajectory and
-    constraint analyses; the interior samples come from the integrator's
-    dense output.
+    times from 0 to ``t_end`` (plus any ``sample_times``), shared by the
+    trajectory and constraint analyses; the interior samples come from the
+    integrator's dense output.
 
     For a plane-wave pair, ``rel_tol`` is scaled by the amplitude contrast
     |a - b| / (a + b): an error e in a separation moves the conserved
@@ -168,8 +170,8 @@ def trajectory_ensemble(model, count: int, seed: int, t0: float, t_end: float,
     (``abs_tol`` bounds the step error as the contrast vanishes)."""
     if model.tag == "planewave" and model.a != model.b:
         cfg = replace(cfg, rel_tol=cfg.rel_tol * abs(model.contrast))
-    ens = build_ensemble(model, count, seed, t0=t0)
-    times = np.linspace(t0, t_end, samples)
+    ens = build_ensemble(model, count, seed)
+    times = np.linspace(0.0, t_end, samples)
     if sample_times is not None:
         times = np.union1d(times, sample_times)
     return evolve_ensemble(ens, t_end, cfg, sample_times=times)
@@ -178,14 +180,15 @@ def trajectory_ensemble(model, count: int, seed: int, t0: float, t_end: float,
 def constraint_claims(model, evolved: Ensemble) -> list[ClaimCheck]:
     claims: list[ClaimCheck] = []
     if model.tag == "planewave":
+        # A member stopped at its first sample adds 0: an incomplete probe fails.
         claims.append(_tolerance_claim(
             "centre_of_mass_frozen", "Eqs. (8)-(9): v1 + v2 = 0, x1 + x2 constant",
-            model.cm_drift(evolved), 1e-8))
+            model.cm_drift(evolved), 1e-8, evolved.complete))
         if model.a != model.b:
             claims.append(_tolerance_claim(
                 "separation_relation_conserved",
                 "Eq. (13) with unhalved linear coefficient (conserved form)",
-                model.residual_drift(evolved), 1e-6))
+                model.residual_drift(evolved), 1e-6, evolved.complete))
             claims.append(_measured(
                 "separation_relation_printed_drift",
                 "Eq. (13) as printed (halved linear coefficient)",
@@ -214,10 +217,10 @@ def mirror_probe_state(model: SlitPair) -> np.ndarray:
 # -- closed-form analyses -------------------------------------------------------------
 
 def uniqueness_claims(model: PlaneWavePair) -> list[ClaimCheck]:
-    """Roots of the separation constraint at t = t0, constraint_lhs(delta) = 0
-    (Eq. (14)), scanned on ``UNIQUENESS_GRID`` points over
-    |delta| <= 4 pi / p, beside the two candidate conditions for a
-    unique root: 4ab < a^2 + b^2, exactly the positivity of the scanned
+    """Roots of the separation constraint at t = 0 (the paper's t0),
+    constraint_lhs(delta) = 0 (Eq. (14)), scanned on ``UNIQUENESS_GRID``
+    points over |delta| <= 4 pi / p, beside the two candidate conditions for
+    a unique root: 4ab < a^2 + b^2, exactly the positivity of the scanned
     slope, and the looser b < a/3.  The two disagree on part of parameter
     space, which the claims expose rather than resolve.  Raises
     :class:`DegenerateParametersError` when a == b."""
@@ -252,7 +255,7 @@ def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
     def max_gap(m: PlaneWavePair) -> float:
         deltas = np.linspace(0.0, 2.0 * math.pi, DENSITY_GAP_POINTS) / m.momentum
         zeros = np.zeros_like(deltas)
-        gap = np.abs(m.density_values(deltas, zeros, 0.0)
+        gap = np.abs(m.density_values(deltas, zeros)
                      - m.density_single_angle_values(deltas, zeros))
         return float(np.max(gap))
 
@@ -324,7 +327,7 @@ def global_constraint_claims(ens0: Ensemble) -> list[ClaimCheck]:
     if model.tag != "planewave":
         raise ValueError("the constraint analysis applies to the plane-wave model")
     initial = ens0.initial_states()
-    zero_times = model.zero_separation_times(initial[:, 0] - initial[:, 1], ens0.t0)
+    zero_times = model.zero_separation_times(initial[:, 0] - initial[:, 1])
     at_zero = float(model.separation_cdf(0.0))
     claims = [
         _measured("zero_time_spread",
@@ -338,7 +341,7 @@ def global_constraint_claims(ens0: Ensemble) -> list[ClaimCheck]:
     ]
     shift = 64.0
     shifted = (initial[:, 0] + shift) - (initial[:, 1] + shift)
-    moved = model.zero_separation_times(shifted, ens0.t0)
+    moved = model.zero_separation_times(shifted)
     claims.append(_tolerance_claim(
         "zero_time_translation_invariance",
         "Eq. (13) involves the separation only: t0 unchanged by shifting the pair",

@@ -37,7 +37,8 @@ MODELS = ("planewave", "spherical")
 class RunConfig:
     """Fully validated, default-filled run configuration (flat schema).
 
-    Units are natural (hbar = m = 1), so neither is a field.  Defaults:
+    Units are natural (hbar = m = 1), so neither is a field, and runs start at
+    t = 0, as both models are stationary states.  Defaults:
     box_length of 20/p (plane-wave) or 40/k (spherical) when left null,
     adaptive integrator at rel_tol 1e-9.
     """
@@ -51,7 +52,6 @@ class RunConfig:
     box_length: float | None = None
     n: int = 1000
     seed: int = 0
-    t0: float = 0.0
     t_end: float = 3.0
     sample_times: list[float] | None = None
     trajectory_count: int = 8
@@ -114,7 +114,6 @@ FIELD_RULES = {
     "box_length": FieldRule(float, positive=True, nullable=True),
     "n": FieldRule(int, minimum=1),
     "seed": FieldRule(int, minimum=0),
-    "t0": FieldRule(float),
     "t_end": FieldRule(float),
     "trajectory_count": FieldRule(int, minimum=1),
     "trajectory_samples": FieldRule(int, minimum=2),
@@ -156,7 +155,7 @@ def validate_config(raw) -> RunConfig:
             raise ConfigurationError("sample_times: expected a list of numbers")
         data["sample_times"] = [FieldRule(float).check("sample_times", v)
                                 for v in data["sample_times"]]
-        lo, hi = sorted((data["t0"], data["t_end"]))
+        lo, hi = sorted((0.0, data["t_end"]))
         for v in data["sample_times"]:
             if v < lo or v > hi:
                 raise ConfigurationError(
@@ -202,15 +201,17 @@ def run(config: RunConfig) -> int:
     trajectory-level analyses, ``ensemble.csv`` for ensemble-level ones."""
     model = build_model(config)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in the way, or no permission
+        raise ConfigurationError(f"output_dir: cannot make {out}: {exc.strerror}") from exc
     cfg = integrator_config(config)
     claims: list[ClaimCheck] = []
     probe = ensemble_for_meta = None
 
     if {"trajectories", "constraints"} & set(config.analyses):
         probe = trajectory_ensemble(model, config.trajectory_count, config.seed,
-                                    config.t0, config.t_end, cfg,
-                                    samples=config.trajectory_samples,
+                                    config.t_end, cfg, samples=config.trajectory_samples,
                                     sample_times=config.sample_times)
         write_ensemble_csv(out / "trajectories.csv", probe)
         if "constraints" in config.analyses:
@@ -223,7 +224,7 @@ def run(config: RunConfig) -> int:
         claims.extend(density_discrepancy_claims(model))
 
     if {"equivariance", "global_constraint"} & set(config.analyses):
-        ens0 = build_ensemble(model, config.n, config.seed, t0=config.t0)
+        ens0 = build_ensemble(model, config.n, config.seed)
         ensemble_for_meta = ens0
         if "global_constraint" in config.analyses:
             claims.extend(global_constraint_claims(ens0))

@@ -64,17 +64,12 @@ class SamplerReport:
 @dataclass(frozen=True)
 class Ensemble(TrajectoryBatch):
     """A :class:`TrajectoryBatch` whose members share one model, seed, and
-    integrator setup."""
+    integrator setup, starting at t = 0 (both models are stationary)."""
 
     model: Any
     seed: int
     integrator: IntegratorConfig | None = None
     sampler: SamplerReport | None = None   # None for user-supplied states
-
-    @property
-    def t0(self) -> float:
-        """The time the members start from."""
-        return float(self.times[0])
 
     @property
     def sampling(self) -> str:
@@ -181,10 +176,10 @@ def reference_sample(ensemble: Ensemble, n: int) -> np.ndarray:
     return points
 
 
-def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
+def build_ensemble(model, n: int, seed: int,
                    initial_states: np.ndarray | None = None) -> Ensemble:
-    """Create an unevolved ensemble, sampling initial configurations from the
-    model density unless explicit states are supplied."""
+    """Create an unevolved ensemble at t = 0, sampling initial configurations
+    from the model density unless explicit states are supplied."""
     if initial_states is None:
         points, report = sample_configurations(model, n, seed)
     else:
@@ -193,9 +188,9 @@ def build_ensemble(model, n: int, seed: int, t0: float = 0.0,
     # Own copy: the caller keeps its array, and the sampler's rows are a view
     # of a larger buffer.
     points = np.array(points, dtype=float)
-    velocities = model.batch_rhs(t0, points)    # NaN rows where undefined
+    velocities = model.batch_rhs(0.0, points)    # NaN rows where undefined
     n = len(points)
-    return Ensemble(model=model, seed=seed, times=np.array([float(t0)]), states=points[None],
+    return Ensemble(model=model, seed=seed, times=np.array([0.0]), states=points[None],
                     velocities=velocities[None], lengths=np.ones(n, dtype=np.intp),
                     terminations=("completed",) * n, sampler=report)
 
@@ -214,8 +209,8 @@ def evolve_ensemble(ensemble: Ensemble, t_end: float,
     """
     cfg = config or IntegratorConfig()
     model = ensemble.model
-    flow = integrate_ode(model.batch_rhs, ensemble.initial_states(), ensemble.t0, t_end,
-                         cfg, sample_times)
+    flow = integrate_ode(model.batch_rhs, ensemble.initial_states(), 0.0, t_end, cfg,
+                         sample_times)
     return Ensemble(**vars(flow), model=model, seed=ensemble.seed, integrator=cfg,
                     sampler=ensemble.sampler)
 
@@ -227,7 +222,7 @@ def compare_distribution(ensemble: Ensemble, t: float) -> float:
     model density.
 
     Plane-wave ensembles compare the separation marginal: each sample is
-    pulled back to the sampling time along the exact conserved relation (the
+    pulled back to t = 0 along the exact conserved relation (the
     flow transports the separation monotonically), and the pulled-back
     sample is tested against the closed-form CDF of the marginal on the
     initial box (``PlaneWavePair.separation_cdf``); its 99 % critical value
@@ -245,7 +240,7 @@ def compare_distribution(ensemble: Ensemble, t: float) -> float:
         raise InsufficientSampleError(
             f"only {len(states)} members have a sample at t={t} (need {MIN_SURVIVORS})")
     if model.tag == "planewave":
-        pulled = model.inverse_flow(states[:, 0] - states[:, 1], t - ensemble.t0)
+        pulled = model.inverse_flow(states[:, 0] - states[:, 1], t)
         return ks_statistic(pulled, model.separation_cdf)
     return ks_two_sample(states[:, 0], reference_sample(ensemble, len(states))[:, 0])
 
@@ -307,7 +302,7 @@ def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> d
             "sampling": ensemble.sampling,
             "prng": PRNG_ID,
             "size": ensemble.size,
-            "t0": ensemble.t0,
+            "t0": 0.0,   # every ensemble starts at t = 0
             "acceptance_rate": ensemble.acceptance_rate,
             "sampler": None if ensemble.sampler is None else ensemble.sampler.to_dict(),
             "survival_fraction": ensemble.survival_fraction,

@@ -2,8 +2,9 @@
 relative plane waves.
 
 The wavefunction is a superposition of e^{+i theta} and e^{-i theta} with
-real amplitudes ``a`` and ``b``, where theta = p (x1 - x2), evolving with
-total kinetic energy E = p^2 and box-normalized on [0, L]^2.  The guidance
+real amplitudes ``a`` and ``b``, where theta = p (x1 - x2), box-normalized
+on [0, L]^2.  It is an energy eigenstate, psi = phi(x) e^{-iEt} with E = p^2,
+so the model returns phi and its phase S(x) and takes no time.  The guidance
 field depends on the separation x1 - x2 only, the centre of mass is frozen,
 and the separation obeys a closed conserved relation that doubles as an
 exactness oracle for the integrator.
@@ -15,12 +16,13 @@ and t -> hbar t / m, and its velocities are hbar / m times these.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateParametersError, ModelDomainError
+from .errors import ConfigurationError, DegenerateParametersError, ModelDomainError
 from .numerics import bracketed_root, require_defined
 
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
@@ -33,7 +35,9 @@ class PlaneWavePair:
     """Model parameters plus every closed-form quantity derived from them.
 
     Instances are immutable; all evaluations are pure functions of the state,
-    so a single model object may be shared freely across threads.
+    so a single model object may be shared freely across threads.  A box
+    whose area L^2, the order of the norm, is not a normal positive float is
+    a :class:`ConfigurationError`.
     """
 
     a: float
@@ -56,6 +60,10 @@ class PlaneWavePair:
             object.__setattr__(self, "box_length", 20.0 / self.momentum)
         elif self.box_length <= 0:
             raise ValueError("box_length must be positive")
+        area = self.box_length * self.box_length
+        if not sys.float_info.min <= area <= sys.float_info.max:
+            raise ConfigurationError(f"box_length: {self.box_length:.3g} puts the box area "
+                                     f"L^2 = {area:.3g} outside the normal float range")
 
     # -- derived parameters -------------------------------------------------
 
@@ -72,10 +80,6 @@ class PlaneWavePair:
         """(a - b) / (a + b), the amplitude contrast in [-1, 1]."""
         a, b = self._amplitudes
         return (a - b) / (a + b)
-
-    @property
-    def energy(self) -> float:
-        return self.momentum ** 2
 
     @cached_property
     def norm(self) -> float:
@@ -101,17 +105,16 @@ class PlaneWavePair:
 
     # -- wavefunction, density, phase ---------------------------------------
 
-    def psi_values(self, x1, x2, t):
-        """Wavefunction on arrays of positions and times (broadcasting)."""
+    def psi_values(self, x1, x2):
+        """Spatial wavefunction phi on arrays of positions (broadcasting)."""
         th = self.momentum * (np.asarray(x1) - np.asarray(x2))
         a, b = self._amplitudes
         bracket = a * np.exp(1j * th) + b * np.exp(-1j * th)
-        clock = np.exp(-1j * self.energy * np.asarray(t))
-        return bracket * clock / (math.sqrt(self.norm) * (a + b))
+        return bracket / (math.sqrt(self.norm) * (a + b))
 
-    def density_values(self, x1, x2, t=0.0):
-        """|psi|^2, the density shape over the norm; time independent and a
-        function of x1 - x2 only."""
+    def density_values(self, x1, x2):
+        """|psi|^2, the density shape over the norm; a function of x1 - x2
+        only."""
         return self._density_shape(np.asarray(x1) - np.asarray(x2)) / self.norm
 
     def density_single_angle_values(self, x1, x2):
@@ -122,11 +125,10 @@ class PlaneWavePair:
         a, b = self._amplitudes
         return (a * a + b * b + 2 * a * b * np.cos(th)) / (self.norm * (a + b) ** 2)
 
-    def phase_values(self, x1, x2, t):
-        """Continuous phase S of the wavefunction on arrays of positions and
-        times (broadcasting).
+    def phase_values(self, x1, x2):
+        """Continuous phase S of phi on arrays of positions (broadcasting).
 
-        S = arctan(c tan theta) - E t + eta pi, with the integer
+        S = arctan(c tan theta) + eta pi, with the integer
         eta chosen so S is continuous in theta across branch cells: the
         arctangent is evaluated inside the cell of theta, as atan2 of
         c sin and cos of theta - n pi, and eta = n (or -n when c < 0).
@@ -139,8 +141,7 @@ class PlaneWavePair:
         n = np.floor(th / math.pi + 0.5)
         th_cell = th - n * math.pi
         eta = n if c >= 0 else -n
-        return (np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi
-                - self.energy * np.asarray(t))
+        return np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi
 
     # -- guidance velocities -------------------------------------------------
 
@@ -236,14 +237,14 @@ class PlaneWavePair:
         sums = trajectory.states[..., 0] + trajectory.states[..., 1]
         return float(np.nanmax(np.abs(sums - sums[0])))
 
-    def zero_separation_times(self, delta, t: float):
-        """Times at which the trajectories with separation(s) ``delta`` at
-        time ``t`` reach x1 = x2 (vectorised).
+    def zero_separation_times(self, delta):
+        """Time elapsed from separation(s) ``delta`` until the trajectory
+        reaches x1 = x2 (vectorised; negative when it did so earlier).
 
         Follows from the conserved relation; depends on the separation only,
         not on the centre of mass.
         """
-        return t - np.asarray(self.trajectory_invariant(delta)) / (2.0 * self.momentum)
+        return -np.asarray(self.trajectory_invariant(delta)) / (2.0 * self.momentum)
 
     def inverse_flow(self, delta, elapsed: float):
         """Separation(s) a time ``elapsed`` earlier on the same trajectory.
@@ -295,7 +296,7 @@ class PlaneWavePair:
         return 1.0 / self.norm
 
     def density_batch(self, points: np.ndarray) -> np.ndarray:
-        """Density at an (n, 2) array of configurations, at time zero."""
+        """Density at an (n, 2) array of configurations."""
         return self.density_values(points[:, 0], points[:, 1])
 
     def separation_cdf(self, delta):

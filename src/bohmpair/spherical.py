@@ -4,11 +4,13 @@ pair of point sources on the y axis.
 Source A sits at (0, +d, 0) and source B at (0, -d, 0); the wavefunction
 superposes "particle 1 from A, particle 2 from B" with the exchanged
 assignment, each term e^{ik(r + r')} / (r r'), restricted to the x >= 0
-half-space and evolving with E = k^2.  The state is symmetric under
-particle interchange and under reflecting both y coordinates, which shows up
-as exact symmetries of the guidance field.  Configurations where the
-cross-pair distances match (r1A = r2B and r1B = r2A) decouple the two
-velocity equations, and the flow preserves that manifold.
+half-space.  It is an energy eigenstate, psi = phi(x) e^{-iEt} with E = k^2,
+so the model returns phi and its phase S(x) and takes no time.  The state is
+symmetric under particle interchange and under reflecting both y
+coordinates, which shows up as exact symmetries of the guidance field.
+Configurations where the cross-pair distances match (r1A = r2B and
+r1B = r2A) decouple the two velocity equations, and the flow preserves that
+manifold.
 
 Units are natural, hbar = m = 1: the paper's formulas are these with
 t -> hbar t / m, and its velocities are hbar / m times these.
@@ -88,10 +90,6 @@ class SlitPair:
                 "distance product overflows")
 
     @property
-    def energy(self) -> float:
-        return self.wavenumber ** 2
-
-    @property
     def source_a(self) -> np.ndarray:
         return np.array([0.0, self.slit_offset, 0.0])
 
@@ -135,11 +133,9 @@ class SlitPair:
         return (np.exp(1j * k * (r1a + r2b)) / (r1a * r2b)
                 + np.exp(1j * k * (r1b + r2a)) / (r1b * r2a))
 
-    def psi_values(self, r1, r2, t):
-        """Wavefunction on arrays of positions of shape (..., 3)."""
-        r1a, r1b, r2a, r2b = self._supported_distances(r1, r2)
-        clock = np.exp(-1j * self.energy * np.asarray(t))
-        return self._bracket(r1a, r1b, r2a, r2b) * clock / math.sqrt(self.norm)
+    def psi_values(self, r1, r2):
+        """Spatial wavefunction phi on arrays of positions of shape (..., 3)."""
+        return self._bracket(*self._supported_distances(r1, r2)) / math.sqrt(self.norm)
 
     def node_measure_of(self, r1a, r1b, r2a, r2b):
         """Scale-aware modulus |bracket| (r1A r2B + r1B r2A) / 2 as a function
@@ -171,9 +167,9 @@ class SlitPair:
         dval = rr * cos_a + q * cos_b
         return q, rr, sin_a, cos_a, sin_b, cos_b, nval, dval
 
-    def phase_values(self, r1, r2, t):
-        """Phase on arrays of positions of shape (..., 3): atan2(N, D)
-        - E t (see :meth:`_phase_terms`), so it is defined wherever the
+    def phase_values(self, r1, r2):
+        """Phase of phi on arrays of positions of shape (..., 3): atan2(N, D)
+        (see :meth:`_phase_terms`), so it is defined wherever the
         wavefunction is nonzero, including where D alone vanishes.  Values
         are principal per call, to be unwrapped by continuity along sampled
         paths.  Raises :class:`ModelDomainError` outside the support or at a
@@ -183,7 +179,7 @@ class SlitPair:
         if np.any(self._node_measure(terms) < NODE_THRESHOLD):
             raise ModelDomainError("phase undefined at a node of the wavefunction")
         *_, nval, dval = terms
-        return np.arctan2(nval, dval) - self.energy * np.asarray(t)
+        return np.arctan2(nval, dval)
 
     # -- phase derivatives and velocities --------------------------------------
 

@@ -62,14 +62,14 @@ def test_criterion_02_velocity_oracle_agreement():
     near = np.column_stack([near_theta / pw.momentum, np.zeros(1000)])
     all_states = np.vstack([states, near])
     v1 = pw.velocity_of_separation(all_states[:, 0] - all_states[:, 1])
-    oracle = velocity_from_psi(pw, all_states, t=0.0)
+    oracle = velocity_from_psi(pw, all_states)
     dev_pw = max(float(np.max(np.abs(oracle[:, 0] - v1))),
                  float(np.max(np.abs(oracle[:, 1] + v1))))
 
     sph = SlitPair(wavenumber=5.0, slit_offset=0.5)
     states3 = random_valid_states(sph, 1000, seed=204)
     analytic = sph.rhs(0.0, states3)
-    dev_sph = float(np.max(np.abs(analytic - velocity_from_psi(sph, states3, t=0.0))))
+    dev_sph = float(np.max(np.abs(analytic - velocity_from_psi(sph, states3))))
 
     ok = dev_pw < 1e-6 and dev_sph < 1e-6
     report(2, ok, f"plane-wave max dev = {dev_pw:.3e} (incl. theta within 1e-3 of pi/2), "
@@ -127,12 +127,12 @@ def test_criterion_05_density_discrepancy():
     thetas = np.linspace(0.0, 2.0 * math.pi, 8193)
     deltas = thetas / model.momentum
     zeros = np.zeros_like(deltas)
-    gap = float(np.max(np.abs(model.density_values(deltas, zeros, 0.0)
+    gap = float(np.max(np.abs(model.density_values(deltas, zeros)
                               - model.density_single_angle_values(deltas, zeros))))
     agree = gap < 1e-12
 
     single = PlaneWavePair(a=1.0, b=0.0)
-    gap0 = float(np.max(np.abs(single.density_values(deltas, zeros, 0.0)
+    gap0 = float(np.max(np.abs(single.density_values(deltas, zeros)
                                - single.density_single_angle_values(deltas, zeros))))
     ok = gap0 < 1e-12  # the measured (1,1) verdict is reported either way
     report(5, ok, f"(1,1) max |direct - single-angle| = {gap:.6e} -> forms agree: {agree} "
@@ -182,7 +182,7 @@ def test_criterion_09_chain_rule_gradient():
     model = SlitPair(wavenumber=5.0, slit_offset=0.5)
     states = random_valid_states(model, 1000, seed=900)
     assembled = model.rhs(0.0, states)
-    fd = phase_gradient(model, states, t=0.0)
+    fd = phase_gradient(model, states)
     dev = float(np.max(np.abs(assembled - fd)))
     ok = dev < 1e-6
     report(9, ok, f"assembled 6-component gradient vs phase differences: "

@@ -197,6 +197,8 @@ class TestRun:
         assert meta["config"]["seed"] == 42
         assert meta["prng"] == "numpy-philox-4x64"
         assert meta["survival_fraction"] == 1.0
+        # Runs start at t = 0; meta.json keeps the key, and the config has no t0.
+        assert meta["t0"] == 0.0 and "t0" not in meta["config"]
 
     @pytest.mark.parametrize("config, keys", [
         # A run without an ensemble records the trajectory probe's integrator.
@@ -282,13 +284,47 @@ class TestMain:
 
     def test_integrator_keys_beyond_tolerances_and_cap_rejected(self, tmp_path, capsys):
         # hbar and mass are not settings: the models are in natural units.
+        # Nor is t0: both models are stationary, so every run starts at t = 0.
         for raw, keys in (({"method": "rk45", "step": 0.01}, "method, step"),
-                          ({"hbar": 1.0, "mass": 1.0}, "hbar, mass")):
+                          ({"hbar": 1.0, "mass": 1.0}, "hbar, mass"),
+                          ({"t0": 0.0}, "t0")):
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(raw))
             assert cli.main(["run", "--config", str(cfg_path)]) == 1
             assert (capsys.readouterr().err
                     == f"configuration error: unknown config keys: {keys}\n")
+
+    def test_start_time_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--t0", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t0 1" in capsys.readouterr().err
+
+    def test_truncated_planewave_probe_fails_conservation(self, tmp_path):
+        # One step attempt stops every probe member at its first sample, where
+        # both drifts read 0; the claims fail and keep that value.
+        out = tmp_path / "out"
+        assert cli.main(["run", "--b", "0.2", "--max-steps", "1",
+                         "--analysis", "trajectories,constraints",
+                         "--output-dir", str(out)]) == 2
+        claims = {c["claim_id"]: c for c in json.loads((out / "claims_report.json").read_text())}
+        for claim_id in ("centre_of_mass_frozen", "separation_relation_conserved"):
+            assert claims[claim_id]["status"] == "fail"
+            assert claims[claim_id]["value"] == 0.0
+        with open(out / "trajectories.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8 and all(r["truncated"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_dir_blocked_by_a_file_exits_one(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "out" if below else blocker
+        assert cli.main(["run", "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: output_dir: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and blocker.read_text() == "kept"
 
     def test_nan_claim_value_written_as_null(self, tmp_path):
         # Two step attempts truncate the constraint probe, so its later
@@ -321,13 +357,19 @@ class TestMain:
             assert captured.err.startswith("configuration error: box_length: ")
             assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("argv", [["--wavenumber", "1e-40"], ["--box-length", "1e40"]])
+    @pytest.mark.parametrize("argv", [
+        ["--model", "spherical", "--wavenumber", "1e-40"],
+        ["--model", "spherical", "--box-length", "1e40"],
+        ["--box-length", "1e-170"], ["--box-length", "1e-160"], ["--momentum", "1e-300"]])
     def test_box_past_density_range_exits_one(self, tmp_path, capsys, argv):
-        # The far box corner R has R^8, which bounds the density's squared
-        # distance product (r1A r2B r1B r2A)^2, past the float range.  With
-        # the default box of 40 / k, k L is 40 in the first case.
+        # Spherical: the far box corner R has R^8, which bounds the density's
+        # squared distance product (r1A r2B r1B r2A)^2, past the float range.
+        # With the default box of 40 / k, k L is 40 in the first case.
+        # Plane-wave: the box area L^2, the order of the norm, underflows
+        # (1 / norm divided by zero, or a subnormal density met the sampler)
+        # or, with the default box of 20 / p, overflows.
         out = tmp_path / "out"
-        assert cli.main(["run", "--model", "spherical", *argv, "--analysis", "equivariance",
+        assert cli.main(["run", *argv, "--analysis", "equivariance",
                          "--n", "20", "--t-end", "0.1", "--output-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: box_length: ")

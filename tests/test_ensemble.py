@@ -185,7 +185,7 @@ class TestEvolution:
             assert mild.cm_drift(m) < 1e-8
 
     def test_unevolved_velocities_match_evolved(self, mild):
-        # Both evaluate the t0 field with one batch_rhs call, so the first
+        # Both evaluate the field at t = 0 with one batch_rhs call, so the first
         # sample's velocities agree to the last bit.
         ens = build_ensemble(mild, 20_000, seed=3)
         evolved = evolve_ensemble(ens, 0.1)
@@ -322,14 +322,14 @@ class TestGlobalConstraint:
         # Dyadic coordinates: shifting both particles preserves the
         # separation bitwise, so the zero time is identical.
         rows = np.array([[0.75, -0.5], [0.75 + 8.0, -0.5 + 8.0]])
-        t1, t2 = mild.zero_separation_times(rows[:, 0] - rows[:, 1], 0.0)
+        t1, t2 = mild.zero_separation_times(rows[:, 0] - rows[:, 1])
         assert t1 == t2
 
     def test_single_wave_zero_time_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         ens = build_ensemble(m, 500, seed=59)
         init = ens.initial_states()
-        zero_times = m.zero_separation_times(init[:, 0] - init[:, 1], ens.t0)
+        zero_times = m.zero_separation_times(init[:, 0] - init[:, 1])
         expected = -(init[:, 0] - init[:, 1]) / (2.0 * m.momentum)
         assert np.max(np.abs(zero_times - expected)) < 1e-12
         claims = {c.claim_id: c for c in global_constraint_claims(ens)}

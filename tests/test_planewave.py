@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bohmpair.analyses import UNIQUENESS_GRID, uniqueness_claims
-from bohmpair.errors import DegenerateParametersError, ModelDomainError
+from bohmpair.errors import ConfigurationError, DegenerateParametersError, ModelDomainError
 from bohmpair.numerics import Trajectory, bracketed_root, integrate_ode, scan_roots
 from bohmpair.oracles import phase_gradient, velocity_from_psi
 from bohmpair.planewave import NODE_DENSITY_FLOOR, PlaneWavePair
@@ -47,11 +47,16 @@ class TestParams:
             PlaneWavePair(a=1.0, b=0.0, momentum=0.0)
         with pytest.raises(ValueError):
             PlaneWavePair(a=1.0, b=0.0, box_length=-1.0)
+        # The box area L^2, the order of the norm, must be a normal float:
+        # it overflows past ~1.3e154 (the command-line tests cover underflow).
+        with pytest.raises(ConfigurationError, match="^box_length: "):
+            PlaneWavePair(a=1.0, b=0.2, box_length=1.4e154)
+        for L in (1e-150, 1e153):
+            assert 0.0 < PlaneWavePair(a=1.0, b=0.2, box_length=L).density_bound() < math.inf
 
     def test_derived_quantities(self):
         m = PlaneWavePair(a=1.0, b=0.5, momentum=2.0)
         assert m.contrast == pytest.approx((1.0 - 0.5) / 1.5)
-        assert m.energy == pytest.approx(2.0 ** 2)
         assert m.box_length == pytest.approx(20.0 / 2.0)
 
     def test_norm_single_wave_is_box_area(self):
@@ -112,7 +117,7 @@ class TestParams:
         L = mild.box_length
         x = np.linspace(0.0, L, 1201)
         X1, X2 = np.meshgrid(x, x, indexing="ij")
-        vals = mild.density_values(X1, X2, 0.0)
+        vals = mild.density_values(X1, X2)
         total = np.trapezoid(np.trapezoid(vals, x, axis=1), x)
         assert total == pytest.approx(1.0, rel=1e-6)
 
@@ -120,27 +125,26 @@ class TestParams:
 class TestPsiAndDensity:
     def test_single_wave_at_origin(self):
         m = PlaneWavePair(a=1.0, b=0.0)
-        val = m.psi_values(0.0, 0.0, 0.0)
+        val = m.psi_values(0.0, 0.0)
         assert complex(val) == pytest.approx(1.0 / math.sqrt(m.norm))
 
     def test_symmetric_node(self):
         m = PlaneWavePair(a=1.0, b=1.0)
-        val = m.psi_values(x_at_theta(m, math.pi / 2), 0.0, 0.0)
+        val = m.psi_values(x_at_theta(m, math.pi / 2), 0.0)
         assert abs(val) < 1e-15
 
     def test_value_against_direct_complex_arithmetic(self, lopsided):
         theta = math.pi / 4
         x1 = x_at_theta(lopsided, theta)
         expected = ((1.0 * cmath.exp(1j * theta) + 0.5 * cmath.exp(-1j * theta))
-                    * cmath.exp(-1j * lopsided.energy * 0.7)
                     / (math.sqrt(lopsided.norm) * 1.5))
-        assert complex(lopsided.psi_values(x1, 0.0, 0.7)) == pytest.approx(expected, abs=1e-15)
+        assert complex(lopsided.psi_values(x1, 0.0)) == pytest.approx(expected, abs=1e-15)
 
     def test_density_is_modulus_squared(self, lopsided):
         rng = np.random.default_rng(5)
-        x1, x2, t = rng.uniform(-5, 5, size=50), rng.uniform(-5, 5, size=50), rng.uniform(0, 3, 50)
-        np.testing.assert_allclose(lopsided.density_values(x1, x2, t),
-                                   np.abs(lopsided.psi_values(x1, x2, t)) ** 2, rtol=1e-12)
+        x1, x2 = rng.uniform(-5, 5, size=50), rng.uniform(-5, 5, size=50)
+        np.testing.assert_allclose(lopsided.density_values(x1, x2),
+                                   np.abs(lopsided.psi_values(x1, x2)) ** 2, rtol=1e-12)
 
     def test_density_closed_form(self, lopsided):
         theta = math.pi / 3
@@ -154,12 +158,11 @@ class TestPsiAndDensity:
         values = m.density_values(x_at_theta(m, [0.0, 1.0, 2.7]), 0.0)
         np.testing.assert_allclose(values, 1.0 / m.norm, rtol=1e-12)
 
-    def test_density_time_independent_and_separation_only(self, mild):
+    def test_density_depends_on_separation_only(self, mild):
         rng = np.random.default_rng(11)
-        x1, x2, s_shift, t1, t2 = rng.uniform(-4, 4, size=(5, 50))
-        d0 = mild.density_values(x1, x2, t1)
-        np.testing.assert_allclose(mild.density_values(x1, x2, t2), d0, rtol=1e-12)
-        np.testing.assert_allclose(mild.density_values(x1 + s_shift, x2 + s_shift, t1), d0,
+        x1, x2, s_shift = rng.uniform(-4, 4, size=(3, 50))
+        d0 = mild.density_values(x1, x2)
+        np.testing.assert_allclose(mild.density_values(x1 + s_shift, x2 + s_shift), d0,
                                    rtol=1e-10)
 
 
@@ -173,7 +176,7 @@ class TestDensitySingleAngle:
         m = PlaneWavePair(a=1.0, b=0.0)
         thetas = np.linspace(0, 2 * math.pi, 101)
         deltas = thetas / m.momentum
-        gap = np.abs(m.density_values(deltas, np.zeros_like(deltas), 0.0)
+        gap = np.abs(m.density_values(deltas, np.zeros_like(deltas))
                      - m.density_single_angle_values(deltas, np.zeros_like(deltas)))
         assert np.max(gap) < 1e-15
 
@@ -184,49 +187,46 @@ class TestDensitySingleAngle:
         m = PlaneWavePair(a=1.0, b=1.0)
         thetas = np.linspace(0, 2 * math.pi, 4097)
         deltas = thetas / m.momentum
-        gap = np.abs(m.density_values(deltas, np.zeros_like(deltas), 0.0)
+        gap = np.abs(m.density_values(deltas, np.zeros_like(deltas))
                      - m.density_single_angle_values(deltas, np.zeros_like(deltas)))
         assert np.max(gap) == pytest.approx(1.0 / m.norm, rel=1e-9)
 
 
 class TestPhase:
     def test_zero_at_origin(self, lopsided):
-        assert lopsided.phase_values(0.0, 0.0, 0.0) == 0.0
+        assert lopsided.phase_values(0.0, 0.0) == 0.0
 
     def test_single_wave_phase_is_linear(self):
         m = PlaneWavePair(a=1.0, b=0.0)
         thetas = np.linspace(-9.0, 9.0, 61)
-        expected = thetas - m.energy * 0.4
-        np.testing.assert_allclose(m.phase_values(x_at_theta(m, thetas), 0.0, 0.4), expected,
+        np.testing.assert_allclose(m.phase_values(x_at_theta(m, thetas), 0.0), thetas,
                                    rtol=0, atol=1e-12)
 
     def test_branch_index_past_quarter_turn(self, lopsided):
-        # S = arctan(c tan theta) + eta pi - E t: the branch index eta
+        # S = arctan(c tan theta) + eta pi: the branch index eta
         # is n for theta in the cell (n - 1/2, n + 1/2) pi, or -n when c < 0.
         n = np.arange(-3, 4)
         thetas = np.concatenate([n * math.pi - math.pi / 4, n * math.pi + math.pi / 4])
-        t = 0.3
         for m in (lopsided, PlaneWavePair(a=0.5, b=1.0)):
-            S = m.phase_values(x_at_theta(m, thetas), 0.0, t)
-            eta = (S + m.energy * t - np.arctan(m.contrast * np.tan(thetas))) / math.pi
+            S = m.phase_values(x_at_theta(m, thetas), 0.0)
+            eta = (S - np.arctan(m.contrast * np.tan(thetas))) / math.pi
             np.testing.assert_allclose(eta, np.sign(m.contrast) * np.concatenate([n, n]),
                                        rtol=0, atol=1e-12)
-        S = lopsided.phase_values(x_at_theta(lopsided, 3 * math.pi / 4), 0.0, 0.0)
+        S = lopsided.phase_values(x_at_theta(lopsided, 3 * math.pi / 4), 0.0)
         assert S == pytest.approx(math.pi - math.atan(lopsided.contrast), abs=1e-15)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.5), (0.5, 1.0), (1.0, 0.2)])
     def test_continuity_along_theta_path(self, a, b):
         m = PlaneWavePair(a=a, b=b)
         thetas = np.arange(-3 * math.pi, 3 * math.pi, math.pi / 200)
-        values = m.phase_values(x_at_theta(m, thetas), 0.0, 0.0)
+        values = m.phase_values(x_at_theta(m, thetas), 0.0)
         assert np.max(np.abs(np.diff(values))) < math.pi / 2
 
     def test_matches_unwrapped_arg_of_psi(self, lopsided):
         thetas = np.arange(-2 * math.pi, 2 * math.pi, math.pi / 300)
-        t = 0.9
         x1 = x_at_theta(lopsided, thetas)
-        values = lopsided.phase_values(x1, 0.0, t)
-        psis = lopsided.psi_values(x1, 0.0, t)
+        values = lopsided.phase_values(x1, 0.0)
+        psis = lopsided.psi_values(x1, 0.0)
         reference = np.unwrap(np.angle(psis))
         offset = values[0] - reference[0]
         # Agreement up to one global multiple of 2 pi.
@@ -236,11 +236,11 @@ class TestPhase:
     def test_node_rejected(self):
         m = PlaneWavePair(a=1.0, b=1.0)
         with pytest.raises(ModelDomainError):
-            m.phase_values(x_at_theta(m, math.pi / 2), 0.0, 0.0)
+            m.phase_values(x_at_theta(m, math.pi / 2), 0.0)
         # One node among the rows rejects the call.
         with pytest.raises(ModelDomainError):
-            m.phase_values(x_at_theta(m, [0.3, math.pi / 2, 1.0]), 0.0, 0.0)
-        assert np.all(np.isfinite(m.phase_values(x_at_theta(m, [0.3, 1.0]), 0.0, 0.0)))
+            m.phase_values(x_at_theta(m, [0.3, math.pi / 2, 1.0]), 0.0)
+        assert np.all(np.isfinite(m.phase_values(x_at_theta(m, [0.3, 1.0]), 0.0)))
 
 
 class TestVelocities:
@@ -265,7 +265,7 @@ class TestVelocities:
     def test_oracle_near_singularity(self, lopsided):
         x1 = x_at_theta(lopsided, math.pi / 2 + np.array([1e-3, -1e-3, 2e-4]))
         points = np.column_stack([x1, np.zeros_like(x1)])
-        oracle = velocity_from_psi(lopsided, points, t=0.0)
+        oracle = velocity_from_psi(lopsided, points)
         assert np.max(np.abs(oracle - lopsided.rhs(0.0, points))) < 1e-6
 
     def test_oracle_agreement_random_states_and_params(self):
@@ -278,7 +278,7 @@ class TestVelocities:
             keep = m._density_shape(pts[:, 0] - pts[:, 1]) > 1e-3
             pts = pts[keep]
             v1 = m.velocity_of_separation(pts[:, 0] - pts[:, 1])
-            oracle = velocity_from_psi(m, pts, t=0.0)
+            oracle = velocity_from_psi(m, pts)
             assert np.max(np.abs(oracle[:, 0] - v1)) < 1e-6
             assert np.max(np.abs(oracle[:, 1] + v1)) < 1e-6
 
@@ -347,9 +347,18 @@ class TestConservedQuantities:
         assert mild.residual_drift(Trajectory(times, states, np.zeros((2, 2)))) < 1e-10
 
     def test_zero_separation_reference(self, mild):
-        # x1 = x2 at t0 fixes beta = -2 v t0, so t0 is the zero time.
-        t0 = 2.3
-        assert mild.zero_separation_times(0.0, t0) == t0
+        # A pair at x1 = x2 reaches it after no time: beta = 0.
+        assert mild.zero_separation_times(0.0) == 0.0
+
+    def test_zero_time_reached_by_the_flow(self, mild):
+        # Integrating each pair over its zero-separation time, backward where
+        # that is negative, brings it to x1 = x2.
+        starts = np.array([[0.4, -0.1], [-0.3, 0.9], [2.0, 0.5], [1.1, 1.3]])
+        times = mild.zero_separation_times(starts[:, 0] - starts[:, 1])
+        assert np.any(times < 0.0) and np.any(times > 0.0)
+        for start, t in zip(starts, times):
+            end = integrate_ode(mild.batch_rhs, [start], 0.0, t).states[-1, 0]
+            assert abs(end[0] - end[1]) < 1e-7
 
     def test_residual_conserved_along_trajectory(self, mild):
         traj = integrate_ode(mild.batch_rhs, [[0.4, -0.1]], 0.0, 2.0,
@@ -387,7 +396,7 @@ class TestConservedQuantities:
         with pytest.raises(DegenerateParametersError):
             m.trajectory_invariant(0.5)
         with pytest.raises(DegenerateParametersError):
-            m.zero_separation_times(0.1, 0.0)
+            m.zero_separation_times(0.1)
         traj = integrate_ode(m.batch_rhs, [[0.1, 0.0]], 0.0, 1.0).member(0)
         with pytest.raises(DegenerateParametersError):
             m.residual_drift(traj)
@@ -416,8 +425,9 @@ class TestConservedQuantities:
 
     def test_zero_time_single_wave_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0)
-        assert m.zero_separation_times(1.5 - 0.25, 2.0) == pytest.approx(
-            2.0 - (1.5 - 0.25) / (2.0 * m.momentum), abs=1e-14)
+        # The separation grows at 2p per unit time.
+        assert m.zero_separation_times(1.5 - 0.25) == pytest.approx(
+            -(1.5 - 0.25) / (2.0 * m.momentum), abs=1e-14)
 
 
 def uniqueness(model):

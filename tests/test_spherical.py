@@ -42,12 +42,12 @@ def partials(model, y):
     return model._distance_derivatives(*dist, model._phase_terms(*dist))
 
 
-def psi(model, y, t=0.0):
-    return complex(model.psi_values(y[:3], y[3:], t))
+def psi(model, y):
+    return complex(model.psi_values(y[:3], y[3:]))
 
 
-def phase(model, y, t=0.0):
-    return float(model.phase_values(y[:3], y[3:], t))
+def phase(model, y):
+    return float(model.phase_values(y[:3], y[3:]))
 
 
 def node_state(model):
@@ -78,7 +78,6 @@ class TestParamsAndGeometry:
 
     def test_defaults(self, model):
         assert model.box_length == pytest.approx(40.0 / 5.0)
-        assert model.energy == pytest.approx(1.0 ** 2 * 5.0 ** 2 / 1.0)
 
     def test_distances_match_manual(self, model):
         r1a, r1b, r2a, r2b = distances(model, row((1.0, 0.3, -0.2), (0.4, -1.0, 0.7)))
@@ -119,11 +118,6 @@ class TestPsi:
         expected = (term1 + term2) / math.sqrt(model.norm)
         assert psi(model, s) == pytest.approx(expected, rel=1e-12)
 
-    def test_clock_factor(self, model):
-        s = row((1.0, 0.2, 0.0), (0.7, -0.9, 0.3))
-        rot = cmath.exp(-1j * model.energy * 0.8)
-        assert psi(model, s, 0.8) == pytest.approx(psi(model, s, 0.0) * rot, rel=1e-12)
-
     def test_node_configuration_detected(self, model):
         s = node_state(model)
         assert model.node_measure_of(*distances(model, s)) < 1e-12
@@ -134,7 +128,7 @@ class TestPsi:
         # One node among the rows rejects the call; the row field marks it NaN.
         rows = np.stack([row((1.0, 0.3, 0.0), (1.2, -0.8, 0.4)), s])
         with pytest.raises(ModelDomainError):
-            model.phase_values(rows[:, :3], rows[:, 3:], 0.0)
+            model.phase_values(rows[:, :3], rows[:, 3:])
         assert np.isnan(model.batch_rhs(0.0, rows)).tolist() == [[False] * 6, [True] * 6]
 
     def test_generic_state_not_flagged(self, model):
@@ -152,19 +146,14 @@ class TestPhase:
     def test_on_axis_phase_value(self, model):
         s = row((1.3, 0.0, 0.0), (0.7, 0.0, 0.0))
         r1a, r1b, r2a, r2b = distances(model, s)
-        expected = model.wavenumber * (r1a + r2b) - model.energy * 0.6
-        got = phase(model, s, 0.6)
+        expected = model.wavenumber * (r1a + r2b)
+        got = phase(model, s)
         assert wrap_to_pi(got - expected) == pytest.approx(0.0, abs=1e-9)
-
-    def test_time_dependence(self, model):
-        s = row((1.0, 0.4, -0.3), (0.9, -0.2, 0.5))
-        assert phase(model, s, 1.3) - phase(model, s, 0.0) == pytest.approx(
-            -model.energy * 1.3, abs=1e-12)
 
     def test_matches_arg_psi(self, model):
         states = random_valid_states(model, 200, seed=77)
         r1, r2 = states[:, :3], states[:, 3:]
-        diff = model.phase_values(r1, r2, 0.35) - np.angle(model.psi_values(r1, r2, 0.35))
+        diff = model.phase_values(r1, r2) - np.angle(model.psi_values(r1, r2))
         assert np.max(np.abs(wrap_to_pi(diff))) < 1e-9
 
     def test_phase_parts_match_bracket(self, model):
@@ -186,7 +175,7 @@ class TestDistanceDerivatives:
                 continue
             grads = model._distance_derivatives(*r, terms)
 
-            def phase(q):   # atan2(N, D), the phase at t = 0
+            def phase(q):   # atan2(N, D), the phase S(x)
                 *_, n, d = model._phase_terms(*q.T)
                 return np.arctan2(n, d)
 
@@ -239,13 +228,13 @@ class TestVelocities:
     def test_oracle_agreement(self, model):
         states = random_valid_states(model, 400, seed=19)
         analytic = model.rhs(0.0, states)
-        oracle = velocity_from_psi(model, states, t=0.0)
+        oracle = velocity_from_psi(model, states)
         assert np.max(np.abs(analytic - oracle)) < 1e-6
 
     def test_chain_rule_gradient_matches_phase_differences(self, model):
         states = random_valid_states(model, 400, seed=23)
         analytic = model.rhs(0.0, states)
-        fd = phase_gradient(model, states, t=0.0)
+        fd = phase_gradient(model, states)
         assert np.max(np.abs(analytic - fd)) < 1e-6
 
     def test_exchange_symmetry_exact(self, model):
@@ -307,7 +296,7 @@ class TestOnePassKernel:
         def scalars(rows):
             dist = model.distances_of(rows[:, :3], rows[:, 3:])
             return (model.density_batch(rows), model.node_measure_of(*dist),
-                    model.phase_values(rows[:, :3], rows[:, 3:], 0.0))
+                    model.phase_values(rows[:, :3], rows[:, 3:]))
 
         reference = scalars(states)
         for image in (exchange, states * flip, exchange * flip):
