@@ -9,6 +9,7 @@ claim fails its tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -195,6 +196,18 @@ def integrator_config(config: RunConfig) -> IntegratorConfig:
                                 for f in fields(IntegratorConfig)})
 
 
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """Yield ``path``; an OSError from writing it (a directory in the way, no
+    permission, a full disk) becomes a configuration error naming
+    ``output_dir``."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigurationError(f"output_dir: cannot write {path}: "
+                                 f"{exc.strerror or exc}") from exc
+
+
 def run(config: RunConfig) -> int:
     """Execute the configured analyses and write artifacts to ``output_dir``:
     ``claims_report.json`` and ``meta.json`` always, ``trajectories.csv`` for
@@ -213,7 +226,8 @@ def run(config: RunConfig) -> int:
         probe = trajectory_ensemble(model, config.trajectory_count, config.seed,
                                     config.t_end, cfg, samples=config.trajectory_samples,
                                     sample_times=config.sample_times)
-        write_ensemble_csv(out / "trajectories.csv", probe)
+        with _artifact(out / "trajectories.csv") as path:
+            write_ensemble_csv(path, probe)
         if "constraints" in config.analyses:
             claims.extend(constraint_claims(model, probe))
     if "oracle_crosscheck" in config.analyses:
@@ -233,9 +247,10 @@ def run(config: RunConfig) -> int:
                                                      sample_times=config.sample_times)
             claims.extend(eq_claims)
             ensemble_for_meta = evolved
-        write_ensemble_csv(out / "ensemble.csv", ensemble_for_meta)
+        with _artifact(out / "ensemble.csv") as path:
+            write_ensemble_csv(path, ensemble_for_meta)
 
-    with open(out / "claims_report.json", "w") as fh:
+    with _artifact(out / "claims_report.json") as path, open(path, "w") as fh:
         json.dump([c.to_dict() for c in claims], fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -246,7 +261,8 @@ def run(config: RunConfig) -> int:
     norm = model.computed_norm() if model.tag == "spherical" else None
     if norm is not None:
         extra["norm"] = norm
-    write_metadata(out / "meta.json", ensemble_for_meta, extra=extra)
+    with _artifact(out / "meta.json") as path:
+        write_metadata(path, ensemble_for_meta, extra=extra)
 
     failed = [c for c in claims if c.status == "fail"]
     for c in claims:

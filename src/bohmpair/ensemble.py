@@ -283,7 +283,8 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> None:
 
 def integrator_metadata(ensemble: Ensemble) -> dict | None:
     """The ensemble's integrator settings, then the work the integration did,
-    summed over members; None for an ensemble never evolved."""
+    summed over members, and the member blocks it ran in; None for an
+    ensemble never evolved."""
     if ensemble.integrator is None:
         return None
     return {**asdict(ensemble.integrator), **asdict(ensemble.work)}

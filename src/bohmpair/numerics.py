@@ -5,10 +5,13 @@ bracketed root finding with a grid scanner for counting roots."""
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -19,6 +22,11 @@ from .errors import BracketError, ModelDomainError
 SAMPLE_TIME_TOL = 1e-9
 # Bracket width at which bracketed_root stops bisecting.
 ROOT_TOL = 1e-10
+# Fewest members per block for integrate_ode to split a batch across CPUs.
+# Forking a child and returning its arrays took 7-40 ms on a 2-core x86-64
+# host, against 0.12 s to integrate 2048 plane-wave members to t = 3 on one
+# core; 4096 such members took 0.23 s in one block and 0.18 s in two.
+MIN_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -43,12 +51,14 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class IntegratorWork:
     """What one :func:`integrate_ode` call did, summed over its members:
-    field evaluations (one per member row passed to the field), and step
-    attempts accepted and rejected."""
+    field evaluations (one per member row passed to the field), step
+    attempts accepted and rejected, and the member blocks it ran in (one
+    per process)."""
 
     rhs_evals: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
+    blocks: int = 0
 
 
 @dataclass(frozen=True)
@@ -403,8 +413,108 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     differ from it in the last bit; both models' fields ignore ``t``).  An
     interpolated sample the field is undefined at ends its member there
     (``domain_error``).
+
+    A batch of at least ``MIN_BLOCK_ROWS`` members per CPU that this
+    process may run on (``os.sched_getaffinity``) is split into one
+    contiguous block of members per CPU: this process integrates the first,
+    forked children the others, and the blocks are joined in order.  As each
+    member's samples are the same in any batch, so is the result; ``rhs``
+    then runs in the children too, and what it records there is lost.
+    Where ``os.fork`` is missing the batch runs in this process.
     """
     cfg = config or IntegratorConfig()
+    y = np.asarray(y0, dtype=float)
+    n, _ = y.shape
+    ts = _sample_grid(t0, t_end, sample_times)
+    blocks = min(_cpu_count(), n // MIN_BLOCK_ROWS)
+    if blocks > 1 and hasattr(os, "fork"):
+        return _integrate_split(rhs, y, ts, cfg, blocks)
+    return _integrate_block(rhs, y, ts, cfg)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not on Linux
+        return os.cpu_count() or 1
+
+
+def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int) -> TrajectoryBatch:
+    """:func:`_integrate_block` over ``blocks`` contiguous blocks of the
+    rows of ``y``, the first here and the others in forked children, joined
+    in block order.  A child's exception is raised here; on any exception
+    the children are killed.  Every child is reaped before returning."""
+    parts = np.array_split(y, blocks)
+    children = []       # (pid, read end of the pipe from it)
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _send_block(write, rhs, part, ts, cfg)
+            os.close(write)
+            children.append((pid, read))
+        batches = [_integrate_block(rhs, parts[0], ts, cfg)]
+        for pid, read in children:
+            try:
+                with open(read, "rb", closefd=False) as pipe:
+                    ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"integration block process {pid} ended "
+                                   "without a result") from None
+            if not ok:
+                raise value
+            batches.append(value)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    return TrajectoryBatch(
+        times=ts, states=np.concatenate([b.states for b in batches], axis=1),
+        velocities=np.concatenate([b.velocities for b in batches], axis=1),
+        lengths=np.concatenate([b.lengths for b in batches]),
+        terminations=sum((b.terminations for b in batches), ()),
+        work=IntegratorWork(*map(sum, zip(*(astuple(b.work) for b in batches)))))
+
+
+def _send_block(write: int, rhs, y, ts, cfg: IntegratorConfig) -> NoReturn:
+    """In a forked child: write ``(True, batch)`` for one block, or
+    ``(False, exception)`` if integrating it raised, pickled to the pipe
+    ``write``, and exit without returning to the caller's code."""
+    code = 1
+    try:
+        try:
+            result = (True, _integrate_block(rhs, y, ts, cfg))
+        except BaseException as exc:
+            result = (False, exc)
+        try:
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        except Exception:       # an exception that does not pickle
+            data = pickle.dumps((False, RuntimeError(f"an integration block raised "
+                                                     f"{result[1]!r}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _integrate_block(rhs, y: np.ndarray, ts: np.ndarray,
+                     cfg: IntegratorConfig) -> TrajectoryBatch:
+    """:func:`integrate_ode` of the rows ``y`` over the sample grid ``ts``
+    in this process."""
+    t0, t_end = float(ts[0]), float(ts[-1])
     evals = 0
 
     def counted(t, y):
@@ -412,9 +522,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
         evals += len(y)
         return rhs(t, y)
 
-    y = np.asarray(y0, dtype=float)
     n, dim = y.shape
-    ts = _sample_grid(t0, t_end, sample_times)
     f = counted(np.full(n, ts[0]), y)
     states = np.full((len(ts), n, dim), np.nan)
     velocities = np.full_like(states, np.nan)
@@ -505,7 +613,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
             states[cut[i]:, i] = velocities[cut[i]:, i] = np.nan
     return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
                            terminations=tuple(_REASONS[c] for c in code.tolist()),
-                           work=IntegratorWork(evals, steps_accepted, steps_rejected))
+                           work=IntegratorWork(evals, steps_accepted, steps_rejected, 1))
 
 
 def bracketed_root(g: Callable[[float], float], lo: float, hi: float) -> float:

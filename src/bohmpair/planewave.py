@@ -36,8 +36,9 @@ class PlaneWavePair:
 
     Instances are immutable; all evaluations are pure functions of the state,
     so a single model object may be shared freely across threads.  A box
-    whose area L^2, the order of the norm, is not a normal positive float is
-    a :class:`ConfigurationError`.
+    whose area L^2, the order of the norm, or a momentum whose squared
+    wavenumber (2p)^2 is not a normal positive float is a
+    :class:`ConfigurationError`.
     """
 
     a: float
@@ -64,6 +65,10 @@ class PlaneWavePair:
         if not sys.float_info.min <= area <= sys.float_info.max:
             raise ConfigurationError(f"box_length: {self.box_length:.3g} puts the box area "
                                      f"L^2 = {area:.3g} outside the normal float range")
+        k2 = (2.0 * self.momentum) * (2.0 * self.momentum)
+        if not k2 >= sys.float_info.min:    # separation_cdf divides by it, the norm by p
+            raise ConfigurationError(f"momentum: {self.momentum:.3g} puts the squared "
+                                     f"wavenumber (2p)^2 = {k2:.3g} below the normal float range")
 
     # -- derived parameters -------------------------------------------------
 

@@ -3,11 +3,13 @@ reads: deleting or moving any of it breaks the benchmark, so tier-1 checks
 that it is all still there."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from bohmpair import cli, numerics
 from bohmpair.numerics import TrajectoryBatch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -38,3 +40,25 @@ def test_traced_methods_exist(tracer):
 def test_members_view_exists():
     # The tracer's write_csv counter walks ``ensemble.members``.
     assert isinstance(vars(TrajectoryBatch).get("members"), property)
+
+
+def test_tracing_a_split_integration(tracer, tmp_path, monkeypatch):
+    # The benchmark's plane-wave ensemble at 2 x MIN_BLOCK_ROWS members on
+    # two CPUs, so its integration runs in two blocks, one in a forked
+    # child.  The child's spans and counts are dropped with it; the parent's
+    # spans still hold the workload's pinned counts, and their self times
+    # still add up to the traced wall time.
+    workload = importlib.import_module("workloads").WORKLOADS["planewave_ensemble"]
+    (raw,) = workload.configs(seed=1, out_root=tmp_path)
+    config = cli.validate_config({**raw, "n": 2 * numerics.MIN_BLOCK_ROWS})
+    monkeypatch.setattr(numerics, "_cpu_count", lambda: 2)
+    with tracer.tracing() as traced:
+        assert cli.run(config) == 0
+    meta = json.loads((Path(config.output_dir) / "meta.json").read_text())
+    assert meta["integrator"]["blocks"] == 2
+
+    summary = traced.summary()
+    calls = summary["calls"]
+    assert {span: calls.get(span, 0) for span in workload.calls} == workload.calls
+    assert all(calls.get(span, 0) > 0 for span in workload.touched)
+    assert abs(sum(summary["self_s"].values()) - summary["root_s"]) < 1e-6

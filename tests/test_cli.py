@@ -326,6 +326,21 @@ class TestMain:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == "" and blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("artifact, analysis", [
+        ("trajectories.csv", "trajectories"), ("ensemble.csv", "equivariance"),
+        ("claims_report.json", "trajectories"), ("meta.json", "trajectories")])
+    def test_artifact_blocked_by_a_directory_exits_one(self, tmp_path, capsys,
+                                                       artifact, analysis):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert cli.main(["run", "--analysis", analysis, "--n", "20", "--t-end", "0.1",
+                         "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"configuration error: output_dir: cannot write {out / artifact}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and (out / artifact).is_dir()
+
     def test_nan_claim_value_written_as_null(self, tmp_path):
         # Two step attempts truncate the constraint probe, so its later
         # samples, and the deviations over them, are NaN.
@@ -373,6 +388,20 @@ class TestMain:
                          "--n", "20", "--t-end", "0.1", "--output-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: box_length: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("momentum", ["1e-310", "1e-300", "7.4e-155"])
+    def test_momentum_past_wavenumber_range_exits_one(self, tmp_path, capsys, momentum):
+        # Inside a box that passes, the squared wavenumber (2p)^2 that the
+        # separation CDF divides by underflows; at 1e-310, 1/p overflows too
+        # and the norm was NaN, so no draw was ever accepted.
+        out = tmp_path / "out"
+        assert cli.main(["run", "--momentum", momentum, "--box-length", "1",
+                         "--analysis", "equivariance", "--n", "20", "--t-end", "0.1",
+                         "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: momentum: {float(momentum):.3g} ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 

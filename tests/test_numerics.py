@@ -1,6 +1,8 @@
 """Kernel checks: gradients, integrators, and root finding."""
 
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from bohmpair import numerics
 from bohmpair.analyses import trajectory_ensemble
 from bohmpair.ensemble import sample_configurations
 from bohmpair.errors import BracketError, ModelDomainError
@@ -362,6 +365,88 @@ class TestDenseOutput:
         flow = trajectory_ensemble(model, 32, seed, 3.0, IntegratorConfig(), samples=201)
         assert flow.complete
         assert model.residual_drift(flow) <= 1e-6
+
+
+class TestBlockSplit:
+    """A batch split into member blocks, integrated in forked processes, is
+    the batch integrated whole, bit for bit.  The split floor is lowered to
+    four members per block so that small batches split."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MIN_BLOCK_ROWS", 4)
+        self.monkeypatch = monkeypatch
+        yield
+        with pytest.raises(ChildProcessError):     # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def integrate(self, cpus, *args):
+        self.monkeypatch.setattr(numerics, "_cpu_count", lambda: cpus)
+        return integrate_ode(*args)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CASES))
+    def test_blocks_equal_whole_batch(self, name):
+        model, t_end = MODEL_CASES[name]
+        y0 = sample_configurations(model, 14, seed=3)[0]
+        limit = np.median(y0[:, 0]) + 0.2
+
+        def field(t, y):  # undefined past x1 = limit, so some members stop there
+            return np.where(y[:, :1] > limit, np.nan, model.batch_rhs(t, y))
+
+        args = (field, y0, 0.0, t_end, IntegratorConfig(), np.linspace(0.0, t_end, 21))
+        whole = self.integrate(1, *args)
+        assert whole.work.blocks == 1
+        assert not whole.complete and "completed" in whole.terminations
+        for cpus in (2, 3):
+            split = self.integrate(cpus, *args)
+            for key in ("times", "states", "velocities", "lengths"):
+                assert np.array_equal(getattr(split, key), getattr(whole, key),
+                                      equal_nan=True), key
+            assert split.terminations == whole.terminations
+            assert split.work == replace(whole.work, blocks=cpus)
+
+    @pytest.mark.parametrize("marked", [0, 11])
+    def test_block_exception_is_raised(self, marked):
+        # The marked row is in the first block (this process) or the last
+        # (a child): either way the exception reaches the caller and every
+        # child is reaped (checked by the fixture).
+        y0 = np.zeros((12, 1))
+        y0[marked] = 100.0
+
+        def rhs(t, y):
+            if np.any(y > 50.0):
+                raise OverflowError("marked row")
+            return np.ones_like(y)
+
+        with pytest.raises(OverflowError, match="marked row"):
+            self.integrate(3, rhs, y0, 0.0, 1.0)
+
+    def test_lost_block_process_is_an_error(self):
+        # A child that dies before sending its block ends the call with an
+        # error, not with a batch missing that block's members.
+        parent = os.getpid()
+        y0 = np.zeros((12, 1))
+
+        def rhs(t, y):
+            if os.getpid() != parent:
+                os._exit(3)
+            return np.ones_like(y)
+
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            self.integrate(3, rhs, y0, 0.0, 1.0)
+
+    def test_one_cpu_or_no_fork_runs_here(self, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rhs = lambda t, y: np.ones_like(y)
+        y0 = np.zeros((12, 1))
+        with pytest.raises(OSError, match="fork refused"):
+            self.integrate(2, rhs, y0, 0.0, 1.0)
+        assert self.integrate(1, rhs, y0, 0.0, 1.0).work.blocks == 1
+        monkeypatch.delattr(os, "fork")
+        assert self.integrate(2, rhs, y0, 0.0, 1.0).work.blocks == 1
 
 
 class TestRootFinding:
