@@ -221,13 +221,14 @@ def run(config: RunConfig) -> int:
     cfg = integrator_config(config)
     claims: list[ClaimCheck] = []
     probe = ensemble_for_meta = None
+    csv_blocks = {}
 
     if {"trajectories", "constraints"} & set(config.analyses):
         probe = trajectory_ensemble(model, config.trajectory_count, config.seed,
                                     config.t_end, cfg, samples=config.trajectory_samples,
                                     sample_times=config.sample_times)
         with _artifact(out / "trajectories.csv") as path:
-            write_ensemble_csv(path, probe)
+            csv_blocks[path.name] = write_ensemble_csv(path, probe)
         if "constraints" in config.analyses:
             claims.extend(constraint_claims(model, probe))
     if "oracle_crosscheck" in config.analyses:
@@ -248,13 +249,15 @@ def run(config: RunConfig) -> int:
             claims.extend(eq_claims)
             ensemble_for_meta = evolved
         with _artifact(out / "ensemble.csv") as path:
-            write_ensemble_csv(path, ensemble_for_meta)
+            csv_blocks[path.name] = write_ensemble_csv(path, ensemble_for_meta)
 
     with _artifact(out / "claims_report.json") as path, open(path, "w") as fh:
         json.dump([c.to_dict() for c in claims], fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     extra = {"config": config.to_dict(), "package_version": __version__}
+    if csv_blocks:
+        extra["csv_blocks"] = csv_blocks
     if ensemble_for_meta is None and probe is not None:
         extra["integrator"] = integrator_metadata(probe)
     # The spherical norm is reported only if the run needed it.

@@ -11,7 +11,7 @@ import signal
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
-from typing import Callable, NoReturn
+from typing import BinaryIO, Callable, NoReturn
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .errors import BracketError, ModelDomainError
 SAMPLE_TIME_TOL = 1e-9
 # Bracket width at which bracketed_root stops bisecting.
 ROOT_TOL = 1e-10
-# Fewest members per block for integrate_ode to split a batch across CPUs.
-# Forking a child and returning its arrays took 7-40 ms on a 2-core x86-64
-# host, against 0.12 s to integrate 2048 plane-wave members to t = 3 on one
-# core; 4096 such members took 0.23 s in one block and 0.18 s in two.
+# Fewest members per block for integrate_ode to split a batch across CPUs
+# (a fork costs what _fork_blocks says): 2048 plane-wave members took 0.12 s
+# to integrate to t = 3 on one core of a 2-core x86-64 host; 4096 such
+# members took 0.23 s in one block and 0.18 s in two.
 MIN_BLOCK_ROWS = 2048
 
 
@@ -426,8 +426,8 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     y = np.asarray(y0, dtype=float)
     n, _ = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
-    blocks = min(_cpu_count(), n // MIN_BLOCK_ROWS)
-    if blocks > 1 and hasattr(os, "fork"):
+    blocks = _block_count(n, MIN_BLOCK_ROWS)
+    if blocks > 1:
         return _integrate_split(rhs, y, ts, cfg, blocks)
     return _integrate_block(rhs, y, ts, cfg)
 
@@ -440,15 +440,54 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _block_count(work: int, floor: int) -> int:
+    """How many blocks to split ``work`` units into: one per CPU, while
+    each block keeps at least ``floor`` units, and 1 where ``os.fork`` is
+    missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_cpu_count(), work // floor))
+
+
 def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int) -> TrajectoryBatch:
     """:func:`_integrate_block` over ``blocks`` contiguous blocks of the
-    rows of ``y``, the first here and the others in forked children, joined
-    in block order.  A child's exception is raised here; on any exception
-    the children are killed.  Every child is reaped before returning."""
+    rows of ``y`` (by :func:`_fork_blocks`), joined in block order."""
     parts = np.array_split(y, blocks)
-    children = []       # (pid, read end of the pipe from it)
+    batches = _fork_blocks(
+        blocks, lambda: _integrate_block(rhs, parts[0], ts, cfg),
+        lambda i: pickle.dumps(_integrate_block(rhs, parts[i], ts, cfg),
+                               pickle.HIGHEST_PROTOCOL),
+        pickle.load)
+    return TrajectoryBatch(
+        times=ts, states=np.concatenate([b.states for b in batches], axis=1),
+        velocities=np.concatenate([b.velocities for b in batches], axis=1),
+        lengths=np.concatenate([b.lengths for b in batches]),
+        terminations=sum((b.terminations for b in batches), ()),
+        work=IntegratorWork(*map(sum, zip(*(astuple(b.work) for b in batches)))))
+
+
+def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], bytes],
+                 receive: Callable[[BinaryIO], object]) -> list:
+    """``[first(), receive(pipe 1), ..., receive(pipe blocks - 1)]``: block
+    0 runs here as ``first()``, and each block ``i`` from 1 on runs in a
+    forked child as ``child(i)``, whose bytes come back through the child's
+    own pipe, read here in block order by ``receive``, which gets the pipe
+    as a binary file and must leave it at the end of those bytes.
+
+    A child first sends whether ``child(i)`` raised, so its exception is
+    raised here; a child that ends without sending, or exits with a failure
+    after sending, is a :class:`RuntimeError`.  On any exception the
+    children are killed; every child is reaped before returning.  A child
+    ends by ``os._exit``, so it flushes no buffer it inherited; a caller
+    that has written to a file flushes it before calling.
+
+    A fork, a pipe and a reap took 3.6-4.8 ms (15 runs) in a 70 MiB process
+    on a 2-core x86-64 host, so callers split only work that takes several
+    times that.
+    """
+    children = []       # (pid, read end of the pipe from it), until reaped
     try:
-        for part in parts[1:]:
+        for i in range(1, blocks):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -458,20 +497,23 @@ def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int) -> Trajecto
                 raise
             if pid == 0:
                 os.close(read)
-                _send_block(write, rhs, part, ts, cfg)
+                _send_block(write, child, i)
             os.close(write)
             children.append((pid, read))
-        batches = [_integrate_block(rhs, parts[0], ts, cfg)]
-        for pid, read in children:
-            try:
-                with open(read, "rb", closefd=False) as pipe:
-                    ok, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"integration block process {pid} ended "
-                                   "without a result") from None
-            if not ok:
-                raise value
-            batches.append(value)
+        results = [first()]
+        while children:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    ok, error = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    ok, error = False, None
+                if ok:
+                    results.append(receive(pipe))
+            del children[0]
+            os.close(read)
+            if os.waitpid(pid, 0)[1] or not ok:
+                raise error or RuntimeError(f"block process {pid} ended without a result")
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -480,30 +522,25 @@ def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int) -> Trajecto
         for pid, read in children:
             os.close(read)
             os.waitpid(pid, 0)
-    return TrajectoryBatch(
-        times=ts, states=np.concatenate([b.states for b in batches], axis=1),
-        velocities=np.concatenate([b.velocities for b in batches], axis=1),
-        lengths=np.concatenate([b.lengths for b in batches]),
-        terminations=sum((b.terminations for b in batches), ()),
-        work=IntegratorWork(*map(sum, zip(*(astuple(b.work) for b in batches)))))
+    return results
 
 
-def _send_block(write: int, rhs, y, ts, cfg: IntegratorConfig) -> NoReturn:
-    """In a forked child: write ``(True, batch)`` for one block, or
-    ``(False, exception)`` if integrating it raised, pickled to the pipe
+def _send_block(write: int, child, i: int) -> NoReturn:
+    """In a forked child: write ``(True, None)`` and the bytes of
+    ``child(i)``, or ``(False, exception)`` if it raised, to the pipe
     ``write``, and exit without returning to the caller's code."""
     code = 1
     try:
         try:
-            result = (True, _integrate_block(rhs, y, ts, cfg))
+            status, data = (True, None), child(i)
         except BaseException as exc:
-            result = (False, exc)
+            status, data = (False, exc), b""
         try:
-            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            header = pickle.dumps(status, pickle.HIGHEST_PROTOCOL)
         except Exception:       # an exception that does not pickle
-            data = pickle.dumps((False, RuntimeError(f"an integration block raised "
-                                                     f"{result[1]!r}")))
+            header = pickle.dumps((False, RuntimeError(f"a block raised {status[1]!r}")))
         with open(write, "wb") as pipe:
+            pipe.write(header)
             pipe.write(data)
         code = 0
     finally:

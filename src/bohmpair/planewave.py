@@ -312,6 +312,8 @@ class PlaneWavePair:
         c0 = a^2 + b^2 and c1 = 2ab; its integral from 0 to d >= 0 is
         G(d) = c0 (L d - d^2/2) + c1 ((L - d) sin(kd)/k + (1 - cos kd)/k^2),
         and the marginal is even, so F(d) = 1/2 + sign(d) G(|d|) / (2 G(L)).
+        The last term is computed as 2 sin^2(kd/2)/k^2, since 1 - cos kd
+        cancels to 0 once kd falls below about 1e-8.
         """
         a, b = self._amplitudes
         L, k = self.box_length, 2.0 * self.momentum
@@ -319,7 +321,7 @@ class PlaneWavePair:
 
         def g(d):
             return c0 * (L * d - 0.5 * d * d) + c1 * ((L - d) * np.sin(k * d) / k
-                                                      + (1.0 - np.cos(k * d)) / (k * k))
+                                                      + 2.0 * (np.sin(0.5 * k * d) / k) ** 2)
 
         d = np.clip(np.asarray(delta, dtype=float), -L, L)
         return 0.5 + np.sign(d) * g(np.abs(d)) / (2.0 * g(L))

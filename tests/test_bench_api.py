@@ -45,9 +45,10 @@ def test_members_view_exists():
 def test_tracing_a_split_integration(tracer, tmp_path, monkeypatch):
     # The benchmark's plane-wave ensemble at 2 x MIN_BLOCK_ROWS members on
     # two CPUs, so its integration runs in two blocks, one in a forked
-    # child.  The child's spans and counts are dropped with it; the parent's
-    # spans still hold the workload's pinned counts, and their self times
-    # still add up to the traced wall time.
+    # child, and so does its CSV write (8,192 rows of 5 floats, above two
+    # blocks' MIN_CSV_FLOATS).  The children's spans and counts are dropped
+    # with them; the parent's spans still hold the workload's pinned counts,
+    # and their self times still add up to the traced wall time.
     workload = importlib.import_module("workloads").WORKLOADS["planewave_ensemble"]
     (raw,) = workload.configs(seed=1, out_root=tmp_path)
     config = cli.validate_config({**raw, "n": 2 * numerics.MIN_BLOCK_ROWS})
@@ -56,6 +57,7 @@ def test_tracing_a_split_integration(tracer, tmp_path, monkeypatch):
         assert cli.run(config) == 0
     meta = json.loads((Path(config.output_dir) / "meta.json").read_text())
     assert meta["integrator"]["blocks"] == 2
+    assert meta["csv_blocks"] == {"ensemble.csv": 2}
 
     summary = traced.summary()
     calls = summary["calls"]

@@ -202,20 +202,23 @@ class TestRun:
 
     @pytest.mark.parametrize("config, keys", [
         # A run without an ensemble records the trajectory probe's integrator.
-        ({"analyses": ["trajectories"]}, {"integrator"}),
+        ({"analyses": ["trajectories"]}, {"integrator", "csv_blocks"}),
         # The oracle evaluates the normalized psi, so the norm is estimated.
         ({"model": "spherical", "analyses": ["oracle_crosscheck"]}, {"norm"}),
-        ({"b": 0.2, "analyses": ["global_constraint"]}, ENSEMBLE_META_KEYS),
+        ({"b": 0.2, "analyses": ["global_constraint"]}, ENSEMBLE_META_KEYS | {"csv_blocks"}),
         ({"model": "spherical", "analyses": ["equivariance"], "t_end": 0.2},
-         ENSEMBLE_META_KEYS),
+         ENSEMBLE_META_KEYS | {"csv_blocks"}),
     ])
     def test_meta_keys(self, tmp_path, config, keys):
         out = tmp_path / "out"
         cfg = cli.validate_config({**config, "n": 200, "trajectory_count": 2,
                                    "trajectory_samples": 3, "output_dir": str(out)})
         assert cli.run(cfg) == 0
-        assert (set(json.loads((out / "meta.json").read_text()))
-                == {"config", "created_utc", "package_version"} | keys)
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta) == {"config", "created_utc", "package_version"} | keys
+        # Each CSV written, by name, in one block: these files are below the
+        # writer's split floor.
+        assert meta.get("csv_blocks", {}) == {p.name: 1 for p in out.glob("*.csv")}
 
     def test_spherical_meta_params_and_norm(self, tmp_path):
         out = tmp_path / "out"
@@ -404,6 +407,15 @@ class TestMain:
         assert captured.err.startswith(f"configuration error: momentum: {float(momentum):.3g} ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_small_momentum_passes_sampling_ks(self, tmp_path, capsys):
+        # At p L = 1e-8 the separation CDF keeps its interference term, so a
+        # correct sample passes initial_sampling_ks (it read 0.054 against a
+        # critical value of 0.036 when the term cancelled to 0).
+        assert cli.main(["run", "--momentum", "1e-8", "--b", "0.2", "--box-length", "1",
+                         "--analysis", "equivariance", "--n", "2000",
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert "[ok ] initial_sampling_ks" in capsys.readouterr().out
 
     def test_box_inside_density_range_runs(self, tmp_path):
         # R ~ 1.2e38, below the bound of ~3.4e38; a RuntimeWarning fails the test.

@@ -3,12 +3,15 @@ constraint-time analysis."""
 
 import csv
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import bohmpair.ensemble as ensemble_module
+from bohmpair import cli, numerics
 from bohmpair.analyses import constraint_claims, global_constraint_claims
 from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensemble,
                                compare_distribution, evolve_ensemble, ks_critical_value,
@@ -385,7 +388,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("case", ["planewave", "spherical", "spherical_unevolved",
                                       "truncated", "blocks", "blocks_unevolved"])
-    def test_csv_matches_row_writer(self, case, mild, node_ensembles, tmp_path):
+    def test_csv_matches_row_writer(self, case, mild, node_ensembles, tmp_path, monkeypatch):
         n_blocks = 3 * CSV_BLOCK_ROWS + 7    # several blocks, not a multiple
         sphere = SlitPair(wavenumber=1.0, slit_offset=0.5)
         ensemble = {
@@ -400,9 +403,55 @@ class TestSerialization:
             "blocks_unevolved": lambda: build_ensemble(mild, n_blocks, seed=79),
         }[case]()
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        write_ensemble_csv(ours, ensemble)
+        assert write_ensemble_csv(ours, ensemble) == 1     # below the split floor
         reference_csv(ref, ensemble)
         assert ours.read_bytes() == ref.read_bytes()
+
+        # Split across forked processes by member blocks of about equal row
+        # counts; in the truncated case the blocks' members hold different
+        # numbers of rows (on 2 CPUs, 3 and 1, then 3 and 3).
+        monkeypatch.setattr(ensemble_module, "MIN_CSV_FLOATS", 1)
+        for cpus in (2, 3):
+            monkeypatch.setattr(numerics, "_cpu_count", lambda: cpus)
+            assert write_ensemble_csv(ours, ensemble) == cpus
+            assert ours.read_bytes() == ref.read_bytes()
+        with pytest.raises(ChildProcessError):     # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fail", ["raise", "exit"])
+    def test_failing_writer_block_is_an_error(self, mild, tmp_path, monkeypatch, fail):
+        # A child that raises, or dies before sending its rows, ends the
+        # write with an error, not with a file missing that block's rows.
+        parent, text = os.getpid(), ensemble_module._csv_text
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if fail == "exit":
+                    os._exit(3)
+                raise OverflowError("child block")
+            return text(*args)
+
+        monkeypatch.setattr(ensemble_module, "_csv_text", failing)
+        monkeypatch.setattr(ensemble_module, "MIN_CSV_FLOATS", 1)
+        monkeypatch.setattr(numerics, "_cpu_count", lambda: 3)
+        error = {"raise": "child block", "exit": "ended without a result"}[fail]
+        with pytest.raises((OverflowError, RuntimeError), match=error):
+            write_ensemble_csv(tmp_path / "e.csv", build_ensemble(mild, 30, seed=71))
+        with pytest.raises(ChildProcessError):     # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_split_write_to_a_full_disk_is_a_configuration_error(self, mild, monkeypatch):
+        # Writing this process's block fails (/dev/full takes no bytes) while
+        # a child formats the other: cli._artifact names output_dir.
+        monkeypatch.setattr(ensemble_module, "MIN_CSV_FLOATS", 1)
+        monkeypatch.setattr(numerics, "_cpu_count", lambda: 2)
+        ensemble = build_ensemble(mild, 400, seed=71)       # 20 kB a block
+        with pytest.raises(ConfigurationError, match="^output_dir: cannot write /dev/full"):
+            with cli._artifact(Path("/dev/full")) as path:
+                write_ensemble_csv(path, ensemble)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_spherical_csv_columns(self, tmp_path):
         m = SlitPair(wavenumber=5.0, slit_offset=0.5)

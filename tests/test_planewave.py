@@ -113,6 +113,14 @@ class TestParams:
         assert m.separation_cdf(-L) == 0.0 and m.separation_cdf(-2 * L) == 0.0
         assert m.separation_cdf(0.0) == 0.5
 
+    @pytest.mark.parametrize("momentum", [1e-8, 1e-10])
+    def test_separation_cdf_at_small_wavenumber(self, momentum):
+        # With k L far below 1 the marginal is (L - |d|)(a + b)^2, so
+        # F(L / 2) = 7/8; written as (1 - cos kd) / k^2, the interference
+        # term cancels to 0 and F read 0.8302 at p = 1e-8.
+        m = PlaneWavePair(1.0, 0.2, momentum=momentum, box_length=1.0)
+        assert m.separation_cdf(0.5) == pytest.approx(0.875, abs=1e-12)
+
     def test_density_integrates_to_one(self, mild):
         L = mild.box_length
         x = np.linspace(0.0, L, 1201)

@@ -25,11 +25,28 @@ def test_import_loads_no_scipy():
     assert loaded_packages("import sys, bohmpair, bohmpair.cli", "scipy") == "[]"
 
 
-def test_split_integration_loads_no_multiprocessing():
-    # integrate_ode forks its blocks itself: importing multiprocessing would
-    # add ~0.3 MiB to the peak RSS of every run that splits a batch.
+def test_split_integration_loads_no_multiprocessing(tmp_path):
+    # integrate_ode and write_ensemble_csv fork their blocks themselves:
+    # importing multiprocessing would add ~0.3 MiB to the peak RSS of every
+    # run that splits a batch.
+    csv = str(tmp_path / "e.csv")
     code = ("import sys, numpy as np, bohmpair, bohmpair.cli; "
+            "from bohmpair.ensemble import Ensemble, write_ensemble_csv; "
             "bohmpair.numerics._cpu_count = lambda: 2; "
             "y0 = np.ones((2 * bohmpair.numerics.MIN_BLOCK_ROWS, 2)); "
-            "assert bohmpair.integrate_ode(lambda t, y: y, y0, 0.0, 1.0).work.blocks == 2")
+            "batch = bohmpair.integrate_ode(lambda t, y: y, y0, 0.0, 1.0); "
+            "assert batch.work.blocks == 2; "
+            "ensemble = Ensemble(**vars(batch), model=None, seed=0); "
+            f"assert write_ensemble_csv({csv!r}, ensemble) == 2")
     assert loaded_packages(code, "multiprocessing") == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing_or_tempfile():
+    # Every run pays for the modules the package imports (setup time and
+    # peak RSS), and forking its blocks needs neither of these.  numpy
+    # itself imports tempfile, so the check is that the package adds
+    # neither to the modules numpy loads.
+    for package in ("multiprocessing", "tempfile"):
+        assert (loaded_packages("import sys, numpy, bohmpair.cli", package)
+                == loaded_packages("import sys, numpy", package))
+    assert loaded_packages("import sys, bohmpair.cli", "multiprocessing") == "[]"
