@@ -41,8 +41,28 @@ NORM_SEED = 0
 MAX_SOURCE_DISTANCE = sys.float_info.max ** 0.125
 
 
-def _norm_rows(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+def _source_distances(r: np.ndarray, d: float):
+    """Distances from positions r of shape (..., 3) to the sources (0, d, 0)
+    and (0, -d, 0).
+
+    Works per coordinate column: numpy runs its inner loop over the last
+    axis, so the row form sqrt(sum((r - source)^2, axis=-1)) loops three
+    elements at a time and took about ten times as long.  The columns give
+    the same bits, summed in the same order, (x^2 + (y -+ d)^2) + z^2 (y + d
+    is y - (-d) exactly).  Each distance's squares are summed in place in its
+    own array, so no offset outlives its square: arrays held across the norm
+    estimate's 50,000-draw blocks raise its peak RSS (see propose).  A single
+    position gives scalars.
+    """
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    xx, zz = x * x, z * z
+    distances = []
+    for offset in (np.asarray(y - d), np.asarray(y + d)):
+        offset *= offset
+        offset += xx
+        offset += zz
+        distances.append(np.sqrt(offset, out=offset)[()])
+    return distances
 
 
 def nearest_source(r1a, r1b, r2a, r2b):
@@ -102,12 +122,9 @@ class SlitPair:
     def distances_of(self, r1: np.ndarray, r2: np.ndarray):
         """Source distances (r1A, r1B, r2A, r2B) for position arrays of shape
         (..., 3); vectorised."""
-        r1 = np.asarray(r1, dtype=float)
-        r2 = np.asarray(r2, dtype=float)
-        r1a = _norm_rows(r1 - self.source_a)
-        r1b = _norm_rows(r1 - self.source_b)
-        r2a = _norm_rows(r2 - self.source_a)
-        r2b = _norm_rows(r2 - self.source_b)
+        d = self.slit_offset
+        r1a, r1b = _source_distances(np.asarray(r1, dtype=float), d)
+        r2a, r2b = _source_distances(np.asarray(r2, dtype=float), d)
         return r1a, r1b, r2a, r2b
 
     def _supported(self, r1, r2, distances):
@@ -231,12 +248,19 @@ class SlitPair:
             defined = (self._supported(r1, r2, distances)
                        & (self._node_measure(terms) >= NODE_THRESHOLD))
             g1a, g1b, g2a, g2b = self._distance_derivatives(*distances, terms)
-            u = lambda r, src, d: (r - src) / d[..., None]
-            v1 = (g1a[..., None] * u(r1, self.source_a, r1a)
-                  + g1b[..., None] * u(r1, self.source_b, r1b))
-            v2 = (g2a[..., None] * u(r2, self.source_a, r2a)
-                  + g2b[..., None] * u(r2, self.source_b, r2b))
-        out = np.concatenate([v1, v2], axis=1)
+            # v = gA ((r - A) / rA) + gB ((r - B) / rB), one coordinate
+            # column at a time (see _source_distances).  The sources differ
+            # only in y; x - 0 and z - 0 are x and z exactly.
+            d = self.slit_offset
+            out = np.empty_like(pts)
+            for j, ga, gb, da, db in ((0, g1a, g1b, r1a, r1b), (3, g2a, g2b, r2a, r2b)):
+                px, py, pz = pts[:, j], pts[:, j + 1], pts[:, j + 2]
+                for c, off_a, off_b in ((0, px, px), (1, py - d, py + d), (2, pz, pz)):
+                    va = off_a / da
+                    va *= ga
+                    vb = off_b / db
+                    vb *= gb
+                    np.add(va, vb, out=out[:, j + c])
         out[~defined] = np.nan
         return out.reshape(y.shape)
 
@@ -321,7 +345,8 @@ class SlitPair:
             q, rr, *_, nval, dval = self._phase_terms(*distances)
             # Free the eight arrays no longer read before the density's
             # temporaries are made: the norm estimate calls this on blocks
-            # of ~20,000 rows, and held arrays raised its peak RSS.
+            # of ~20,000 rows, and held arrays raise its peak RSS (see
+            # _source_distances and propose).
             del distances, _
             density = (nval * nval + dval * dval) / (q * rr) ** 2
         return np.where(ok, density, 0.0)
@@ -365,8 +390,15 @@ class SlitPair:
         d = np.where(draws[:, 0] < 0.5, self.slit_offset, -self.slit_offset)
         pts[:, 1] += d
         pts[:, 4] -= d
-        box = np.asarray(self.sampling_box())
-        pts = pts[np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)]
+        in_box = np.ones(m, dtype=bool)
+        # Per coordinate column, as in _source_distances.  No view of the
+        # unfiltered draws may outlive this loop: it would hold the norm
+        # estimate's 50,000 draws (2.3 MiB) through proposal_weight and
+        # raise its peak RSS.
+        for j, (lo, hi) in enumerate(self.sampling_box()):
+            in_box &= pts[:, j] >= lo
+            in_box &= pts[:, j] <= hi
+        pts = pts[in_box]
         return pts, self.proposal_weight(pts)
 
     def proposal_weight(self, points: np.ndarray) -> np.ndarray:

@@ -337,6 +337,30 @@ class TestDensityShapeVelocity:
         ok = ~np.isnan(v)
         assert np.all(np.abs(v[ok] - reference[ok]) <= 1e-14 * np.abs(reference[ok]))
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 1.0 - 1e-13), (1.0 - 1e-13, 1.0),
+                                      (1.0, 0.5)])
+    def test_nodes_match_masked_divide(self, a, b):
+        # Around cos theta = 0 the shape crosses NODE_DENSITY_FLOOR (for
+        # a = b it is cos^2 theta); the velocity is bitwise the masked divide,
+        # NaN wherever the shape is below the floor or NaN.  RuntimeWarnings
+        # are errors here.
+        m = PlaneWavePair(a=a, b=b, momentum=1.3)
+        offsets = np.geomspace(1e-16, 1e-9, 200)
+        theta = np.concatenate([math.pi / 2 + offsets, math.pi / 2 - offsets,
+                                [math.pi / 2, -math.pi / 2, 0.0, -0.0, np.nan, 1.0]])
+        delta = theta / m.momentum
+        shape = m._density_shape(delta)
+        reference = np.divide(m.momentum * m.contrast, shape, out=np.full(shape.shape, np.nan),
+                              where=shape >= NODE_DENSITY_FLOOR)
+        v = m.velocity_of_separation(delta)
+        assert np.array_equal(v, reference, equal_nan=True)
+        assert np.array_equal(np.signbit(v), np.signbit(reference))
+        if abs(a - b) < 1e-12:
+            assert (shape < NODE_DENSITY_FLOOR).any() and (shape >= NODE_DENSITY_FLOOR).any()
+        rows = np.column_stack([delta, np.zeros_like(delta)])
+        assert np.array_equal(m.batch_rhs(0.0, rows)[:, 0], reference, equal_nan=True)
+        assert np.array_equal(m.velocity_of_separation(delta[-1]), reference[-1])
+
     def test_one_cosine_per_row(self, mild, count_calls):
         calls = count_calls(np, "sin", "cos")
         mild.batch_rhs(0.0, np.random.default_rng(2).uniform(0.0, 5.0, size=(32, 2)))

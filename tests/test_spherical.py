@@ -13,7 +13,7 @@ from bohmpair.analyses import MAX_EMPTY_ROUNDS, random_valid_states
 from bohmpair.errors import ConfigurationError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
-from bohmpair.spherical import SlitPair
+from bohmpair.spherical import NODE_THRESHOLD, SlitPair
 
 TWO_PI = 2.0 * math.pi
 
@@ -367,3 +367,133 @@ class TestConstraintManifold:
                              sample_times=np.linspace(0.0, 1.0, 51)).member(0)
         _, axial = model.max_constraint_deviations(traj.states)
         assert axial > 1e-2
+
+
+class TestColumnKernels:
+    """The spherical kernels work on coordinate columns; these row-wise forms
+    of the same formulas, which numpy loops three elements at a time, must
+    give the same bits, sign of zero and NaN rows included."""
+
+    @staticmethod
+    def row_distances(model, r1, r2):
+        norm = lambda v: np.sqrt(np.sum(v * v, axis=-1))
+        r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
+        return (norm(r1 - model.source_a), norm(r1 - model.source_b),
+                norm(r2 - model.source_a), norm(r2 - model.source_b))
+
+    @classmethod
+    def row_batch_rhs(cls, model, y):
+        y = np.asarray(y, dtype=float)
+        pts = y.reshape(-1, 6)
+        r1, r2 = pts[:, :3], pts[:, 3:]
+        distances = r1a, r1b, r2a, r2b = cls.row_distances(model, r1, r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = model._phase_terms(*distances)
+            defined = (model._supported(r1, r2, distances)
+                       & (model._node_measure(terms) >= NODE_THRESHOLD))
+            g1a, g1b, g2a, g2b = model._distance_derivatives(*distances, terms)
+            u = lambda r, src, d: (r - src) / d[..., None]
+            v1 = (g1a[..., None] * u(r1, model.source_a, r1a)
+                  + g1b[..., None] * u(r1, model.source_b, r1b))
+            v2 = (g2a[..., None] * u(r2, model.source_a, r2a)
+                  + g2b[..., None] * u(r2, model.source_b, r2b))
+        out = np.concatenate([v1, v2], axis=1)
+        out[~defined] = np.nan
+        return out.reshape(y.shape)
+
+    @classmethod
+    def row_density_batch(cls, model, pts):
+        r1, r2 = pts[:, :3], pts[:, 3:]
+        distances = cls.row_distances(model, r1, r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q, rr, *_, nval, dval = model._phase_terms(*distances)
+            density = (nval * nval + dval * dval) / (q * rr) ** 2
+        return np.where(model._supported(r1, r2, distances), density, 0.0)
+
+    @classmethod
+    def row_proposal_weight(cls, model, pts):
+        r1a, r1b, r2a, r2b = cls.row_distances(model, pts[:, :3], pts[:, 3:])
+        return 1.0 / (r1a * r2b) ** 2 + 1.0 / (r1b * r2a) ** 2
+
+    @classmethod
+    def row_propose(cls, model, rng, m):
+        draws = rng.uniform(size=(m, 7))
+        pts = np.empty((m, 6))
+        for j in (0, 3):
+            c, phi, r = draws[:, 1 + j:4 + j].T
+            s = np.sqrt(1.0 - c * c)
+            r = model._proposal_radius * r
+            phi = 2.0 * math.pi * phi
+            pts[:, j] = r * c
+            pts[:, j + 1] = r * s * np.cos(phi)
+            pts[:, j + 2] = r * s * np.sin(phi)
+        d = np.where(draws[:, 0] < 0.5, model.slit_offset, -model.slit_offset)
+        pts[:, 1] += d
+        pts[:, 4] -= d
+        box = np.asarray(model.sampling_box())
+        pts = pts[np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)]
+        return pts, cls.row_proposal_weight(model, pts)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert np.shape(a) == np.shape(b)
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @staticmethod
+    def rows(model, seed, m=400):
+        """Rows over the box and a margin around it, with rows at both
+        sources, on the x = 0 planes, with x < 0 and with NaN entries."""
+        d = model.slit_offset
+        rng = np.random.default_rng(seed)
+        L = model.box_length
+        pts = rng.uniform([-0.1 * L, -L, -L] * 2, [L, L, L] * 2, size=(m, 6))
+        pts[::7, 0] = -0.0
+        pts[1::7, 3] = 0.0
+        special = np.array([[0.0, d, 0.0, 0.0, -d, 0.0],
+                            [0.0, -d, 0.0, 0.0, d, 0.0],
+                            [-0.0, d, -0.0, 1.0, -d, 1e-7],
+                            [-0.5, 0.3, 0.2, 1.0, -0.4, 0.1],
+                            [1.0, 0.3, -0.2, -1e-13, 0.0, -0.0],
+                            [np.nan] * 6,
+                            [1.0, np.nan, 0.2, 0.5, -0.3, 0.1],
+                            [1.0, 0.3, 0.2, 0.5, -0.3, np.nan]])
+        return np.concatenate([special, pts, random_valid_states(model, 64, seed)])
+
+    @pytest.mark.parametrize("k, d", [(5.0, 0.5), (1.3, 2.0), (20.0, 0.05)])
+    def test_row_kernels(self, k, d):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        for seed in (1, 2):
+            rows = self.rows(model, seed)
+            for pts in (rows, np.asfortranarray(rows), rows[:1], rows[[5]]):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    self.assert_same_bits(
+                        (model.batch_rhs(0.0, pts), model.density_batch(pts),
+                         model.proposal_weight(pts),
+                         *model.distances_of(pts[:, :3], pts[:, 3:])),
+                        (self.row_batch_rhs(model, pts), self.row_density_batch(model, pts),
+                         self.row_proposal_weight(model, pts),
+                         *self.row_distances(model, pts[:, :3], pts[:, 3:])))
+            flat = rows[:16].ravel()
+            self.assert_same_bits([model.batch_rhs(0.0, flat), model.batch_rhs(0.0, rows[20])],
+                                  [self.row_batch_rhs(model, flat),
+                                   self.row_batch_rhs(model, rows[20])])
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 5, 3)])
+    def test_position_shapes(self, model, shape):
+        rng = np.random.default_rng(3)
+        r1, r2 = rng.uniform(-2.0, 2.0, size=(2, *shape))
+        got = model.distances_of(r1, r2)
+        self.assert_same_bits(got, self.row_distances(model, r1, r2))
+        # A single position gives scalars, as the row form does.
+        assert all(np.ndim(r) == len(shape) - 1 for r in got)
+
+    @pytest.mark.parametrize("k, d, m", [(5.0, 0.5, 3000), (1.3, 2.0, 1), (20.0, 0.05, 700),
+                                         (0.7, 8.0, 2000)])
+    def test_propose(self, k, d, m):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        for seed in (4, 5):
+            got = model.propose(np.random.Generator(np.random.Philox(seed)), m)
+            want = self.row_propose(model, np.random.Generator(np.random.Philox(seed)), m)
+            self.assert_same_bits(got, want)
