@@ -302,19 +302,21 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> int:
 
 def _csv_text(ensemble: Ensemble, lo: int, hi: int) -> Iterator[str]:
     """The CSV rows of members ``lo`` to ``hi - 1``, as one string per
-    ``CSV_BLOCK_ROWS`` rows (or per member, for longer members)."""
+    ``CSV_BLOCK_ROWS`` rows (or per member, for longer members).  Each
+    sample time is formatted once, not once per row."""
     T, _, dim = ensemble.states.shape
     # Positions or velocities of both particles; y/z empty in one dimension.
     floats = "%r,,,%r,," if dim == 2 else ",".join(["%r"] * dim)
-    row = f"%d,%r,{floats},{floats},%d\r\n"
+    row = f"%d,%s,{floats},{floats},%d\r\n"
     sample = np.arange(T)
+    time_text = np.array([repr(t) for t in ensemble.times.tolist()], dtype=object)
     per_block = max(1, CSV_BLOCK_ROWS // T)
     for start in range(lo, hi, per_block):
         stop = min(hi, start + per_block)
         lengths = ensemble.lengths[start:stop]
         held = sample < lengths[:, None]                       # (members, T)
         columns = [np.repeat(np.arange(start, stop), lengths),
-                   np.broadcast_to(ensemble.times, held.shape)[held]]
+                   time_text[np.broadcast_to(sample, held.shape)[held]]]
         for array in (ensemble.states, ensemble.velocities):
             block = array[:, start:stop].transpose(1, 0, 2)[held]   # (rows, dim)
             columns.extend(block.T)

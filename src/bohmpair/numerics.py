@@ -27,6 +27,14 @@ ROOT_TOL = 1e-10
 # to integrate to t = 3 on one core of a 2-core x86-64 host; 4096 such
 # members took 0.23 s in one block and 0.18 s in two.
 MIN_BLOCK_ROWS = 2048
+# Most rows a large array pass works on at once: integrate_ode's chunks of
+# members, the root scan's grid blocks and the spherical norm's draws.  One
+# 50,000-member plane-wave block integrated to t = 3 on one core of a 2-core
+# x86-64 host took 0.87 s whole, 0.78 s and 0.77 s in chunks of 16,384 and
+# 8,192 members, 0.83 s in chunks of 4,096 and 1.00 s in chunks of 2,048
+# (medians of 5); in chunks of 8,192 its traced peak memory fell from 14.9
+# to 5.7 MiB.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,8 @@ BOOTSTRAP = (
 # no growth right after one.  Growth is capped at 2x per step (scipy allows
 # 10x): with 10x, an error estimate that passes near zero lets a step grow
 # into an accept its true error does not earn, and about 0.1 % of plane-wave
-# members ended with a pull-back residual above 1e-6.
+# members ended with a pull-back residual above 1e-6.  With 2x, 37 of 20,000
+# members at (a, b) = (1, 0.5) still do (seed 3, t = 3; at most 1.41e-6).
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 2.0
@@ -417,19 +426,36 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     A batch of at least ``MIN_BLOCK_ROWS`` members per CPU that this
     process may run on (``os.sched_getaffinity``) is split into one
     contiguous block of members per CPU: this process integrates the first,
-    forked children the others, and the blocks are joined in order.  As each
-    member's samples are the same in any batch, so is the result; ``rhs``
-    then runs in the children too, and what it records there is lost.
-    Where ``os.fork`` is missing the batch runs in this process.
+    forked children the others, and each child's arrays are copied into the
+    result as they arrive.  Every process integrates its block in chunks of
+    at most ``BLOCK_ROWS`` members, written in place into the result.  As
+    each member's samples are the same in any batch, so is the result;
+    ``rhs`` then runs in the children too, and what it records there is
+    lost.  Where ``os.fork`` is missing the batch runs in this process.
     """
     cfg = config or IntegratorConfig()
     y = np.asarray(y0, dtype=float)
-    n, _ = y.shape
+    n, dim = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
+    states = np.full((len(ts), n, dim), np.nan)
+    out = (states, np.full_like(states, np.nan), np.ones(n, np.intp),
+           np.full(n, _COMPLETED, np.intp))
     blocks = _block_count(n, MIN_BLOCK_ROWS)
     if blocks > 1:
-        return _integrate_split(rhs, y, ts, cfg, blocks)
-    return _integrate_block(rhs, y, ts, cfg)
+        work = _integrate_split(rhs, y, ts, cfg, blocks, out)
+    else:
+        work = _integrate_block(rhs, y, ts, cfg, out)
+    states, velocities, lengths, code = out
+    return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
+                           terminations=tuple(_REASONS[c] for c in code.tolist()),
+                           work=work)
+
+
+def _rows(out, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Views of members ``lo`` to ``hi - 1`` in the (states, velocities,
+    lengths, termination codes) arrays ``out`` of :func:`integrate_ode`."""
+    states, velocities, lengths, code = out
+    return states[:, lo:hi], velocities[:, lo:hi], lengths[lo:hi], code[lo:hi]
 
 
 def _cpu_count() -> int:
@@ -449,21 +475,35 @@ def _block_count(work: int, floor: int) -> int:
     return max(1, min(_cpu_count(), work // floor))
 
 
-def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int) -> TrajectoryBatch:
+def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int,
+                     out) -> IntegratorWork:
     """:func:`_integrate_block` over ``blocks`` contiguous blocks of the
-    rows of ``y`` (by :func:`_fork_blocks`), joined in block order."""
-    parts = np.array_split(y, blocks)
-    batches = _fork_blocks(
-        blocks, lambda: _integrate_block(rhs, parts[0], ts, cfg),
-        lambda i: pickle.dumps(_integrate_block(rhs, parts[i], ts, cfg),
-                               pickle.HIGHEST_PROTOCOL),
-        pickle.load)
-    return TrajectoryBatch(
-        times=ts, states=np.concatenate([b.states for b in batches], axis=1),
-        velocities=np.concatenate([b.velocities for b in batches], axis=1),
-        lengths=np.concatenate([b.lengths for b in batches]),
-        terminations=sum((b.terminations for b in batches), ()),
-        work=IntegratorWork(*map(sum, zip(*(astuple(b.work) for b in batches)))))
+    rows of ``y`` (by :func:`_fork_blocks`), into their rows of ``out``.
+    Each child's arrays are copied in as they arrive and then dropped, so
+    no block outlives its copy and nothing is concatenated."""
+    # The blocks of np.array_split: the first n % blocks hold one more row.
+    n = len(y)
+    edges = [i * (n // blocks) + min(i, n % blocks) for i in range(blocks + 1)]
+    bounds = list(zip(edges[:-1], edges[1:]))
+
+    def block(i: int) -> IntegratorWork:
+        lo, hi = bounds[i]
+        return _integrate_block(rhs, y[lo:hi], ts, cfg, _rows(out, lo, hi))
+
+    def child(i: int) -> bytes:
+        work = block(i)
+        return pickle.dumps((work, *_rows(out, *bounds[i])), pickle.HIGHEST_PROTOCOL)
+
+    arriving = iter(bounds[1:])
+
+    def receive(pipe) -> IntegratorWork:
+        work, *arrays = pickle.load(pipe)
+        for view, array in zip(_rows(out, *next(arriving)), arrays):
+            view[...] = array
+        return work
+
+    works = _fork_blocks(blocks, lambda: block(0), child, receive)
+    return IntegratorWork(*map(sum, zip(*map(astuple, works))))
 
 
 def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], bytes],
@@ -547,10 +587,23 @@ def _send_block(write: int, child, i: int) -> NoReturn:
         os._exit(code)
 
 
-def _integrate_block(rhs, y: np.ndarray, ts: np.ndarray,
-                     cfg: IntegratorConfig) -> TrajectoryBatch:
+def _integrate_block(rhs, y: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig,
+                     out) -> IntegratorWork:
     """:func:`integrate_ode` of the rows ``y`` over the sample grid ``ts``
-    in this process."""
+    in this process, into ``out`` (:func:`_rows` of them), in chunks of at
+    most ``BLOCK_ROWS`` members: a chunk's stage arrays, not the block's,
+    set the peak memory.  One block's work."""
+    works = [_integrate_chunk(rhs, y[lo:lo + BLOCK_ROWS], ts, cfg,
+                              _rows(out, lo, lo + BLOCK_ROWS))
+             for lo in range(0, len(y), BLOCK_ROWS)]
+    return IntegratorWork(*map(sum, zip(*works)), blocks=1)
+
+
+def _integrate_chunk(rhs, y: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig,
+                     out) -> tuple[int, int, int]:
+    """Integrate the rows ``y`` into ``out``, (states, velocities, lengths,
+    termination codes) set to NaN, NaN, 1 and ``_COMPLETED``; returns the
+    field evaluations and the accepted and rejected steps."""
     t0, t_end = float(ts[0]), float(ts[-1])
     evals = 0
 
@@ -559,13 +612,11 @@ def _integrate_block(rhs, y: np.ndarray, ts: np.ndarray,
         evals += len(y)
         return rhs(t, y)
 
-    n, dim = y.shape
+    states, velocities, lengths, code = out
+    n = len(y)
     f = counted(np.full(n, ts[0]), y)
-    states = np.full((len(ts), n, dim), np.nan)
-    velocities = np.full_like(states, np.nan)
     states[0], velocities[0] = y, f
-    lengths = np.ones(n, dtype=np.intp)
-    code = np.where(_nan_rows(f), _DOMAIN, _COMPLETED)
+    code[_nan_rows(f)] = _DOMAIN
     # The direction of integration, the last sample's index, and the
     # (sample, member) indices filled by interpolation.
     sign = math.copysign(1.0, t_end - t0)
@@ -648,9 +699,7 @@ def _integrate_block(rhs, y: np.ndarray, ts: np.ndarray,
         for i in np.flatnonzero(cut < lengths):
             lengths[i], code[i] = cut[i], _DOMAIN
             states[cut[i]:, i] = velocities[cut[i]:, i] = np.nan
-    return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
-                           terminations=tuple(_REASONS[c] for c in code.tolist()),
-                           work=IntegratorWork(evals, steps_accepted, steps_rejected, 1))
+    return evals, steps_accepted, steps_rejected
 
 
 def bracketed_root(g: Callable[[float], float], lo: float, hi: float) -> float:
@@ -682,18 +731,27 @@ def scan_roots(g: Callable, lo: float, hi: float, grid: int) -> tuple[tuple[floa
     ``[lo, hi]``: returns the sorted roots and whether the sampled values
     are monotone.
 
-    ``g`` is evaluated once on the whole grid array, then on scalars while
-    bisecting each bracket.  Exact zeros at grid points count as roots.
+    ``g`` must be elementwise: it is evaluated on blocks of at most
+    ``BLOCK_ROWS + 1`` grid points (``np.linspace(lo, hi, grid)``, bit for
+    bit), each sharing its last point with the next block, so no array
+    spans the grid; then on scalars while bisecting each bracket.  Exact
+    zeros at grid points count as roots.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    xs = np.linspace(lo, hi, grid)
-    vals = np.asarray(g(xs), dtype=float)
-
-    roots: list[float] = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
-    products = vals[:-1] * vals[1:]
-    for i in np.nonzero(products < 0)[0]:
-        roots.append(bracketed_root(g, xs[i], xs[i + 1]))
+    roots: list[float] = []
+    rising = falling = False
+    for start in range(0, grid - 1, BLOCK_ROWS):
+        xs = _grid_points(lo, hi, grid, start, min(grid, start + BLOCK_ROWS + 1))
+        vals = np.asarray(g(xs), dtype=float)
+        # The first point of a later block is the last of the one before.
+        roots.extend(float(xs[i]) for i in np.nonzero(vals == 0.0)[0] if i or not start)
+        products = vals[:-1] * vals[1:]
+        for i in np.nonzero(products < 0)[0]:
+            roots.append(bracketed_root(g, xs[i], xs[i + 1]))
+        diffs = np.diff(vals)
+        rising = rising or bool(np.any(diffs > 0))
+        falling = falling or bool(np.any(diffs < 0))
     roots.sort()
 
     spacing = (hi - lo) / (grid - 1)
@@ -701,7 +759,18 @@ def scan_roots(g: Callable, lo: float, hi: float, grid: int) -> tuple[tuple[floa
     for r in roots:
         if not deduped or r - deduped[-1] > 0.5 * spacing:
             deduped.append(r)
+    return tuple(deduped), not (rising and falling)
 
-    diffs = np.diff(vals)
-    monotone = not (np.any(diffs > 0) and np.any(diffs < 0))
-    return tuple(deduped), monotone
+
+def _grid_points(lo: float, hi: float, grid: int, start: int, stop: int) -> np.ndarray:
+    """Points ``start`` to ``stop - 1`` of ``np.linspace(lo, hi, grid)``,
+    computed as numpy computes them: i * step + lo (i / (grid - 1) * (hi - lo)
+    when the step underflows to 0), with the last point exactly ``hi``."""
+    lo, hi = float(lo), float(hi)
+    xs = np.arange(start, stop, dtype=float)
+    step = (hi - lo) / (grid - 1)
+    xs = xs / (grid - 1) * (hi - lo) if step == 0 else xs * step
+    xs += lo
+    if stop == grid:
+        xs[-1] = hi
+    return xs

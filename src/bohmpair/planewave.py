@@ -260,8 +260,11 @@ class PlaneWavePair:
 
         Solves the conserved relation for the earlier separation; the
         left-hand side is strictly monotone for a != b, so the solution is
-        unique.  Vectorised Newton with a bracket-clipped fallback.  With
-        a == b the field vanishes and the flow is the identity.
+        unique.  Vectorised Newton with a bracket-clipped fallback; each
+        iteration works in two arrays it reuses (the residual and a scratch
+        array), in the operation order of the formulas written out, so a
+        large call holds no per-iteration temporaries.  With a == b the field
+        vanishes and the flow is the identity.
         """
         if self.a == self.b:
             return (np.asarray(delta, dtype=float).copy() if np.ndim(delta)
@@ -275,13 +278,25 @@ class PlaneWavePair:
         lo = np.minimum(edge_a, edge_b)   # lin < 0 when a < b
         hi = np.maximum(edge_a, edge_b)
         x = target / lin
+        f, scratch = np.empty_like(x), np.empty_like(x)
+
+        def residual():     # f = lin * x + amp * sin(w x) - target
+            np.sin(np.multiply(w, x, out=scratch), out=scratch)
+            np.multiply(amp, scratch, out=scratch)
+            np.add(np.multiply(lin, x, out=f), scratch, out=f)
+            np.subtract(f, target, out=f)
+
         for _ in range(100):
-            f = lin * x + amp * np.sin(w * x) - target
-            if np.max(np.abs(f)) < 1e-12:
+            residual()
+            if np.max(np.abs(f, out=scratch)) < 1e-12:
                 break
-            fp = lin + amp * w * np.cos(w * x)
-            x = np.clip(x - f / fp, lo, hi)
-        f = lin * x + amp * np.sin(w * x) - target
+            # fp = lin + amp * w * cos(w x), then x = clip(x - f / fp, lo, hi)
+            np.cos(np.multiply(w, x, out=scratch), out=scratch)
+            scratch *= amp * w
+            scratch += lin
+            f /= scratch
+            np.clip(np.subtract(x, f, out=f), lo, hi, out=x)
+        residual()
         bad = np.nonzero(np.abs(f) > 1e-10)[0]
         for i in bad:  # rare: fall back to bisection on the rigorous bracket
             x[i] = bracketed_root(lambda z: lin * z + amp * math.sin(w * z) - target[i],

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ModelDomainError
-from .numerics import require_defined
+from .numerics import BLOCK_ROWS, require_defined
 
 # Configurations closer than this to a source lie outside the support.
 SLIT_EXCLUSION = 1e-6
@@ -50,9 +50,9 @@ def _source_distances(r: np.ndarray, d: float):
     elements at a time and took about ten times as long.  The columns give
     the same bits, summed in the same order, (x^2 + (y -+ d)^2) + z^2 (y + d
     is y - (-d) exactly).  Each distance's squares are summed in place in its
-    own array, so no offset outlives its square: arrays held across the norm
-    estimate's 50,000-draw blocks raise its peak RSS (see propose).  A single
-    position gives scalars.
+    own array, so no offset outlives its square: arrays held across a large
+    call, such as a sampler round, raise its peak RSS (see propose).  A
+    single position gives scalars.
     """
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
     xx, zz = x * x, z * z
@@ -294,6 +294,12 @@ class SlitPair:
         1_box f / q over all draws.  f / q is at most 4 (2 pi R)^2, so the
         variance is finite, unlike that of uniform Monte Carlo, whose
         integrand f^2 diverges at the sources.
+
+        The sums run over chunks of 50,000 draws, each one ``np.sum`` of the
+        chunk's ratios, which are drawn and evaluated ``BLOCK_ROWS`` at a
+        time (the draws read the stream in the same order), so no array of
+        all the chunk's draws is made.  Summing per block would change the
+        value's last bits.
         """
         rng = np.random.Generator(np.random.Philox(NORM_SEED))
         total = 0.0
@@ -302,8 +308,11 @@ class SlitPair:
         chunk = 50_000
         while n < NORM_SAMPLES:
             m = min(chunk, NORM_SAMPLES - n)
-            pts, weight = self.propose(rng, m)
-            ratio = self.density_batch(pts) / weight   # out-of-box draws add 0
+            ratios = []
+            for start in range(0, m, BLOCK_ROWS):
+                pts, weight = self.propose(rng, min(BLOCK_ROWS, m - start))
+                ratios.append(self.density_batch(pts) / weight)   # out-of-box draws add 0
+            ratio = np.concatenate(ratios)
             total += float(np.sum(ratio))
             total_sq += float(np.sum(ratio * ratio))
             n += m
@@ -344,9 +353,9 @@ class SlitPair:
         with np.errstate(divide="ignore", invalid="ignore"):
             q, rr, *_, nval, dval = self._phase_terms(*distances)
             # Free the eight arrays no longer read before the density's
-            # temporaries are made: the norm estimate calls this on blocks
-            # of ~20,000 rows, and held arrays raise its peak RSS (see
-            # _source_distances and propose).
+            # temporaries are made: on a large call, such as a sampler
+            # round, held arrays raise its peak RSS (see _source_distances
+            # and propose).
             del distances, _
             density = (nval * nval + dval * dval) / (q * rr) ** 2
         return np.where(ok, density, 0.0)
@@ -392,9 +401,9 @@ class SlitPair:
         pts[:, 4] -= d
         in_box = np.ones(m, dtype=bool)
         # Per coordinate column, as in _source_distances.  No view of the
-        # unfiltered draws may outlive this loop: it would hold the norm
-        # estimate's 50,000 draws (2.3 MiB) through proposal_weight and
-        # raise its peak RSS.
+        # unfiltered draws may outlive this loop: it would hold all the
+        # draws (2.3 MiB for 50,000) through proposal_weight and raise the
+        # peak RSS.
         for j, (lo, hi) in enumerate(self.sampling_box()):
             in_box &= pts[:, j] >= lo
             in_box &= pts[:, j] <= hi

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bohmpair import numerics
-from bohmpair.analyses import trajectory_ensemble
+from bohmpair.analyses import UNIQUENESS_GRID, trajectory_ensemble
 from bohmpair.ensemble import sample_configurations
 from bohmpair.errors import BracketError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode, scan_roots
@@ -449,6 +449,60 @@ class TestBlockSplit:
         assert self.integrate(2, rhs, y0, 0.0, 1.0).work.blocks == 1
 
 
+class TestMemberChunks:
+    """Each process integrates its block in chunks of ``BLOCK_ROWS``
+    members written in place.  The reference is the batch integrated as one
+    chunk in one process, as before chunking.  Members that stop early, for
+    an undefined field or at ``max_steps``, sit on chunk and block
+    boundaries; the split floor is lowered so that 70 members split."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MIN_BLOCK_ROWS", 4)
+        self.monkeypatch = monkeypatch
+        yield
+        with pytest.raises(ChildProcessError):     # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def field(t, y):
+        # x moves at a cos(b x); a member with b < 0 is undefined past x = 1.2.
+        x, a, b = y.T
+        v = np.zeros_like(y)
+        v[:, 0] = a * np.cos(b * x)
+        v[(b < 0) & (x > 1.2)] = np.nan
+        return v
+
+    def integrate(self, rows, cpus, *args):
+        self.monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
+        self.monkeypatch.setattr(numerics, "_cpu_count", lambda: cpus)
+        return integrate_ode(*args)
+
+    def test_chunks_equal_one_chunk(self):
+        # Member i completes, meets the undefined field or runs out of steps
+        # (a stiff 40 cos(4 x)) as i % 3 is 0, 1 or 2.
+        kind = np.arange(70) % 3
+        rng = np.random.default_rng(4)
+        y0 = np.column_stack([rng.uniform(0.0, 1.0, 70),
+                              np.choose(kind, [1.0, 1.0, 40.0]) * rng.uniform(0.9, 1.1, 70),
+                              np.choose(kind, [0.3, -0.4, 4.0])])
+        args = (self.field, y0, 0.0, 1.0, IntegratorConfig(rel_tol=1e-6, max_steps=25),
+                np.linspace(0.0, 1.0, 6))
+        whole = self.integrate(10 ** 9, 1, *args)
+        assert whole.work.blocks == 1
+        assert [whole.terminations[i] for i in (2, 3, 34, 35, 63, 64)] == [
+            "max_steps", "completed", "domain_error: field undefined", "max_steps",
+            "completed", "domain_error: field undefined"]
+        for rows in (1, 3, 64, 10 ** 9):
+            for cpus in (1, 2, 3):
+                chunked = self.integrate(rows, cpus, *args)
+                for key in ("times", "states", "velocities", "lengths"):
+                    assert np.array_equal(getattr(chunked, key), getattr(whole, key),
+                                          equal_nan=True), (rows, cpus, key)
+                assert chunked.terminations == whole.terminations
+                assert chunked.work == replace(whole.work, blocks=cpus)
+
+
 class TestRootFinding:
     def test_linear(self):
         assert bracketed_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-10)
@@ -512,3 +566,62 @@ class TestScanRoots:
         roots, _ = scan_roots(lambda x: np.cos(x), 0.0, 20.0, grid=4000)
         assert list(roots) == sorted(roots)
         assert len(roots) == 6  # odd multiples of pi/2 below 20
+
+
+def whole_array_scan(g, lo, hi, grid):
+    """scan_roots as it was before it worked in blocks: ``g`` on one array
+    over the whole grid."""
+    xs = np.linspace(lo, hi, grid)
+    vals = np.asarray(g(xs), dtype=float)
+    roots = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
+    products = vals[:-1] * vals[1:]
+    for i in np.nonzero(products < 0)[0]:
+        roots.append(bracketed_root(g, xs[i], xs[i + 1]))
+    roots.sort()
+    spacing = (hi - lo) / (grid - 1)
+    deduped = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > 0.5 * spacing:
+            deduped.append(r)
+    diffs = np.diff(vals)
+    return tuple(deduped), not (np.any(diffs > 0) and np.any(diffs < 0))
+
+
+class TestScanBlocks:
+    """scan_roots in blocks of ``BLOCK_ROWS`` grid points gives the roots
+    and the monotone flag of the whole-array scan, bit for bit."""
+
+    # On the grid 0, 1, ..., 10: an exact zero at 4 and sign changes in
+    # (7, 8) and (8, 9); a single dip at 5 in a rising sequence; zeros at
+    # both ends.
+    FUNCTIONS = {"zero_and_crossings": lambda x: (x - 4.0) * (x - 7.5) * (x - 8.5),
+                 "one_dip": lambda x: np.where(x == 5.0, 3.0, x) - 0.5,
+                 "zero_at_start": lambda x: x,
+                 "zero_at_end": lambda x: x - 10.0}
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_block_boundaries(self, monkeypatch, rows, name):
+        g = self.FUNCTIONS[name]
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
+        assert scan_roots(g, 0.0, 10.0, 11) == whole_array_scan(g, 0.0, 10.0, 11)
+
+    @pytest.mark.parametrize("extra", [2 - numerics.BLOCK_ROWS, 0, 1, 2])
+    def test_grid_sizes(self, extra):
+        grid = numerics.BLOCK_ROWS + extra
+        g = lambda x: np.sin(x) * np.cos(3.0 * x)
+        assert scan_roots(g, 0.5, 40.0, grid) == whole_array_scan(g, 0.5, 40.0, grid)
+
+    def test_exact_zero_on_block_boundary(self):
+        rows = numerics.BLOCK_ROWS
+        g = lambda x: (x - rows) * (x - 0.5)    # grid points are the integers 0..2 rows
+        found = scan_roots(g, 0.0, 2.0 * rows, 2 * rows + 1)
+        assert found == whole_array_scan(g, 0.0, 2.0 * rows, 2 * rows + 1)
+        assert found[0][1] == float(rows)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.2), (1.0, 0.5), (0.3, 1.0)])
+    def test_uniqueness_scan(self, a, b):
+        model = PlaneWavePair(a=a, b=b)
+        half = 4.0 * math.pi / model.momentum
+        assert (scan_roots(model.constraint_lhs, -half, half, UNIQUENESS_GRID)
+                == whole_array_scan(model.constraint_lhs, -half, half, UNIQUENESS_GRID))

@@ -451,6 +451,41 @@ class TestConservedQuantities:
         pulled = mild.inverse_flow(final[:, 0] - final[:, 1], elapsed)
         assert np.max(np.abs(pulled - deltas0)) < 1e-7
 
+    @staticmethod
+    def allocating_inverse_flow(model, delta, elapsed):
+        """inverse_flow's Newton loop as it was before it reused buffers:
+        new arrays on every iteration."""
+        d = np.asarray(delta, dtype=float)
+        target = np.asarray(model.trajectory_invariant(d)) - 2.0 * model.momentum * elapsed
+        lin, amp = model._relation_coefficients()
+        w = 2.0 * model.momentum
+        edge_a = (target - abs(amp)) / lin
+        edge_b = (target + abs(amp)) / lin
+        lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
+        x = target / lin
+        for _ in range(100):
+            f = lin * x + amp * np.sin(w * x) - target
+            if np.max(np.abs(f)) < 1e-12:
+                break
+            fp = lin + amp * w * np.cos(w * x)
+            x = np.clip(x - f / fp, lo, hi)
+        f = lin * x + amp * np.sin(w * x) - target
+        for i in np.nonzero(np.abs(f) > 1e-10)[0]:
+            x[i] = bracketed_root(lambda z: lin * z + amp * math.sin(w * z) - target[i],
+                                  lo[i] - 1e-12, hi[i] + 1e-12)
+        return x
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.2), (1.0, 0.5), (0.3, 1.0)])
+    def test_inverse_flow_reuses_buffers_bitwise(self, a, b):
+        model = PlaneWavePair(a=a, b=b)
+        deltas = np.random.default_rng(5).uniform(-model.box_length, model.box_length,
+                                                  100_000)
+        pulled = model.inverse_flow(deltas, 3.0)
+        assert np.array_equal(pulled, self.allocating_inverse_flow(model, deltas, 3.0))
+        # One separation stops Newton on its own residual, not the batch's.
+        assert (model.inverse_flow(float(deltas[7]), 3.0)
+                == self.allocating_inverse_flow(model, deltas[7:8], 3.0)[0])
+
     def test_inverse_flow_static_model(self):
         m = PlaneWavePair(a=1.0, b=1.0)
         assert m.inverse_flow(0.7, 3.0) == 0.7

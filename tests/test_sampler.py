@@ -173,3 +173,32 @@ def test_norm_matches_large_reference(k, d, monkeypatch):
     reference_value = reference.norm
     se = math.hypot(norm["standard_error"], reference.computed_norm()["standard_error"])
     assert abs(value - reference_value) < 4.0 * se
+
+
+def one_shot_norm(model):
+    """The norm estimate as it was before it worked in blocks: each
+    50,000-draw chunk proposed and evaluated in one call."""
+    rng = np.random.Generator(np.random.Philox(spherical.NORM_SEED))
+    total = total_sq = 0.0
+    n = 0
+    while n < spherical.NORM_SAMPLES:
+        m = min(50_000, spherical.NORM_SAMPLES - n)
+        pts, weight = model.propose(rng, m)
+        ratio = model.density_batch(pts) / weight
+        total += float(np.sum(ratio))
+        total_sq += float(np.sum(ratio * ratio))
+        n += m
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    return model._proposal_scale * mean, model._proposal_scale * math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("k, d, rows", [(1.0, 0.5, spherical.BLOCK_ROWS), (2.0, 0.5, 3001),
+                                        (1.0, 1.0, spherical.BLOCK_ROWS)])
+def test_norm_blocks_equal_one_shot(k, d, rows, monkeypatch):
+    # Blocks of draws read the stream in order, and each chunk is still
+    # summed by one np.sum, so the value and its standard error are equal,
+    # also for blocks that do not divide a chunk.
+    monkeypatch.setattr(spherical, "BLOCK_ROWS", rows)
+    model = SlitPair(wavenumber=k, slit_offset=d)
+    assert model._norm_estimate == one_shot_norm(model)
