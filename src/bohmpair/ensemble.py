@@ -13,8 +13,8 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientSampleError
-from .numerics import (IntegratorConfig, TrajectoryBatch, _block_count, _fork_blocks,
-                       integrate_ode)
+from .numerics import (BLOCK_ROWS, IntegratorConfig, TrajectoryBatch, _block_count,
+                       _fork_blocks, integrate_ode)
 
 # Counter-based generator, so samples are reproducible from the seed alone.
 PRNG_ID = "numpy-philox-4x64"
@@ -85,15 +85,24 @@ class Ensemble(TrajectoryBatch):
 # -- statistics helpers ------------------------------------------------------
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a reference CDF."""
+    """One-sample Kolmogorov-Smirnov statistic against a reference CDF, NaN
+    when a sample or its CDF value is NaN.
+
+    The samples are sorted once; ``cdf`` must be elementwise, as it is
+    evaluated on ``BLOCK_ROWS`` sorted samples at a time, and the statistic
+    is the largest of the blocks' maxima, so it is bitwise that of one pass
+    over all of them."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n == 0:
         raise ValueError("ks_statistic needs at least one sample")
-    f = np.asarray(cdf(x), dtype=float)
-    lower = np.arange(0, n) / n
-    upper = np.arange(1, n + 1) / n
-    return float(np.max(np.maximum(f - lower, upper - f)))
+    d = -np.inf
+    for start in range(0, n, BLOCK_ROWS):
+        f = np.asarray(cdf(x[start:start + BLOCK_ROWS]), dtype=float)
+        i = np.arange(start, start + len(f))
+        # np.maximum, unlike max(), keeps a NaN.
+        d = np.maximum(d, np.max(np.maximum(f - i / n, (i + 1) / n - f)))
+    return float(d)
 
 
 def ks_two_sample(x: np.ndarray, y: np.ndarray) -> float:
@@ -227,7 +236,10 @@ def compare_distribution(ensemble: Ensemble, t: float) -> float:
     flow transports the separation monotonically), and the pulled-back
     sample is tested against the closed-form CDF of the marginal on the
     initial box (``PlaneWavePair.separation_cdf``); its 99 % critical value
-    is :func:`ks_critical_value` of the members compared.  Spherical
+    is :func:`ks_critical_value` of the members compared.  Both the
+    pull-back and the statistic work through ``BLOCK_ROWS`` separations at a
+    time, and each holds one array of a value per member (its result, the
+    sorted copy) beside its input.  Spherical
     ensembles compare the x1 marginal against a fresh reference sample
     (:func:`reference_sample`) by the two-sample statistic, since no closed
     transport is available in six dimensions; its critical value is
@@ -241,7 +253,10 @@ def compare_distribution(ensemble: Ensemble, t: float) -> float:
         raise InsufficientSampleError(
             f"only {len(states)} members have a sample at t={t} (need {MIN_SURVIVORS})")
     if model.tag == "planewave":
-        pulled = model.inverse_flow(states[:, 0] - states[:, 1], t)
+        separations = states[:, 0] - states[:, 1]
+        del states      # before each pass (peak memory)
+        pulled = model.inverse_flow(separations, t)
+        del separations
         return ks_statistic(pulled, model.separation_cdf)
     return ks_two_sample(states[:, 0], reference_sample(ensemble, len(states))[:, 0])
 
@@ -295,7 +310,7 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> int:
                 fh.write(chunk)
 
         _fork_blocks(len(edges) - 1, first,
-                     lambda i: "".join(_csv_text(ensemble, edges[i], edges[i + 1])).encode(),
+                     lambda i: ["".join(_csv_text(ensemble, edges[i], edges[i + 1])).encode()],
                      copy)
     return len(edges) - 1
 

@@ -28,7 +28,9 @@ ROOT_TOL = 1e-10
 # members took 0.23 s in one block and 0.18 s in two.
 MIN_BLOCK_ROWS = 2048
 # Most rows a large array pass works on at once: integrate_ode's chunks of
-# members, the root scan's grid blocks and the spherical norm's draws.  One
+# members, the root scan's grid blocks, the spherical norm's draws, and the
+# plane-wave pull-back's separations and the Kolmogorov-Smirnov statistic's
+# sorted samples that compare_distribution works through.  One
 # 50,000-member plane-wave block integrated to t = 3 on one core of a 2-core
 # x86-64 host took 0.87 s whole, 0.78 s and 0.77 s in chunks of 16,384 and
 # 8,192 members, 0.83 s in chunks of 4,096 and 1.00 s in chunks of 2,048
@@ -426,12 +428,13 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     A batch of at least ``MIN_BLOCK_ROWS`` members per CPU that this
     process may run on (``os.sched_getaffinity``) is split into one
     contiguous block of members per CPU: this process integrates the first,
-    forked children the others, and each child's arrays are copied into the
-    result as they arrive.  Every process integrates its block in chunks of
-    at most ``BLOCK_ROWS`` members, written in place into the result.  As
-    each member's samples are the same in any batch, so is the result;
-    ``rhs`` then runs in the children too, and what it records there is
-    lost.  Where ``os.fork`` is missing the batch runs in this process.
+    forked children the others, and each child's arrays are read from its
+    pipe straight into the result.  Every process integrates its block in
+    chunks of at most ``BLOCK_ROWS`` members, written in place into the
+    result.  As each member's samples are the same in any batch, so is the
+    result; ``rhs`` then runs in the children too, and what it records
+    there is lost.  Where ``os.fork`` is missing the batch runs in this
+    process.
     """
     cfg = config or IntegratorConfig()
     y = np.asarray(y0, dtype=float)
@@ -479,8 +482,9 @@ def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int,
                      out) -> IntegratorWork:
     """:func:`_integrate_block` over ``blocks`` contiguous blocks of the
     rows of ``y`` (by :func:`_fork_blocks`), into their rows of ``out``.
-    Each child's arrays are copied in as they arrive and then dropped, so
-    no block outlives its copy and nothing is concatenated."""
+    Each child sends its work pickled, then the raw bytes of its members'
+    :func:`_slabs`, which are read straight into the same slabs of ``out``:
+    no copy of a block is made on either side."""
     # The blocks of np.array_split: the first n % blocks hold one more row.
     n = len(y)
     edges = [i * (n // blocks) + min(i, n % blocks) for i in range(blocks + 1)]
@@ -490,36 +494,57 @@ def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int,
         lo, hi = bounds[i]
         return _integrate_block(rhs, y[lo:hi], ts, cfg, _rows(out, lo, hi))
 
-    def child(i: int) -> bytes:
+    def child(i: int) -> list:
         work = block(i)
-        return pickle.dumps((work, *_rows(out, *bounds[i])), pickle.HIGHEST_PROTOCOL)
+        return [pickle.dumps(work, pickle.HIGHEST_PROTOCOL), *_slabs(out, *bounds[i])]
 
     arriving = iter(bounds[1:])
 
     def receive(pipe) -> IntegratorWork:
-        work, *arrays = pickle.load(pipe)
-        for view, array in zip(_rows(out, *next(arriving)), arrays):
-            view[...] = array
+        work = pickle.load(pipe)
+        for slab in _slabs(out, *next(arriving)):
+            _read_into(pipe, slab)
         return work
 
     works = _fork_blocks(blocks, lambda: block(0), child, receive)
     return IntegratorWork(*map(sum, zip(*map(astuple, works))))
 
 
-def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], bytes],
+def _slabs(out, lo: int, hi: int) -> list[np.ndarray]:
+    """The contiguous pieces of members ``lo`` to ``hi - 1`` in the arrays
+    ``out`` of :func:`integrate_ode`: their states at each sample, their
+    velocities at each sample, their lengths and their termination codes."""
+    states, velocities, lengths, code = _rows(out, lo, hi)
+    return [*states, *velocities, lengths, code]
+
+
+def _read_into(pipe: BinaryIO, array: np.ndarray) -> None:
+    """Fill the contiguous ``array`` with the next bytes of ``pipe``;
+    :class:`EOFError` if the pipe ends first."""
+    view = memoryview(array).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise EOFError("pipe ended inside an array")
+        view = view[got:]
+
+
+def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], Sequence],
                  receive: Callable[[BinaryIO], object]) -> list:
     """``[first(), receive(pipe 1), ..., receive(pipe blocks - 1)]``: block
     0 runs here as ``first()``, and each block ``i`` from 1 on runs in a
-    forked child as ``child(i)``, whose bytes come back through the child's
-    own pipe, read here in block order by ``receive``, which gets the pipe
-    as a binary file and must leave it at the end of those bytes.
+    forked child as ``child(i)``, which returns the buffers (bytes or
+    contiguous arrays) to send back through the child's own pipe, read here
+    in block order by ``receive``, which gets the pipe as a binary file and
+    must leave it at the end of those bytes.
 
     A child first sends whether ``child(i)`` raised, so its exception is
-    raised here; a child that ends without sending, or exits with a failure
-    after sending, is a :class:`RuntimeError`.  On any exception the
-    children are killed; every child is reaped before returning.  A child
-    ends by ``os._exit``, so it flushes no buffer it inherited; a caller
-    that has written to a file flushes it before calling.
+    raised here; a child that ends without sending, ends before the last
+    byte ``receive`` reads (an :class:`EOFError` from it), or exits with a
+    failure after sending, is a :class:`RuntimeError`.  On any exception
+    the children are killed; every child is reaped before returning.  A
+    child ends by ``os._exit``, so it flushes no buffer it inherited; a
+    caller that has written to a file flushes it before calling.
 
     A fork, a pipe and a reap took 3.6-4.8 ms (15 runs) in a 70 MiB process
     on a 2-core x86-64 host, so callers split only work that takes several
@@ -546,10 +571,10 @@ def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], bytes],
             with open(read, "rb", closefd=False) as pipe:
                 try:
                     ok, error = pickle.load(pipe)
+                    if ok:
+                        results.append(receive(pipe))
                 except (EOFError, pickle.UnpicklingError):
                     ok, error = False, None
-                if ok:
-                    results.append(receive(pipe))
             del children[0]
             os.close(read)
             if os.waitpid(pid, 0)[1] or not ok:
@@ -566,22 +591,23 @@ def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], bytes],
 
 
 def _send_block(write: int, child, i: int) -> NoReturn:
-    """In a forked child: write ``(True, None)`` and the bytes of
-    ``child(i)``, or ``(False, exception)`` if it raised, to the pipe
-    ``write``, and exit without returning to the caller's code."""
+    """In a forked child: write ``(True, None)`` and the buffers
+    ``child(i)`` returns, or ``(False, exception)`` if it raised, to the
+    pipe ``write``, and exit without returning to the caller's code."""
     code = 1
     try:
         try:
             status, data = (True, None), child(i)
         except BaseException as exc:
-            status, data = (False, exc), b""
+            status, data = (False, exc), []
         try:
             header = pickle.dumps(status, pickle.HIGHEST_PROTOCOL)
         except Exception:       # an exception that does not pickle
             header = pickle.dumps((False, RuntimeError(f"a block raised {status[1]!r}")))
         with open(write, "wb") as pipe:
             pipe.write(header)
-            pipe.write(data)
+            for buffer in data:
+                pipe.write(buffer)
         code = 0
     finally:
         os._exit(code)

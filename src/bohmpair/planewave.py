@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateParametersError, ModelDomainError
-from .numerics import bracketed_root, require_defined
+from .numerics import BLOCK_ROWS, bracketed_root, require_defined
 
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
 # is treated as a node of the wavefunction.
@@ -260,48 +260,56 @@ class PlaneWavePair:
 
         Solves the conserved relation for the earlier separation; the
         left-hand side is strictly monotone for a != b, so the solution is
-        unique.  Vectorised Newton with a bracket-clipped fallback; each
-        iteration works in two arrays it reuses (the residual and a scratch
-        array), in the operation order of the formulas written out, so a
-        large call holds no per-iteration temporaries.  With a == b the field
+        unique.  Newton from target / lin, clipped to the bracket the
+        relation puts the root in, with a bisection fallback.  Each
+        separation iterates until its own residual is below 1e-12 (or is
+        NaN), so its result is bitwise that of a one-element call, whatever
+        else the batch holds.  The separations are solved ``BLOCK_ROWS`` at
+        a time, so only the result spans a large batch.  With a == b the field
         vanishes and the flow is the identity.
         """
         if self.a == self.b:
             return (np.asarray(delta, dtype=float).copy() if np.ndim(delta)
                     else float(delta))
-        d = np.atleast_1d(np.asarray(delta, dtype=float))
-        target = np.asarray(self.trajectory_invariant(d)) - 2.0 * self.momentum * elapsed
+        d = np.asarray(delta, dtype=float)
+        x = np.empty(d.shape)
+        flat_d, flat_x = d.reshape(-1), x.reshape(-1)
+        for start in range(0, flat_d.size, BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            flat_x[start:stop] = self._inverse_flow_block(flat_d[start:stop], elapsed)
+        return x if np.ndim(delta) else float(x)
+
+    def _inverse_flow_block(self, d: np.ndarray, elapsed: float) -> np.ndarray:
+        """:meth:`inverse_flow` of the one-dimensional array ``d``."""
+        target = self.trajectory_invariant(d) - 2.0 * self.momentum * elapsed
         lin, amp = self._relation_coefficients()
         w = 2.0 * self.momentum
         edge_a = (target - abs(amp)) / lin
         edge_b = (target + abs(amp)) / lin
         lo = np.minimum(edge_a, edge_b)   # lin < 0 when a < b
         hi = np.maximum(edge_a, edge_b)
+        del edge_a, edge_b     # before the iterations (peak memory)
         x = target / lin
-        f, scratch = np.empty_like(x), np.empty_like(x)
-
-        def residual():     # f = lin * x + amp * sin(w x) - target
-            np.sin(np.multiply(w, x, out=scratch), out=scratch)
-            np.multiply(amp, scratch, out=scratch)
-            np.add(np.multiply(lin, x, out=f), scratch, out=f)
-            np.subtract(f, target, out=f)
-
+        # The separations still iterating: their indices, iterates, targets
+        # and brackets.
+        run, xr, tr, lr, hr = np.arange(len(x)), x, target, lo, hi
         for _ in range(100):
-            residual()
-            if np.max(np.abs(f, out=scratch)) < 1e-12:
-                break
-            # fp = lin + amp * w * cos(w x), then x = clip(x - f / fp, lo, hi)
-            np.cos(np.multiply(w, x, out=scratch), out=scratch)
-            scratch *= amp * w
-            scratch += lin
-            f /= scratch
-            np.clip(np.subtract(x, f, out=f), lo, hi, out=x)
-        residual()
-        bad = np.nonzero(np.abs(f) > 1e-10)[0]
-        for i in bad:  # rare: fall back to bisection on the rigorous bracket
+            f = lin * xr + amp * np.sin(w * xr) - tr
+            go = np.abs(f) >= 1e-12     # False for NaN: it stops at once
+            if not go.all():
+                x[run[~go]] = xr[~go]
+                run, xr, f, tr, lr, hr = (v[go] for v in (run, xr, f, tr, lr, hr))
+                if not run.size:
+                    break
+            fp = lin + amp * w * np.cos(w * xr)
+            xr = np.clip(xr - f / fp, lr, hr)
+        x[run] = xr
+        f = lin * x + amp * np.sin(w * x) - target
+        for i in np.nonzero(np.abs(f) > 1e-10)[0]:
+            # rare: fall back to bisection on the rigorous bracket
             x[i] = bracketed_root(lambda z: lin * z + amp * math.sin(w * z) - target[i],
                                   lo[i] - 1e-12, hi[i] + 1e-12)
-        return x if np.ndim(delta) else float(x[0])
+        return x
 
     # -- ensemble support ----------------------------------------------------
 

@@ -70,6 +70,35 @@ class TestKsHelpers:
         ref = stats.kstest(x, "uniform").statistic
         assert ours == pytest.approx(ref, abs=1e-12)
 
+    @staticmethod
+    def one_pass_ks(samples, cdf):
+        """ks_statistic over all the samples in one pass, as it was computed
+        before it worked in blocks."""
+        x = np.sort(np.asarray(samples, dtype=float))
+        n = len(x)
+        f = np.asarray(cdf(x), dtype=float)
+        return float(np.max(np.maximum(f - np.arange(0, n) / n, np.arange(1, n + 1) / n - f)))
+
+    @pytest.mark.parametrize("n", [1, numerics.BLOCK_ROWS - 1, numerics.BLOCK_ROWS,
+                                   numerics.BLOCK_ROWS + 1, 3 * numerics.BLOCK_ROWS + 7])
+    def test_blocks_match_one_pass(self, mild, n):
+        x = np.random.default_rng(n).uniform(-mild.box_length, mild.box_length, n)
+        x[::3] = x[0]                       # ties
+        assert ks_statistic(x, mild.separation_cdf) == self.one_pass_ks(x, mild.separation_cdf)
+        # A CDF that the sorted samples meet exactly: every lower gap is 0.
+        grid = np.arange(n) / n
+        uniform = lambda q: np.clip(q, 0.0, 1.0)
+        ks = ks_statistic(grid[::-1], uniform)
+        assert ks == self.one_pass_ks(grid, uniform) == pytest.approx(1 / n, rel=1e-12)
+        x[n // 2] = np.nan
+        assert math.isnan(ks_statistic(x, mild.separation_cdf))
+        assert math.isnan(self.one_pass_ks(x, mild.separation_cdf))
+
+    def test_nan_sample_gives_nan(self, mild):
+        assert math.isnan(ks_statistic([np.nan, 1.0, 2.0], mild.separation_cdf))
+        x = np.append(np.linspace(-10.0, 10.0, 20_000), np.nan)
+        assert math.isnan(ks_statistic(x, mild.separation_cdf))
+
     def test_two_sample_matches_scipy(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=400)

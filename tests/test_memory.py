@@ -9,11 +9,12 @@ traced peaks are in MiB, with numpy 2.4 on x86-64.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bohmpair import numerics
 from bohmpair.analyses import uniqueness_claims
-from bohmpair.ensemble import sample_configurations
+from bohmpair.ensemble import ks_statistic, sample_configurations
 from bohmpair.planewave import PlaneWavePair
 from bohmpair.spherical import SlitPair
 
@@ -51,3 +52,50 @@ def test_integration_in_one_process(monkeypatch):
     numerics.integrate_ode(model.batch_rhs, y0[:64], 0.0, 3.0)
     peak = traced_peak_mib(lambda: numerics.integrate_ode(model.batch_rhs, y0, 0.0, 3.0))
     assert peak < 0.6 * 6.09
+
+
+@pytest.fixture(scope="module")
+def separations():
+    model = PlaneWavePair(a=1.0, b=0.2)
+    return model, np.random.default_rng(5).uniform(-model.box_length, model.box_length,
+                                                   100_000)
+
+
+def test_inverse_flow(separations):
+    # 1e5 separations: 6.96 MiB pulled back whole; 1.82 MiB in blocks, of
+    # which the result is 0.76 MiB.
+    model, deltas = separations
+    model.inverse_flow(deltas[:64], 3.0)
+    assert traced_peak_mib(lambda: model.inverse_flow(deltas, 3.0)) < 2.5
+
+
+def test_ks_statistic(separations):
+    # 1e5 samples: 6.10 MiB in one pass; 1.33 MiB in blocks, of which the
+    # sorted copy is 0.76 MiB.
+    model, deltas = separations
+    ks_statistic(deltas[:64], model.separation_cdf)
+    assert traced_peak_mib(lambda: ks_statistic(deltas, model.separation_cdf)) < 2.5
+
+
+def test_split_integration_parent(monkeypatch):
+    # 20,000 plane-wave members in two blocks, each integrated in chunks of
+    # 2,048 members: the result's arrays (1.53 MiB) and one chunk's work
+    # make the parent's peak 2.00 MiB.  A pickled copy of the child's block
+    # (0.76 MiB) on top of the result raised it to 2.31 MiB.
+    monkeypatch.setattr(numerics, "MIN_BLOCK_ROWS", 4)
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 2048)
+    model = PlaneWavePair(a=1.0, b=0.2)
+    y0 = sample_configurations(model, 20_000, seed=3)[0]
+    numerics.integrate_ode(model.batch_rhs, y0[:64], 0.0, 0.1)
+    batches = {}
+
+    def integrate(cpus):
+        monkeypatch.setattr(numerics, "_cpu_count", lambda: cpus)
+        batches[cpus] = numerics.integrate_ode(model.batch_rhs, y0, 0.0, 0.1)
+
+    assert traced_peak_mib(lambda: integrate(2)) < 2.15
+    integrate(1)
+    # Each slab of the child's block (160 kB) is more than a pipe holds.
+    assert batches[2].work.blocks == 2
+    for key in ("states", "velocities", "lengths"):
+        assert np.array_equal(getattr(batches[2], key), getattr(batches[1], key)), key

@@ -435,6 +435,24 @@ class TestBlockSplit:
         with pytest.raises(RuntimeError, match="ended without a result"):
             self.integrate(3, rhs, y0, 0.0, 1.0)
 
+    def test_truncated_block_is_an_error(self):
+        # A child that sends its status and then stops inside its arrays
+        # (here, halfway through its second slab) ends the call with an
+        # error, not with a batch whose block is half filled.
+        parent = os.getpid()
+        slabs = numerics._slabs
+
+        def cut_slabs(*args):
+            whole = slabs(*args)
+            if os.getpid() == parent:
+                return whole
+            second = memoryview(whole[1]).cast("B")
+            return [whole[0], second[:len(second) // 2]]
+
+        self.monkeypatch.setattr(numerics, "_slabs", cut_slabs)
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            self.integrate(3, lambda t, y: np.ones_like(y), np.zeros((12, 1)), 0.0, 1.0)
+
     def test_one_cpu_or_no_fork_runs_here(self, monkeypatch):
         def no_fork():
             raise OSError("fork refused")

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bohmpair import planewave
 from bohmpair.analyses import UNIQUENESS_GRID, uniqueness_claims
 from bohmpair.errors import ConfigurationError, DegenerateParametersError, ModelDomainError
 from bohmpair.numerics import Trajectory, bracketed_root, integrate_ode, scan_roots
@@ -452,9 +453,10 @@ class TestConservedQuantities:
         assert np.max(np.abs(pulled - deltas0)) < 1e-7
 
     @staticmethod
-    def allocating_inverse_flow(model, delta, elapsed):
-        """inverse_flow's Newton loop as it was before it reused buffers:
-        new arrays on every iteration."""
+    def per_element_inverse_flow(model, delta, elapsed):
+        """inverse_flow's Newton iteration with the formulas written out,
+        each separation frozen once its own residual is below 1e-12 (or is
+        NaN): every element runs the iterations it would run alone."""
         d = np.asarray(delta, dtype=float)
         target = np.asarray(model.trajectory_invariant(d)) - 2.0 * model.momentum * elapsed
         lin, amp = model._relation_coefficients()
@@ -463,12 +465,14 @@ class TestConservedQuantities:
         edge_b = (target + abs(amp)) / lin
         lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
         x = target / lin
+        done = np.zeros(x.shape, bool)
         for _ in range(100):
             f = lin * x + amp * np.sin(w * x) - target
-            if np.max(np.abs(f)) < 1e-12:
+            done |= ~(np.abs(f) >= 1e-12)
+            if done.all():
                 break
             fp = lin + amp * w * np.cos(w * x)
-            x = np.clip(x - f / fp, lo, hi)
+            x = np.where(done, x, np.clip(x - f / fp, lo, hi))
         f = lin * x + amp * np.sin(w * x) - target
         for i in np.nonzero(np.abs(f) > 1e-10)[0]:
             x[i] = bracketed_root(lambda z: lin * z + amp * math.sin(w * z) - target[i],
@@ -477,14 +481,65 @@ class TestConservedQuantities:
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.2), (1.0, 0.5), (0.3, 1.0)])
     def test_inverse_flow_reuses_buffers_bitwise(self, a, b):
+        # inverse_flow fills one output buffer block by block; every element
+        # of it is bitwise the per-element reference.
         model = PlaneWavePair(a=a, b=b)
         deltas = np.random.default_rng(5).uniform(-model.box_length, model.box_length,
                                                   100_000)
         pulled = model.inverse_flow(deltas, 3.0)
-        assert np.array_equal(pulled, self.allocating_inverse_flow(model, deltas, 3.0))
-        # One separation stops Newton on its own residual, not the batch's.
-        assert (model.inverse_flow(float(deltas[7]), 3.0)
-                == self.allocating_inverse_flow(model, deltas[7:8], 3.0)[0])
+        reference = self.per_element_inverse_flow(model, deltas, 3.0)
+        assert np.array_equal(pulled, reference)
+        # The reference gives each element what it gives that element alone.
+        for i in (0, 7, 8191, 8192, 99_999):
+            assert self.per_element_inverse_flow(model, deltas[i:i + 1], 3.0)[0] == reference[i]
+            assert model.inverse_flow(float(deltas[i]), 3.0) == reference[i]
+
+    @staticmethod
+    def same_bits(x, y):
+        return np.array_equal(np.asarray(x, float).view(np.uint64),
+                              np.asarray(y, float).view(np.uint64))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.2), (0.3, 1.0), (1.0, 0.0)])
+    def test_inverse_flow_edge_inputs(self, a, b):
+        # b = 0 makes the sine term vanish, a < b the linear coefficient
+        # negative; signed zeros keep their sign as in one-element calls.
+        model = PlaneWavePair(a=a, b=b)
+        empty = model.inverse_flow(np.array([]), 1.0)
+        assert empty.shape == (0,) and empty.dtype == float
+        deltas = np.array([0.0, -0.0, 1e-300, -3.5, 19.9, -20.0])
+        for t in (0.0, 1.0, -2.5):
+            alone = [model.inverse_flow(float(d), t) for d in deltas]
+            assert self.same_bits(model.inverse_flow(deltas, t), alone)
+
+    def test_inverse_flow_nan_stays_alone(self, mild):
+        # A NaN separation pulls back to NaN and leaves every other
+        # separation's result as it is without it.
+        deltas = np.random.default_rng(9).uniform(-20.0, 20.0, 20_000)
+        clean = mild.inverse_flow(deltas, 3.0)
+        holed = deltas.copy()
+        holed[[3, 12_345]] = np.nan
+        pulled = mild.inverse_flow(holed, 3.0)
+        assert np.isnan(pulled[[3, 12_345]]).all()
+        keep = ~np.isnan(holed)
+        assert np.array_equal(pulled[keep], clean[keep])
+        assert math.isnan(mild.inverse_flow(math.nan, 3.0))
+
+    @settings(max_examples=60)
+    @given(a=st.floats(0.0, 2.0), b=st.floats(0.0, 2.0), t=st.floats(-5.0, 5.0),
+           rows=st.integers(1, 9), data=st.data(),
+           deltas=st.lists(st.floats(-25.0, 25.0), max_size=40))
+    def test_inverse_flow_is_batch_independent(self, a, b, t, rows, data, deltas):
+        # In blocks of a few rows, so the batches cross block edges.
+        assume(a != b)
+        model = PlaneWavePair(a=a, b=b)
+        deltas = np.array(deltas, dtype=float)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planewave, "BLOCK_ROWS", rows)
+            pulled = model.inverse_flow(deltas, t)
+            order = np.array(data.draw(st.permutations(range(len(deltas)))), dtype=np.intp)
+            permuted = model.inverse_flow(deltas[order], t)
+        assert self.same_bits(pulled, [model.inverse_flow(float(d), t) for d in deltas])
+        assert self.same_bits(permuted, pulled[order])
 
     def test_inverse_flow_static_model(self):
         m = PlaneWavePair(a=1.0, b=1.0)
