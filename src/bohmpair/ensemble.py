@@ -310,7 +310,7 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> int:
                 fh.write(chunk)
 
         _fork_blocks(len(edges) - 1, first,
-                     lambda i: ["".join(_csv_text(ensemble, edges[i], edges[i + 1])).encode()],
+                     lambda i: "".join(_csv_text(ensemble, edges[i], edges[i + 1])).encode(),
                      copy)
     return len(edges) - 1
 

@@ -5,6 +5,7 @@ bracketed root finding with a grid scanner for counting roots."""
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -427,11 +428,12 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
 
     A batch of at least ``MIN_BLOCK_ROWS`` members per CPU that this
     process may run on (``os.sched_getaffinity``) is split into one
-    contiguous block of members per CPU: this process integrates the first,
-    forked children the others, and each child's arrays are read from its
-    pipe straight into the result.  Every process integrates its block in
-    chunks of at most ``BLOCK_ROWS`` members, written in place into the
-    result.  As each member's samples are the same in any batch, so is the
+    contiguous block of members per CPU: this process integrates the first
+    and forked children the others.  The result's arrays live in an
+    anonymous shared mapping, so every process writes its members into
+    them in place, and a child sends back only its pickled work.  Every
+    process integrates its block in chunks of at most ``BLOCK_ROWS``
+    members.  As each member's samples are the same in any batch, so is the
     result; ``rhs`` then runs in the children too, and what it records
     there is lost.  Where ``os.fork`` is missing the batch runs in this
     process.
@@ -440,18 +442,32 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     y = np.asarray(y0, dtype=float)
     n, dim = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
-    states = np.full((len(ts), n, dim), np.nan)
-    out = (states, np.full_like(states, np.nan), np.ones(n, np.intp),
-           np.full(n, _COMPLETED, np.intp))
+    out = (_shared((len(ts), n, dim), np.nan, float), _shared((len(ts), n, dim), np.nan, float),
+           _shared((n,), 1, np.intp), _shared((n,), _COMPLETED, np.intp))
     blocks = _block_count(n, MIN_BLOCK_ROWS)
-    if blocks > 1:
-        work = _integrate_split(rhs, y, ts, cfg, blocks, out)
-    else:
-        work = _integrate_block(rhs, y, ts, cfg, out)
+    # The blocks of np.array_split: the first n % blocks hold one more row.
+    edges = [i * (n // blocks) + min(i, n % blocks) for i in range(blocks + 1)]
+
+    def block(i: int) -> IntegratorWork:
+        lo, hi = edges[i], edges[i + 1]
+        return _integrate_block(rhs, y[lo:hi], ts, cfg, _rows(out, lo, hi))
+
+    works = _fork_blocks(blocks, lambda: block(0),
+                         lambda i: pickle.dumps(block(i), pickle.HIGHEST_PROTOCOL), pickle.load)
     states, velocities, lengths, code = out
     return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
                            terminations=tuple(_REASONS[c] for c in code.tolist()),
-                           work=work)
+                           work=IntegratorWork(*map(sum, zip(*map(astuple, works)))))
+
+
+def _shared(shape: tuple[int, ...], value, dtype) -> np.ndarray:
+    """An array of ``shape`` filled with ``value`` in an anonymous shared
+    mapping, which forked children write into in place."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    array = np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype, count)
+    array[:] = value
+    return array.reshape(shape)
 
 
 def _rows(out, lo: int, hi: int) -> tuple[np.ndarray, ...]:
@@ -478,65 +494,17 @@ def _block_count(work: int, floor: int) -> int:
     return max(1, min(_cpu_count(), work // floor))
 
 
-def _integrate_split(rhs, y, ts, cfg: IntegratorConfig, blocks: int,
-                     out) -> IntegratorWork:
-    """:func:`_integrate_block` over ``blocks`` contiguous blocks of the
-    rows of ``y`` (by :func:`_fork_blocks`), into their rows of ``out``.
-    Each child sends its work pickled, then the raw bytes of its members'
-    :func:`_slabs`, which are read straight into the same slabs of ``out``:
-    no copy of a block is made on either side."""
-    # The blocks of np.array_split: the first n % blocks hold one more row.
-    n = len(y)
-    edges = [i * (n // blocks) + min(i, n % blocks) for i in range(blocks + 1)]
-    bounds = list(zip(edges[:-1], edges[1:]))
-
-    def block(i: int) -> IntegratorWork:
-        lo, hi = bounds[i]
-        return _integrate_block(rhs, y[lo:hi], ts, cfg, _rows(out, lo, hi))
-
-    def child(i: int) -> list:
-        work = block(i)
-        return [pickle.dumps(work, pickle.HIGHEST_PROTOCOL), *_slabs(out, *bounds[i])]
-
-    arriving = iter(bounds[1:])
-
-    def receive(pipe) -> IntegratorWork:
-        work = pickle.load(pipe)
-        for slab in _slabs(out, *next(arriving)):
-            _read_into(pipe, slab)
-        return work
-
-    works = _fork_blocks(blocks, lambda: block(0), child, receive)
-    return IntegratorWork(*map(sum, zip(*map(astuple, works))))
-
-
-def _slabs(out, lo: int, hi: int) -> list[np.ndarray]:
-    """The contiguous pieces of members ``lo`` to ``hi - 1`` in the arrays
-    ``out`` of :func:`integrate_ode`: their states at each sample, their
-    velocities at each sample, their lengths and their termination codes."""
-    states, velocities, lengths, code = _rows(out, lo, hi)
-    return [*states, *velocities, lengths, code]
-
-
-def _read_into(pipe: BinaryIO, array: np.ndarray) -> None:
-    """Fill the contiguous ``array`` with the next bytes of ``pipe``;
-    :class:`EOFError` if the pipe ends first."""
-    view = memoryview(array).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            raise EOFError("pipe ended inside an array")
-        view = view[got:]
-
-
-def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], Sequence],
+def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], bytes],
                  receive: Callable[[BinaryIO], object]) -> list:
     """``[first(), receive(pipe 1), ..., receive(pipe blocks - 1)]``: block
     0 runs here as ``first()``, and each block ``i`` from 1 on runs in a
-    forked child as ``child(i)``, which returns the buffers (bytes or
-    contiguous arrays) to send back through the child's own pipe, read here
-    in block order by ``receive``, which gets the pipe as a binary file and
-    must leave it at the end of those bytes.
+    forked child as ``child(i)``, whose bytes come back through the child's
+    own pipe, read here in block order by ``receive``, which gets the pipe
+    as a binary file and must leave it at the end of those bytes.  With one
+    block nothing is forked.  The children of :func:`integrate_ode` send
+    only their pickled work, as their members are already in its shared
+    result; those of ``ensemble.write_ensemble_csv`` send their formatted
+    rows.
 
     A child first sends whether ``child(i)`` raised, so its exception is
     raised here; a child that ends without sending, ends before the last
@@ -591,23 +559,22 @@ def _fork_blocks(blocks: int, first: Callable, child: Callable[[int], Sequence],
 
 
 def _send_block(write: int, child, i: int) -> NoReturn:
-    """In a forked child: write ``(True, None)`` and the buffers
-    ``child(i)`` returns, or ``(False, exception)`` if it raised, to the
-    pipe ``write``, and exit without returning to the caller's code."""
+    """In a forked child: write ``(True, None)`` and the bytes of
+    ``child(i)``, or ``(False, exception)`` if it raised, to the pipe
+    ``write``, and exit without returning to the caller's code."""
     code = 1
     try:
         try:
             status, data = (True, None), child(i)
         except BaseException as exc:
-            status, data = (False, exc), []
+            status, data = (False, exc), b""
         try:
             header = pickle.dumps(status, pickle.HIGHEST_PROTOCOL)
         except Exception:       # an exception that does not pickle
             header = pickle.dumps((False, RuntimeError(f"a block raised {status[1]!r}")))
         with open(write, "wb") as pipe:
             pipe.write(header)
-            for buffer in data:
-                pipe.write(buffer)
+            pipe.write(data)
         code = 0
     finally:
         os._exit(code)

@@ -109,14 +109,6 @@ class SlitPair:
                 f"{MAX_SOURCE_DISTANCE:.3g} from a source, where the density's squared "
                 "distance product overflows")
 
-    @property
-    def source_a(self) -> np.ndarray:
-        return np.array([0.0, self.slit_offset, 0.0])
-
-    @property
-    def source_b(self) -> np.ndarray:
-        return np.array([0.0, -self.slit_offset, 0.0])
-
     # -- geometry ------------------------------------------------------------
 
     def distances_of(self, r1: np.ndarray, r2: np.ndarray):

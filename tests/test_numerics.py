@@ -435,23 +435,27 @@ class TestBlockSplit:
         with pytest.raises(RuntimeError, match="ended without a result"):
             self.integrate(3, rhs, y0, 0.0, 1.0)
 
-    def test_truncated_block_is_an_error(self):
-        # A child that sends its status and then stops inside its arrays
-        # (here, halfway through its second slab) ends the call with an
-        # error, not with a batch whose block is half filled.
-        parent = os.getpid()
-        slabs = numerics._slabs
+    def test_partly_written_block_is_an_error(self):
+        # Blocks of members 0-3, 4-7 and 8-11, in chunks of two members.  The
+        # child of members 4-7 dies on its second chunk, after writing its
+        # first chunk's members into the shared result: the call ends with
+        # an error, not with a batch whose block is half filled.
+        self.monkeypatch.setattr(numerics, "BLOCK_ROWS", 2)
+        made = []
+        shared = numerics._shared
+        self.monkeypatch.setattr(numerics, "_shared",
+                                 lambda *args: made.append(shared(*args)) or made[-1])
+        y0 = 10.0 * np.arange(12.0)[:, None]
 
-        def cut_slabs(*args):
-            whole = slabs(*args)
-            if os.getpid() == parent:
-                return whole
-            second = memoryview(whole[1]).cast("B")
-            return [whole[0], second[:len(second) // 2]]
+        def rhs(t, y):
+            if 60.0 <= y.min() < 80.0:
+                os._exit(0)
+            return np.ones_like(y)
 
-        self.monkeypatch.setattr(numerics, "_slabs", cut_slabs)
         with pytest.raises(RuntimeError, match="ended without a result"):
-            self.integrate(3, lambda t, y: np.ones_like(y), np.zeros((12, 1)), 0.0, 1.0)
+            self.integrate(3, rhs, y0, 0.0, 1.0)
+        states = made[0]
+        assert not np.isnan(states[:, 4:6]).any() and np.isnan(states[:, 6:8]).all()
 
     def test_one_cpu_or_no_fork_runs_here(self, monkeypatch):
         def no_fork():

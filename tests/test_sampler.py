@@ -73,8 +73,8 @@ def near_source_points(model, rng, count, radius=1e-4):
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     direction[:, 0] = np.abs(direction[:, 0])
     r = rng.uniform(2 * SLIT_EXCLUSION, radius, size=4 * count)[:, None]
-    for i, (col, source) in enumerate([(0, model.source_a), (0, model.source_b),
-                                       (3, model.source_a), (3, model.source_b)]):
+    a, b = np.array([0.0, model.slit_offset, 0.0]), np.array([0.0, -model.slit_offset, 0.0])
+    for i, (col, source) in enumerate([(0, a), (0, b), (3, a), (3, b)]):
         rows = slice(i * count, (i + 1) * count)
         pts[rows, col:col + 3] = source + r[rows] * direction[rows]
     return pts

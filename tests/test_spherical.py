@@ -375,11 +375,17 @@ class TestColumnKernels:
     give the same bits, sign of zero and NaN rows included."""
 
     @staticmethod
-    def row_distances(model, r1, r2):
+    def sources(model):
+        """The sources A = (0, d, 0) and B = (0, -d, 0)."""
+        d = model.slit_offset
+        return np.array([0.0, d, 0.0]), np.array([0.0, -d, 0.0])
+
+    @classmethod
+    def row_distances(cls, model, r1, r2):
         norm = lambda v: np.sqrt(np.sum(v * v, axis=-1))
         r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
-        return (norm(r1 - model.source_a), norm(r1 - model.source_b),
-                norm(r2 - model.source_a), norm(r2 - model.source_b))
+        a, b = cls.sources(model)
+        return norm(r1 - a), norm(r1 - b), norm(r2 - a), norm(r2 - b)
 
     @classmethod
     def row_batch_rhs(cls, model, y):
@@ -393,10 +399,9 @@ class TestColumnKernels:
                        & (model._node_measure(terms) >= NODE_THRESHOLD))
             g1a, g1b, g2a, g2b = model._distance_derivatives(*distances, terms)
             u = lambda r, src, d: (r - src) / d[..., None]
-            v1 = (g1a[..., None] * u(r1, model.source_a, r1a)
-                  + g1b[..., None] * u(r1, model.source_b, r1b))
-            v2 = (g2a[..., None] * u(r2, model.source_a, r2a)
-                  + g2b[..., None] * u(r2, model.source_b, r2b))
+            a, b = cls.sources(model)
+            v1 = g1a[..., None] * u(r1, a, r1a) + g1b[..., None] * u(r1, b, r1b)
+            v2 = g2a[..., None] * u(r2, a, r2a) + g2b[..., None] * u(r2, b, r2b)
         out = np.concatenate([v1, v2], axis=1)
         out[~defined] = np.nan
         return out.reshape(y.shape)
