@@ -29,9 +29,9 @@ ROOT_TOL = 1e-10
 # members took 0.23 s in one block and 0.18 s in two.
 MIN_BLOCK_ROWS = 2048
 # Most rows a large array pass works on at once: integrate_ode's chunks of
-# members, the root scan's grid blocks, the spherical norm's draws, and the
-# plane-wave pull-back's separations and the Kolmogorov-Smirnov statistic's
-# sorted samples that compare_distribution works through.  One
+# members, the root scan's grid blocks, and the plane-wave pull-back's
+# separations and the Kolmogorov-Smirnov statistic's sorted samples that
+# compare_distribution works through.  One
 # 50,000-member plane-wave block integrated to t = 3 on one core of a 2-core
 # x86-64 host took 0.87 s whole, 0.78 s and 0.77 s in chunks of 16,384 and
 # 8,192 members, 0.83 s in chunks of 4,096 and 1.00 s in chunks of 2,048

@@ -21,21 +21,24 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, ModelDomainError
-from .numerics import BLOCK_ROWS, require_defined
+from .numerics import require_defined
 
 # Configurations closer than this to a source lie outside the support.
 SLIT_EXCLUSION = 1e-6
 # Scale-aware node measure (SlitPair.node_measure_of) below which the phase
 # and the field are undefined.
 NODE_THRESHOLD = 1e-12
-# Draws and seed of the importance-sampled norm estimate.
-NORM_SAMPLES = 200_000
-NORM_SEED = 0
+# Gauss-Legendre nodes per panel of the norm's first face rule.  Each
+# refinement doubles them until two successive norms agree to NORM_RTOL
+# relative, or the order reaches NORM_MAX_ORDER.
+NORM_ORDER = 8
+NORM_MAX_ORDER = 256
+NORM_RTOL = 1e-12
 # Largest source distance R whose R^8, a bound on the squared distance
 # product (r1A r2B r1B r2A)^2 in the density, is a finite float.
 MAX_SOURCE_DISTANCE = sys.float_info.max ** 0.125
@@ -71,6 +74,68 @@ def nearest_source(r1a, r1b, r2a, r2b):
     return np.minimum(np.minimum(r1a, r1b), np.minimum(r2a, r2b))
 
 
+@cache
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from the
+    estimates cos(pi (i + 3/4) / (n + 1/2)); the nodes and weights are then
+    made exactly symmetric.  This keeps numpy.linalg, whose eigenvalue
+    route (np.polynomial.legendre.leggauss) loads LAPACK workspace into the
+    process, out of the package.
+    """
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    dp = legendre(x)[1]
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    rule = 0.5 * (x - x[::-1]), 0.5 * (weights + weights[::-1])
+    for a in rule:   # cached, so shared by every caller
+        a.flags.writeable = False
+    return rule
+
+
+def _panel_breaks(lo: float, hi: float, feet) -> np.ndarray:
+    """Panel ends on [lo, hi], graded toward each foot (c, h): a source's
+    nearest point c on [lo, hi] and its distance h from the face.
+
+    The face fields near a foot vary on the scale of its distance from the
+    source, so panels end at c and at c +- h 4^j inside the interval: each
+    panel is at most h wide, or three times its distance from the foot.
+    h is floored at 1e-13 of the interval: a source nearer the face than
+    that sends a flux below 3e-13 L through the disc of that radius about
+    its foot, about 1e-12 of J (a source that near a face has J > L / 4).
+    """
+    breaks = {lo, hi}
+    for c, h in feet:
+        breaks.add(c)
+        step = max(h, 1e-13 * (hi - lo))
+        while step < hi - lo:
+            breaks.update(p for p in (c - step, c + step) if lo < p < hi)
+            step *= 4.0
+    return np.array(sorted(breaks))
+
+
+def _panel_rule(breaks: np.ndarray, order: int):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on each
+    panel between successive ``breaks``, panel by panel."""
+    x, w = _gauss_legendre(order)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * x).ravel(), (half * w).ravel()
+
+
 @dataclass(frozen=True)
 class SlitPair:
     """Model parameters for the two-source spherical-wave pair.
@@ -78,11 +143,11 @@ class SlitPair:
     ``slit_offset`` is the source half-separation d.  States closer than
     ``SLIT_EXCLUSION`` to a source, or with a scale-aware wavefunction
     modulus below ``NODE_THRESHOLD``, are rejected as domain errors.
-    Normalization over the finite box is estimated once by importance
-    sampling from the source-mixture proposal (``NORM_SAMPLES`` draws at
-    ``NORM_SEED``, with a reported standard error) the first time it is
-    needed.  A box reaching farther than ``MAX_SOURCE_DISTANCE`` from a
-    source is a :class:`ConfigurationError`: its density overflows.
+    The normalization over the finite box is computed the first time it
+    is needed, from five face integrals of one particle's box (see
+    ``_norm_estimate``), with a quadrature error bound.  A box reaching
+    farther than ``MAX_SOURCE_DISTANCE`` from a source is a
+    :class:`ConfigurationError`: its density overflows.
     """
 
     wavenumber: float
@@ -278,52 +343,107 @@ class SlitPair:
 
     @cached_property
     def _norm_estimate(self) -> tuple[float, float]:
-        """Importance-sampled box integral of the unnormalized density,
-        excluding the singular source balls; returns (value, se).
+        """The box integral N of the unnormalized density and a bound on its
+        quadrature error; returns (value, error).
 
-        Draws come from :meth:`propose`, whose density on the box is
-        q = (u^2 + v^2) / (2 (2 pi R)^2); the estimate is the mean of
-        1_box f / q over all draws.  f / q is at most 4 (2 pi R)^2, so the
-        variance is finite, unlike that of uniform Monte Carlo, whose
-        integrand f^2 diverges at the sources.
+        Expanding |bracket|^2 factorises N into one-particle box integrals:
+        N = 2 (J^2 + I^2), with J = int 1/rA^2 d^3r (= int 1/rB^2 d^3r by
+        the box's y -> -y symmetry) and I + iS = int e^{ik(rA - rB)} /
+        (rA rB) d^3r, where the same symmetry makes S vanish.  J and I are
+        the outward fluxes through the box of the fields of
+        :meth:`_norm_fields`, which do not cross the x = 0 face and carry no
+        flux out of the sources, so :meth:`_box_flux` sums them over the
+        other five faces.  The Gauss-Legendre order per panel starts at
+        ``NORM_ORDER`` and doubles until two successive values of N agree to
+        ``NORM_RTOL`` relative (or the order reaches ``NORM_MAX_ORDER``);
+        the last value is returned with the last difference as its error.
 
-        The sums run over chunks of 50,000 draws, each one ``np.sum`` of the
-        chunk's ratios, which are drawn and evaluated ``BLOCK_ROWS`` at a
-        time (the draws read the stream in the same order), so no array of
-        all the chunk's draws is made.  Summing per block would change the
-        value's last bits.
+        The support leaves out the configurations with a particle within
+        eps = ``SLIT_EXCLUSION`` of a source, which this N includes.  Each of
+        the four (particle, source) pairs cuts a half ball out of that
+        particle's box, which holds 2 pi eps J + O(eps^2) of N (the half
+        ball's integral of 1/r^2 times the other particle's J), so N
+        overstates the support's integral by about 8 pi eps J, at most
+        4 pi eps / J relative: 7e-8 at (k, d) = (1, 0.5), where J = 183.
+        Sources outside the box cut nothing out.
         """
-        rng = np.random.Generator(np.random.Philox(NORM_SEED))
+        previous = None
+        order = NORM_ORDER
+        while True:
+            j, i = self._box_flux(self._norm_fields, order)
+            value = 2.0 * (j * j + i * i)
+            if previous is not None:
+                error = abs(value - previous)
+                if error <= NORM_RTOL * value or order >= NORM_MAX_ORDER:
+                    return float(value), float(error)
+            previous = value
+            order *= 2
+
+    def _norm_fields(self, ra, rb, ha, hb):
+        """Components along a unit vector n of F_J = (r - A) / rA^2 and
+        F_I = cos(k (rA - rB)) (r_A/rA + r_B/rB) / (rA + rB + 2d), with
+        r_A = r - A and r_B = r - B, from the source distances and the
+        components ha, hb of r_A and r_B along n.
+
+        div F_J = 1/rA^2.  With sigma = (rA + rB) / 2d and tau = (rA - rB)
+        / 2d, F_I = cos(2kd tau) grad(sigma) / (sigma + 1), and prolate
+        spheroidal coordinates about the sources give div F_I =
+        cos(k (rA - rB)) / (rA rB).  Both have no normal component on
+        x = 0 (ha = hb = 0 there), and their sizes, 1/rA and at most 1/2d,
+        let no flux out of a vanishing ball about a source.
+        """
+        k, d = self.wavenumber, self.slit_offset
+        return ha / (ra * ra), np.cos(k * (ra - rb)) * (ha / ra + hb / rb) / (ra + rb + 2.0 * d)
+
+    def _box_flux(self, fields, order: int) -> np.ndarray:
+        """Outward fluxes through the faces x = L, y = +-L/2 and z = +-L/2
+        of the box of one particle, for fields whose normal components
+        ``fields(ra, rb, ha, hb)`` gives (see :meth:`_norm_fields`; ha and
+        hb are a face's signed heights above A and B along its outward
+        normal).
+
+        Each face is a tensor product of ``order``-point Gauss-Legendre
+        panels along its two axes, graded toward each source's nearest
+        point on the face (:func:`_panel_breaks`), and is evaluated one row
+        of panels at a time.
+        """
+        L, d = self.box_length, self.slit_offset
+        box = self.sampling_box()[:3]
+        sources = ((0.0, d, 0.0), (0.0, -d, 0.0))
         total = 0.0
-        total_sq = 0.0
-        n = 0
-        chunk = 50_000
-        while n < NORM_SAMPLES:
-            m = min(chunk, NORM_SAMPLES - n)
-            ratios = []
-            for start in range(0, m, BLOCK_ROWS):
-                pts, weight = self.propose(rng, min(BLOCK_ROWS, m - start))
-                ratios.append(self.density_batch(pts) / weight)   # out-of-box draws add 0
-            ratio = np.concatenate(ratios)
-            total += float(np.sum(ratio))
-            total_sq += float(np.sum(ratio * ratio))
-            n += m
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        return self._proposal_scale * mean, self._proposal_scale * math.sqrt(var / n)
+        for axis, plane in ((0, L), (1, 0.5 * L), (1, -0.5 * L), (2, 0.5 * L), (2, -0.5 * L)):
+            sign = math.copysign(1.0, plane)
+            across = [j for j in range(3) if j != axis]
+            feet = []
+            for s in sources:
+                foot = [min(max(s[j], box[j][0]), box[j][1]) for j in across]
+                height = math.hypot(plane - s[axis], *(s[j] - f for j, f in zip(across, foot)))
+                feet.append((foot, height))
+            (u, wu), (v, wv) = (
+                _panel_rule(_panel_breaks(*box[j], [(f[t], h) for f, h in feet]), order)
+                for t, j in enumerate(across))
+            ha, hb = (sign * (plane - s[axis]) for s in sources)
+            r = np.empty((order, len(v), 3))
+            r[..., axis] = plane
+            r[..., across[1]] = v
+            for start in range(0, len(u), order):
+                r[..., across[0]] = u[start:start + order, None]
+                ra, rb = _source_distances(r, d)
+                weight = wu[start:start + order, None] * wv
+                total += np.array([np.sum(f * weight) for f in fields(ra, rb, ha, hb)])
+        return total
 
     @property
     def norm(self) -> float:
         return self._norm_estimate[0]
 
     def computed_norm(self) -> dict | None:
-        """The norm, its standard error and the draws behind them if this
-        instance has estimated the norm already, else None (never forces the
-        estimate)."""
+        """The norm and the bound on its quadrature error if this instance
+        has computed the norm already, else None (never forces it)."""
         if "_norm_estimate" not in vars(self):
             return None
-        value, se = self._norm_estimate
-        return {"value": value, "standard_error": se, "samples": NORM_SAMPLES}
+        value, error = self._norm_estimate
+        return {"value": value, "error_bound": error}
 
     def sampling_box(self) -> list[tuple[float, float]]:
         """Per-coordinate bounds: x in [0, L], y and z in [-L/2, L/2] for
@@ -358,12 +478,6 @@ class SlitPair:
         (the same for both sources, by the y -> -y symmetry)."""
         L = self.box_length
         return math.sqrt(L * L + (0.5 * L + self.slit_offset) ** 2 + 0.25 * L * L)
-
-    @cached_property
-    def _proposal_scale(self) -> float:
-        """2 (2 pi R)^2: proposal weight over the proposal's density q on
-        the box (the mixture of two products of 1/(2 pi R r^2) densities)."""
-        return 2.0 * (2.0 * math.pi * self._proposal_radius) ** 2
 
     def propose(self, rng: np.random.Generator, m: int):
         """``m`` draws from the source mixture g ~ u^2 + v^2, with

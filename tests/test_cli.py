@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -203,7 +204,7 @@ class TestRun:
     @pytest.mark.parametrize("config, keys", [
         # A run without an ensemble records the trajectory probe's integrator.
         ({"analyses": ["trajectories"]}, {"integrator", "csv_blocks"}),
-        # The oracle evaluates the normalized psi, so the norm is estimated.
+        # The oracle evaluates the normalized psi, so the norm is computed.
         ({"model": "spherical", "analyses": ["oracle_crosscheck"]}, {"norm"}),
         ({"b": 0.2, "analyses": ["global_constraint"]}, ENSEMBLE_META_KEYS | {"csv_blocks"}),
         ({"model": "spherical", "analyses": ["equivariance"], "t_end": 0.2},
@@ -228,7 +229,23 @@ class TestRun:
         assert cli.run(cfg) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert set(meta["params"]) == {"wavenumber", "slit_offset", "box_length"}
-        assert meta["norm"]["samples"] == 200_000
+        norm = meta["norm"]
+        assert set(norm) == {"value", "error_bound"}
+        assert 0.0 <= norm["error_bound"] <= 1e-10 * norm["value"]
+
+    def test_spherical_oracle_at_large_wavenumber(self, tmp_path):
+        # At k = 1e3 the default box is 0.04 wide and the sources lie outside
+        # it, 0.5 away; a sampled norm there read 0 and the oracle divided by
+        # it.  The claim's status is not pinned: it fails on the box's scale.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", "--model", "spherical", "--wavenumber", "1e3",
+                             "--analysis", "oracle_crosscheck", "--output-dir", str(out)])
+        assert code in (0, 2)
+        assert json.loads((out / "meta.json").read_text())["norm"]["value"] > 0.0
+        claims = {c["claim_id"]: c for c in json.loads((out / "claims_report.json").read_text())}
+        assert math.isfinite(claims["velocity_oracle_agreement"]["value"])
 
     def test_spherical_run(self, tmp_path):
         out = tmp_path / "out"

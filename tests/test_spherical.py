@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohmpair.analyses import MAX_EMPTY_ROUNDS, random_valid_states
 from bohmpair.errors import ConfigurationError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
-from bohmpair.spherical import NODE_THRESHOLD, SlitPair
+from bohmpair.spherical import NODE_THRESHOLD, SlitPair, _gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,7 +139,100 @@ class TestPsi:
         a = SlitPair(wavenumber=5.0, slit_offset=0.5)
         b = SlitPair(wavenumber=5.0, slit_offset=0.5)
         assert a.norm == b.norm
-        assert a.computed_norm()["standard_error"] > 0.0
+        error = a.computed_norm()["error_bound"]
+        assert 0.0 <= error <= 1e-10 * a.norm
+        assert b.computed_norm() == {"value": a.norm, "error_bound": error}
+
+
+# (k, d) of the benchmark's spherical sweep.
+SWEEP_POINTS = [(1.0, 0.5), (2.0, 0.5), (1.0, 1.0)]
+
+
+class TestNorm:
+    """The norm N = 2 (J^2 + I^2) as fluxes through the box's faces (see
+    SlitPair._norm_estimate)."""
+
+    @staticmethod
+    def fields(model, r):
+        """F_J and F_I at points r of shape (m, 3), each of shape (m, 3),
+        one component at a time from SlitPair._norm_fields."""
+        d = model.slit_offset
+        ra, rb = (np.linalg.norm(r - (0.0, s, 0.0), axis=1) for s in (d, -d))
+        offsets = (0.0, d, 0.0)
+        parts = [model._norm_fields(ra, rb, r[:, j] - offsets[j], r[:, j] + offsets[j])
+                 for j in range(3)]
+        return [np.stack([part[f] for part in parts], axis=1) for f in (0, 1)]
+
+    @pytest.mark.parametrize("k, d", [(1.0, 0.5), (5.0, 2.0), (10.0, 1.9)])
+    def test_field_divergences_are_the_integrands(self, k, d):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        box = np.array(model.sampling_box()[:3])
+        r = np.random.default_rng(11).uniform(box[:, 0], box[:, 1], size=(400, 3))
+        ra, rb = (np.linalg.norm(r - (0.0, s, 0.0), axis=1) for s in (d, -d))
+        away = np.minimum(ra, rb) > 1e-2 * model.box_length
+        r, ra, rb = r[away], ra[away], rb[away]
+        # Central differences on the scale of the distance to the sources
+        # and of the wavelength.
+        h = 1e-4 * np.minimum(np.minimum(ra, rb), 1.0 / k)
+        div_j = div_i = 0.0
+        for j in range(3):
+            step = np.zeros_like(r)
+            step[:, j] = h
+            (fj_hi, fi_hi), (fj_lo, fi_lo) = (self.fields(model, r + step),
+                                              self.fields(model, r - step))
+            div_j = div_j + (fj_hi[:, j] - fj_lo[:, j]) / (2.0 * h)
+            div_i = div_i + (fi_hi[:, j] - fi_lo[:, j]) / (2.0 * h)
+        assert np.max(np.abs(div_j * ra * ra - 1.0)) < 1e-7
+        assert np.max(np.abs(div_i * ra * rb - np.cos(k * (ra - rb)))) < 1e-7
+
+    @pytest.mark.parametrize("k, d", SWEEP_POINTS + [(5.0, 2.0)])
+    def test_j_symmetric_and_sine_flux_vanishes(self, k, d):
+        # J about B, and S: the flux of sin(k (rA - rB)) (r_A/rA + r_B/rB) /
+        # (rA + rB + 2d), whose divergence is sin(k (rA - rB)) / (rA rB).
+        model = SlitPair(wavenumber=k, slit_offset=d)
+
+        def fields(ra, rb, ha, hb):
+            sine = np.sin(k * (ra - rb)) * (ha / ra + hb / rb) / (ra + rb + 2.0 * d)
+            return ha / (ra * ra), hb / (rb * rb), sine
+
+        ja, jb, sine = model._box_flux(fields, 32)
+        assert abs(ja - jb) <= 1e-12 * ja
+        assert abs(sine) < 1e-12 * ja
+
+    @pytest.mark.parametrize("k, d", SWEEP_POINTS + [
+        (5.0, 2.0), (0.5, 0.1), (10.0, 1.9),
+        (1.0, 0.49 * 40.0),   # each source 0.01 L from its nearer face y = +-L/2
+        (1e3, 0.5),           # sources outside the box, 0.04 wide
+    ])
+    def test_refinement_converges(self, k, d):
+        model = SlitPair(wavenumber=k, slit_offset=d)
+        value, error = model._norm_estimate
+        assert 0.0 <= error <= 1e-10 * value
+        # A fixed order-128 rule, at least as fine as the one any of these
+        # points stops at, agrees too.
+        j, i = model._box_flux(model._norm_fields, 128)
+        assert abs(2.0 * (j * j + i * i) - value) <= 1e-10 * value
+
+    def test_matches_volume_rule(self):
+        # A graded 3-D Gauss-Legendre rule on dyadic shells about each
+        # source, with a Duffy rule at the corner, gave 115249.47274.
+        assert SlitPair(wavenumber=1.0, slit_offset=0.5).norm == pytest.approx(115249.47274,
+                                                                              rel=1e-10)
+
+    @settings(max_examples=20)
+    @given(k=st.floats(0.5, 5.0), d=st.floats(0.1, 2.0))
+    def test_norm_positive_and_converged(self, k, d):
+        value, error = SlitPair(wavenumber=k, slit_offset=d)._norm_estimate
+        assert value > 0.0
+        assert error <= 1e-10 * value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64, 128])
+    def test_gauss_legendre_nodes(self, n):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        order = np.argsort(x)
+        assert np.max(np.abs(x[order] - ref_x)) <= 2e-16
+        assert np.max(np.abs(w[order] - ref_w)) <= 1e-14
 
 
 class TestPhase:
