@@ -16,7 +16,7 @@ import numpy as np
 from .ensemble import (Ensemble, build_ensemble, compare_distribution, evolve_ensemble,
                        ks_critical_value, ks_statistic, ks_two_sample, reference_sample)
 from .errors import ConfigurationError, InsufficientSampleError
-from .numerics import IntegratorConfig, integrate_ode, scan_roots
+from .numerics import BLOCK_ROWS, IntegratorConfig, integrate_ode, scan_roots, sorted_unique
 from .oracles import phase_gradient, velocity_from_psi
 from .planewave import PlaneWavePair
 from .spherical import SlitPair, nearest_source
@@ -173,7 +173,7 @@ def trajectory_ensemble(model, count: int, seed: int, t_end: float,
     ens = build_ensemble(model, count, seed)
     times = np.linspace(0.0, t_end, samples)
     if sample_times is not None:
-        times = np.union1d(times, sample_times)
+        times = sorted_unique(np.append(times, sample_times))
     return evolve_ensemble(ens, t_end, cfg, sample_times=times)
 
 
@@ -278,20 +278,26 @@ def density_discrepancy_claims(model: PlaneWavePair) -> list[ClaimCheck]:
 def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
                         sample_times=None) -> tuple[list[ClaimCheck], Ensemble]:
     """Sampling fidelity at the initial time plus the measured distribution
-    distance after evolving to ``t_end``; returns the evolved ensemble."""
+    distance after evolving to ``t_end``; returns the evolved ensemble.
+
+    The plane-wave sampling claim is measured, not gated, when its 99 %
+    critical value is at least 1 (n <= 2): no KS statistic exceeds 1, so
+    such a gate cannot fail."""
     model = ens0.model
     claims: list[ClaimCheck] = []
+    initial = ens0.initial_states()
 
     if model.tag == "planewave":
-        initial = ens0.initial_states()
-        deltas = initial[:, 0] - initial[:, 1]
-        ks0 = ks_statistic(deltas, model.separation_cdf)
-        claims.append(_tolerance_claim(
-            "initial_sampling_ks",
-            "prescription (3): P_t0 = |psi|^2 (separation marginal)",
-            ks0, ks_critical_value(len(deltas))))
+        ks0 = ks_statistic(initial[:, 0] - initial[:, 1], model.separation_cdf)
+        anchor = "prescription (3): P_t0 = |psi|^2 (separation marginal)"
+        gate = ks_critical_value(ens0.size)
+        if gate < 1.0:
+            claims.append(_tolerance_claim("initial_sampling_ks", anchor, ks0, gate))
+        else:
+            claims.append(_measured(
+                "initial_sampling_ks", anchor + "; not gated: at n <= 2 the 99 % critical "
+                "value 1.63/sqrt(n) is at least 1, which no KS statistic exceeds", ks0))
     else:
-        initial = ens0.initial_states()
         ks0 = ks_two_sample(initial[:, 0], reference_sample(ens0, len(initial))[:, 0])
         claims.append(_measured(
             "initial_sampling_ks_two_sample",
@@ -326,8 +332,18 @@ def global_constraint_claims(ens0: Ensemble) -> list[ClaimCheck]:
     model = ens0.model
     if model.tag != "planewave":
         raise ValueError("the constraint analysis applies to the plane-wave model")
+    # The zero-separation times go into one array, and the translation
+    # check runs beside them BLOCK_ROWS members at a time (peak memory).
+    # np.maximum, unlike max(), keeps a NaN.
     initial = ens0.initial_states()
-    zero_times = model.zero_separation_times(initial[:, 0] - initial[:, 1])
+    zero_times = np.empty(len(initial))
+    shift, moved_most = 64.0, 0.0
+    for start in range(0, len(initial), BLOCK_ROWS):
+        x1, x2 = initial[start:start + BLOCK_ROWS].T
+        times = zero_times[start:start + BLOCK_ROWS]
+        times[:] = model.zero_separation_times(x1 - x2)
+        moved = model.zero_separation_times((x1 + shift) - (x2 + shift))
+        moved_most = np.maximum(moved_most, np.max(np.abs(moved - times)))
     at_zero = float(model.separation_cdf(0.0))
     claims = [
         _measured("zero_time_spread",
@@ -339,11 +355,8 @@ def global_constraint_claims(ens0: Ensemble) -> list[ClaimCheck]:
                   "impossibility of matching Eq. (4) at t0 under a shared constant: "
                   "KS(point mass, separation marginal)", max(at_zero, 1.0 - at_zero)),
     ]
-    shift = 64.0
-    shifted = (initial[:, 0] + shift) - (initial[:, 1] + shift)
-    moved = model.zero_separation_times(shifted)
     claims.append(_tolerance_claim(
         "zero_time_translation_invariance",
         "Eq. (13) involves the separation only: t0 unchanged by shifting the pair",
-        float(np.max(np.abs(moved - zero_times))), 1e-9))
+        float(moved_most), 1e-9))
     return claims

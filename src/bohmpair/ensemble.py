@@ -13,8 +13,8 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientSampleError
-from .numerics import (BLOCK_ROWS, IntegratorConfig, TrajectoryBatch, _block_count,
-                       _fork_blocks, integrate_ode)
+from .numerics import (_COMPLETED, _REASONS, BLOCK_ROWS, IntegratorConfig, TrajectoryBatch,
+                       _block_count, _fork_blocks, integrate_ode, sorted_unique)
 
 # Counter-based generator, so samples are reproducible from the seed alone.
 PRNG_ID = "numpy-philox-4x64"
@@ -43,7 +43,8 @@ class SamplerReport:
 
     ``draws`` counts every proposal draw, those the model's proposal put
     outside its box included; ``accepted`` counts the accepted draws (the
-    surplus of the last round beyond the rows asked for included).
+    surplus of the last round beyond the rows asked for included, though
+    the sample leaves it out).
     ``envelope_violations`` counts in-box draws whose density exceeded
     bound x weight beyond rounding (``ENVELOPE_RTOL``), where the envelope
     clips the density: 0 for an exact envelope.
@@ -140,8 +141,9 @@ def sample_configurations(model, n: int, seed: int):
     bound x weight.  The plane-wave model proposes uniformly over its box
     (weight 1); the spherical one from a mixture about the sources.
 
-    Returns ``(points, report)``: ``points`` has shape
-    ``(n, model.dimension)`` and ``report`` is a :class:`SamplerReport`.
+    Returns ``(points, report)``: ``points`` is an array of its own, of
+    shape ``(n, model.dimension)``, and ``report`` is a
+    :class:`SamplerReport`.
     The seed fully determines the sample.  If the acceptance rate falls
     below ``MIN_SAMPLER_EFFICIENCY`` the proposal/envelope setup is
     considered pathological and a :class:`ConfigurationError` is raised.
@@ -167,13 +169,13 @@ def sample_configurations(model, n: int, seed: int):
         violations += int(np.count_nonzero(density > envelope * (1.0 + ENVELOPE_RTOL)))
         proposed += chunk
         kept = pts[keep]
-        accepted.append(kept)
+        accepted.append(kept[:n - got])     # the last round's surplus is left out
         got += len(kept)
         if proposed >= max(100_000, 20 * n) and got / proposed < MIN_SAMPLER_EFFICIENCY:
             raise ConfigurationError(
                 f"box_length: rejection efficiency {got / proposed:.2e} below "
                 f"{MIN_SAMPLER_EFFICIENCY}; the proposal or density envelope is pathological")
-    points = np.concatenate(accepted, axis=0)[:n]
+    points = np.concatenate(accepted, axis=0)
     return points, SamplerReport(model.proposal, proposed, got, violations)
 
 
@@ -193,16 +195,16 @@ def build_ensemble(model, n: int, seed: int,
     if initial_states is None:
         points, report = sample_configurations(model, n, seed)
     else:
-        points = np.atleast_2d(np.asarray(initial_states, dtype=float))
+        # Own copy: the caller keeps its array.
+        points = np.array(np.atleast_2d(initial_states), dtype=float)
         report = None
-    # Own copy: the caller keeps its array, and the sampler's rows are a view
-    # of a larger buffer.
-    points = np.array(points, dtype=float)
     velocities = model.batch_rhs(0.0, points)    # NaN rows where undefined
+    # Every member holds its one sample and has completed: one value each,
+    # broadcast over the members rather than stored per member.
     n = len(points)
     return Ensemble(model=model, seed=seed, times=np.array([0.0]), states=points[None],
-                    velocities=velocities[None], lengths=np.ones(n, dtype=np.intp),
-                    terminations=("completed",) * n, sampler=report)
+                    velocities=velocities[None], lengths=np.broadcast_to(np.int32(1), n),
+                    codes=np.broadcast_to(np.int8(_COMPLETED), n), sampler=report)
 
 
 # -- evolution ----------------------------------------------------------------
@@ -298,7 +300,7 @@ def write_ensemble_csv(path, ensemble: Ensemble) -> int:
     total = int(ensemble.lengths.sum())
     blocks = _block_count(total * (1 + 2 * dim), MIN_CSV_FLOATS)
     cuts = np.searchsorted(np.cumsum(ensemble.lengths), np.arange(1, blocks) * (total / blocks))
-    edges = [0, *np.unique(cuts[cuts > 0]).tolist(), n]
+    edges = [0, *sorted_unique(cuts[cuts > 0]).tolist(), n]
     with open(path, "wb") as fh:
         def first():
             fh.write((",".join(ENSEMBLE_CSV_COLUMNS) + "\r\n").encode())
@@ -341,11 +343,14 @@ def _csv_text(ensemble: Ensemble, lo: int, hi: int) -> Iterator[str]:
 
 def integrator_metadata(ensemble: Ensemble) -> dict | None:
     """The ensemble's integrator settings, then the work the integration did,
-    summed over members, and the member blocks it ran in; None for an
+    summed over members, the member blocks it ran in, and how many members
+    stopped for each reason that occurred (``terminations``); None for an
     ensemble never evolved."""
     if ensemble.integrator is None:
         return None
-    return {**asdict(ensemble.integrator), **asdict(ensemble.work)}
+    counts = np.bincount(ensemble.codes, minlength=len(_REASONS))
+    return {**asdict(ensemble.integrator), **asdict(ensemble.work),
+            "terminations": {_REASONS[c]: int(k) for c, k in enumerate(counts.tolist()) if k}}
 
 
 def ensemble_metadata(ensemble: Ensemble | None, extra: dict | None = None) -> dict:

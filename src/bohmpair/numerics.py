@@ -97,9 +97,10 @@ class TrajectoryBatch:
     """Samples of a batch of trajectories at shared sample times.
 
     ``states`` and ``velocities`` have shape ``(len(times), size, dim)``.
-    Member ``i`` holds ``lengths[i]`` samples; past a truncation its states
-    and velocities are NaN and ``terminations[i]`` names the reason
-    (``"completed"`` otherwise).  The arrays are read-only.  ``work`` counts
+    Member ``i`` holds ``lengths[i]`` samples (``int32``); past a truncation
+    its states and velocities are NaN.  ``codes[i]`` (``int8``) indexes the
+    reason it stopped in ``_REASONS`` (``_COMPLETED`` if it did not), and
+    ``terminations`` names them.  The arrays are read-only.  ``work`` counts
     what the integration did (zero for a batch that was not integrated).
     """
 
@@ -107,11 +108,11 @@ class TrajectoryBatch:
     states: np.ndarray
     velocities: np.ndarray
     lengths: np.ndarray
-    terminations: tuple[str, ...]
+    codes: np.ndarray
     work: IntegratorWork = field(default=IntegratorWork(), kw_only=True)
 
     def __post_init__(self) -> None:
-        for array in (self.times, self.states, self.velocities, self.lengths):
+        for array in (self.times, self.states, self.velocities, self.lengths, self.codes):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -133,6 +134,11 @@ class TrajectoryBatch:
         return np.count_nonzero(self.lengths == len(self.times)) / self.size
 
     @property
+    def terminations(self) -> tuple[str, ...]:
+        """Why each member stopped, by name, built from ``codes`` on each read."""
+        return tuple(_REASONS[c] for c in self.codes.tolist())
+
+    @property
     def members(self) -> Sequence[Trajectory]:
         """Read-only per-member view; each access builds a :class:`Trajectory`."""
         return _Members(self)
@@ -144,16 +150,18 @@ class TrajectoryBatch:
         return Trajectory(times=self.times[:k], states=self.states[:k, i],
                           velocities=self.velocities[:k, i],
                           complete=bool(k == len(self.times)),
-                          termination=self.terminations[i])
+                          termination=_REASONS[self.codes[i]])
 
     def states_at(self, t: float) -> np.ndarray:
         """Configurations of every member holding a sample within
         ``SAMPLE_TIME_TOL`` of time ``t`` (truncated members are skipped past
-        their last sample)."""
+        their last sample): a read-only view of ``states`` when every member
+        holds that sample, else a copy of the rows that do."""
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > SAMPLE_TIME_TOL:
             return np.empty((0, self.states.shape[2]))
-        return self.states[idx, self.lengths > idx]
+        held = self.lengths > idx
+        return self.states[idx] if held.all() else self.states[idx, held]
 
     def initial_states(self) -> np.ndarray:
         return self.states[0]
@@ -375,6 +383,16 @@ def _interpolate(field, ts, sign, t, y, y_new, t_new, h, stages, held):
     return idx, row, y[row] + value * x, held + count, bad
 
 
+def sorted_unique(x) -> np.ndarray:
+    """The distinct values of ``x``, flattened and sorted: ``np.unique`` for
+    arrays without NaN, bit for bit, without importing ``numpy.ma``, which
+    ``np.unique`` does on first use (1.2 MiB resident with numpy 2.4)."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.shape, bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
     """Sample times of an integration from ``t0`` to ``t_end``: the requested
     times, if any, in the direction of integration, framed by both end
@@ -382,9 +400,9 @@ def _sample_grid(t0: float, t_end: float, sample_times) -> np.ndarray:
     it passes."""
     ts = np.asarray([] if sample_times is None else sample_times, dtype=float)
     lo, hi = min(t0, t_end), max(t0, t_end)
-    if np.any(ts < lo - 1e-12) or np.any(ts > hi + 1e-12):
+    if not np.all((ts >= lo - 1e-12) & (ts <= hi + 1e-12)):     # NaN included
         raise ValueError("sample_times must lie between the initial and final time")
-    ts = np.unique(np.clip(ts, lo, hi))
+    ts = sorted_unique(np.clip(ts, lo, hi))
     if t_end < t0:
         ts = ts[::-1]
     if ts.size == 0 or ts[0] != t0:
@@ -443,7 +461,7 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
     n, dim = y.shape
     ts = _sample_grid(t0, t_end, sample_times)
     out = (_shared((len(ts), n, dim), np.nan, float), _shared((len(ts), n, dim), np.nan, float),
-           _shared((n,), 1, np.intp), _shared((n,), _COMPLETED, np.intp))
+           _shared((n,), 1, np.int32), _shared((n,), _COMPLETED, np.int8))
     blocks = _block_count(n, MIN_BLOCK_ROWS)
     # The blocks of np.array_split: the first n % blocks hold one more row.
     edges = [i * (n // blocks) + min(i, n % blocks) for i in range(blocks + 1)]
@@ -454,9 +472,9 @@ def integrate_ode(rhs: Callable, y0, t0: float, t_end: float,
 
     works = _fork_blocks(blocks, lambda: block(0),
                          lambda i: pickle.dumps(block(i), pickle.HIGHEST_PROTOCOL), pickle.load)
-    states, velocities, lengths, code = out
+    states, velocities, lengths, codes = out
     return TrajectoryBatch(times=ts, states=states, velocities=velocities, lengths=lengths,
-                           terminations=tuple(_REASONS[c] for c in code.tolist()),
+                           codes=codes,
                            work=IntegratorWork(*map(sum, zip(*map(astuple, works)))))
 
 

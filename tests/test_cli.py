@@ -176,6 +176,9 @@ class TestRun:
         for r in rows:
             x_by_member.setdefault(r["member_id"], set()).add(r["x1"])
         assert all(len(xs) == 1 for xs in x_by_member.values())  # static
+        # A run without an ensemble counts the probe's terminations.
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["integrator"]["terminations"] == {"completed": 4}
 
     def test_composed_run_claims_and_meta(self, tmp_path):
         out = tmp_path / "out"
@@ -198,6 +201,7 @@ class TestRun:
         assert meta["config"]["seed"] == 42
         assert meta["prng"] == "numpy-philox-4x64"
         assert meta["survival_fraction"] == 1.0
+        assert meta["integrator"]["terminations"] == {"completed": 800}
         # Runs start at t = 0; meta.json keeps the key, and the config has no t0.
         assert meta["t0"] == 0.0 and "t0" not in meta["config"]
 
@@ -433,6 +437,19 @@ class TestMain:
                          "--analysis", "equivariance", "--n", "2000",
                          "--output-dir", str(tmp_path / "out")]) == 0
         assert "[ok ] initial_sampling_ks" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, status", [("1", "meas"), ("2", "meas"), ("3", "ok ")])
+    def test_sampling_ks_gated_only_where_it_can_fail(self, tmp_path, capsys, n, status):
+        # The 99 % critical value 1.63/sqrt(n) is 1.63 at n = 1 and 1.15 at
+        # n = 2, above any KS statistic, so there the claim is measured; at
+        # n = 3 it is 0.94.  Too few members to compare the evolved ones.
+        assert cli.main(["run", "--analysis", "equivariance", "--n", n, "--t-end", "0.1",
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert f"[{status}] initial_sampling_ks: " in capsys.readouterr().out
+        claims = json.loads((tmp_path / "out" / "claims_report.json").read_text())
+        claim = next(c for c in claims if c["claim_id"] == "initial_sampling_ks")
+        assert (claim["tolerance"] is None) == (status == "meas")
+        assert ("not gated" in claim["paper_anchor"]) == (status == "meas")
 
     def test_box_inside_density_range_runs(self, tmp_path):
         # R ~ 1.2e38, below the bound of ~3.4e38; a RuntimeWarning fails the test.

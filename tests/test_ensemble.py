@@ -17,7 +17,7 @@ from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensem
                                compare_distribution, evolve_ensemble, ks_critical_value,
                                ks_critical_value_two_sample, ks_statistic,
                                ks_two_sample, reference_sample, sample_configurations,
-                               write_ensemble_csv, write_metadata)
+                               integrator_metadata, write_ensemble_csv, write_metadata)
 from bohmpair.errors import (ConfigurationError, DegenerateParametersError,
                              InsufficientSampleError)
 from bohmpair.numerics import IntegratorConfig
@@ -190,6 +190,10 @@ class TestEvolution:
         assert ens.sampling == "user"
         assert ens.acceptance_rate is None
         assert np.array_equal(ens.initial_states(), states)
+        states[0, 0] = 9.0      # the ensemble holds its own copy
+        assert ens.initial_states()[0, 0] == 0.4
+        assert ens.lengths.dtype == np.int32 and ens.codes.dtype == np.int8
+        assert ens.lengths.tolist() == [1, 1] and ens.terminations == ("completed",) * 2
 
     def test_static_ensemble_unchanged(self):
         m = PlaneWavePair(a=1.0, b=1.0)
@@ -254,6 +258,8 @@ class TestEvolution:
         assert np.all(np.isnan(evolved.states[1:, NODE_MEMBER]))
         assert np.array_equal(evolved.states_at(1.0), ens.initial_states()[regular])
         assert evolved.survival_fraction == (n - 1) / n
+        assert integrator_metadata(evolved)["terminations"] == {
+            "completed": n - 1, "domain_error: field undefined": 1}
 
         # One batch_rhs call to build, one integrate_ode call to evolve, and
         # no per-member path, although a member fails.

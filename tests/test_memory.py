@@ -7,8 +7,9 @@ tracemalloc does not see, so the integration ceilings bound only the work
 done on top of the result.  Each pass runs once before it is measured, so
 allocations made only on first use do not count.  The ceilings were set
 against the passes before they worked in blocks of ``numerics.BLOCK_ROWS``
-rows, or for the integration before its result left the traced heap: the
-traced peaks are in MiB, with numpy 2.4 on x86-64.
+rows, or for the integration before its result left the traced heap, or
+before per-member bookkeeping became compact arrays: the traced peaks are
+in MiB, with numpy 2.4 on x86-64.
 """
 
 import tracemalloc
@@ -17,20 +18,28 @@ import numpy as np
 import pytest
 
 from bohmpair import numerics
-from bohmpair.analyses import uniqueness_claims
-from bohmpair.ensemble import ks_statistic, sample_configurations
+from bohmpair.analyses import global_constraint_claims, uniqueness_claims
+from bohmpair.ensemble import (build_ensemble, compare_distribution, evolve_ensemble,
+                               ks_statistic, sample_configurations)
 from bohmpair.planewave import PlaneWavePair
 from bohmpair.spherical import SlitPair
 
 
-def traced_peak_mib(fn) -> float:
-    """Peak traced memory, in MiB, of one call of ``fn``."""
+def traced_mib(fn) -> tuple[float, float]:
+    """Traced memory, in MiB, still held after one call of ``fn`` while its
+    result is kept, and the peak of the call."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        result = fn()       # noqa: F841 (held while measured)
+        held, peak = tracemalloc.get_traced_memory()
+        return held / 2 ** 20, peak / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak traced memory, in MiB, of one call of ``fn``."""
+    return traced_mib(fn)[1]
 
 
 def test_norm_estimate():
@@ -52,13 +61,47 @@ def test_integration_in_one_process(monkeypatch):
     # 20,000 plane-wave members: 6.09 MiB in one chunk; 3.4 MiB in chunks of
     # 8,192 members with the result's arrays traced; 1.88 MiB without them,
     # nearly all of it one chunk's stages and step state.  One chunk of the
-    # whole batch reads 4.57 MiB without the result.
+    # whole batch reads 4.57 MiB without the result.  The result itself
+    # holds no per-member Python object: with a tuple of termination names
+    # it held 0.156 MiB of traced memory after the call, with int8 codes in
+    # its shared mapping 0.004 MiB.
     monkeypatch.setattr(numerics, "_cpu_count", lambda: 1)
     model = PlaneWavePair(a=1.0, b=0.2)
     y0 = sample_configurations(model, 20_000, seed=3)[0]
     numerics.integrate_ode(model.batch_rhs, y0[:64], 0.0, 3.0)
-    peak = traced_peak_mib(lambda: numerics.integrate_ode(model.batch_rhs, y0, 0.0, 3.0))
+    held, peak = traced_mib(lambda: numerics.integrate_ode(model.batch_rhs, y0, 0.0, 3.0))
     assert peak < 2.5
+    assert held < 0.1
+
+
+def test_global_constraint_claims():
+    # 20,000 members: 0.77 MiB with the shifted-pair check over whole
+    # arrays; 0.47 MiB with it in blocks beside the one array of
+    # zero-separation times.
+    model = PlaneWavePair(a=1.0, b=0.2)
+    ens = build_ensemble(model, 20_000, seed=3)
+    global_constraint_claims(build_ensemble(model, 64, seed=3))
+    assert traced_peak_mib(lambda: global_constraint_claims(ens)) < 0.6
+
+
+def test_compare_distribution_reads_states_in_place(monkeypatch):
+    # 20,000 members, every one holding the compared sample.  Up to the
+    # pull-back the comparison peaked at 0.48 MiB, a copy of the states
+    # (0.31 MiB) beside the separations; reading the states in place, at
+    # 0.15 MiB, the separations alone.
+    model = PlaneWavePair(a=1.0, b=0.2)
+    evolved = evolve_ensemble(build_ensemble(model, 20_000, seed=3), 0.5)
+    assert evolved.complete
+    compare_distribution(evolved, 0.5)
+    inverse_flow, peaks = PlaneWavePair.inverse_flow, []
+
+    def pull_back(self, delta, elapsed):
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        return inverse_flow(self, delta, elapsed)
+
+    monkeypatch.setattr(PlaneWavePair, "inverse_flow", pull_back)
+    traced_peak_mib(lambda: compare_distribution(evolved, 0.5))
+    assert peaks[0] < 0.25
 
 
 @pytest.fixture(scope="module")
@@ -105,5 +148,5 @@ def test_split_integration_parent(monkeypatch):
     assert traced_peak_mib(lambda: integrate(2)) < 0.65
     integrate(1)
     assert batches[2].work.blocks == 2
-    for key in ("states", "velocities", "lengths"):
+    for key in ("states", "velocities", "lengths", "codes"):
         assert np.array_equal(getattr(batches[2], key), getattr(batches[1], key)), key

@@ -109,6 +109,16 @@ class TestIntegrateOde:
             assert batch.times.tolist() == [0.0, 0.5, 1.0] and batch.complete
         with pytest.raises(ValueError):
             integrate_ode(f, [[0.0]], 0.0, 1.0, sample_times=[1.0 + 1e-9])
+        with pytest.raises(ValueError):
+            integrate_ode(f, [[0.0]], 0.0, 1.0, sample_times=[0.5, math.nan])
+
+    @given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(allow_nan=False),
+                    max_size=30))
+    def test_sorted_unique_is_np_unique(self, values):
+        x = np.array(values, dtype=float)
+        assert numerics.sorted_unique(x).tobytes() == np.unique(x).tobytes()
+        cuts = np.array([[5, 3], [3, 0], [9, 5]])
+        assert numerics.sorted_unique(cuts).tobytes() == np.unique(cuts).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -399,7 +409,7 @@ class TestBlockSplit:
         assert not whole.complete and "completed" in whole.terminations
         for cpus in (2, 3):
             split = self.integrate(cpus, *args)
-            for key in ("times", "states", "velocities", "lengths"):
+            for key in ("times", "states", "velocities", "lengths", "codes"):
                 assert np.array_equal(getattr(split, key), getattr(whole, key),
                                       equal_nan=True), key
             assert split.terminations == whole.terminations
@@ -515,10 +525,19 @@ class TestMemberChunks:
         assert [whole.terminations[i] for i in (2, 3, 34, 35, 63, 64)] == [
             "max_steps", "completed", "domain_error: field undefined", "max_steps",
             "completed", "domain_error: field undefined"]
+        # Compact bookkeeping: int32 lengths, read-only int8 codes, and the
+        # names built from them on read are the tuple the batch held before
+        # it kept codes (two stiff members, 7 and 46, complete in time).
+        assert whole.lengths.dtype == np.int32 and whole.codes.dtype == np.int8
+        assert not whole.codes.flags.writeable
+        expected = [("completed", "domain_error: field undefined", "max_steps")[k] for k in kind]
+        expected[7] = expected[46] = "completed"
+        assert whole.terminations == tuple(expected)
+        assert [whole.member(i).termination for i in range(70)] == expected
         for rows in (1, 3, 64, 10 ** 9):
             for cpus in (1, 2, 3):
                 chunked = self.integrate(rows, cpus, *args)
-                for key in ("times", "states", "velocities", "lengths"):
+                for key in ("times", "states", "velocities", "lengths", "codes"):
                     assert np.array_equal(getattr(chunked, key), getattr(whole, key),
                                           equal_nan=True), (rows, cpus, key)
                 assert chunked.terminations == whole.terminations

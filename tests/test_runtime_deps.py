@@ -50,3 +50,14 @@ def test_cli_import_loads_no_multiprocessing_or_tempfile():
         assert (loaded_packages("import sys, numpy, bohmpair.cli", package)
                 == loaded_packages("import sys, numpy", package))
     assert loaded_packages("import sys, bohmpair.cli", "multiprocessing") == "[]"
+
+
+def test_run_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, 1.2 MiB resident; the sample
+    # grid, the probe's sample times and the CSV blocks dedupe without it.
+    config = {"b": 0.2, "n": 200, "t_end": 0.5, "sample_times": [0.25],
+              "trajectory_count": 4, "trajectory_samples": 5,
+              "analyses": ["trajectories", "equivariance", "global_constraint"],
+              "output_dir": str(tmp_path / "out")}
+    code = f"import sys, bohmpair.cli as c; assert c.run(c.validate_config({config!r})) == 0"
+    assert "'numpy.ma'" not in loaded_packages(code, "numpy")

@@ -55,6 +55,7 @@ def test_planewave_bitwise_equal_to_uniform_loop(a, b, n, seed):
     pts, report = sample_configurations(model, n, seed)
     ref, rate = uniform_box_sampler(model, n, seed, model.density_bound())
     assert np.array_equal(pts, ref)
+    assert pts.flags.owndata      # n rows of its own, not a view of a larger buffer
     assert report.acceptance_rate == rate
     assert report.proposal == "uniform_box"
     # The density reaches its bound exactly; rounding there is no violation.
