@@ -19,6 +19,7 @@ from .errors import ConfigurationError, InsufficientSampleError
 from .numerics import BLOCK_ROWS, IntegratorConfig, integrate_ode, scan_roots, sorted_unique
 from .oracles import phase_gradient, velocity_from_psi
 from .planewave import PlaneWavePair
+from .prng import PhiloxStream
 from .spherical import SlitPair, nearest_source
 
 
@@ -80,7 +81,7 @@ def random_valid_states(model, count: int, seed: int) -> np.ndarray:
     close to a node (or, for the spherical model, to a source or the support
     boundary) for finite-difference stencils to be trustworthy.  Raises
     :class:`ConfigurationError` after ``MAX_EMPTY_ROUNDS`` empty rounds."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = PhiloxStream(seed)
     box = np.asarray(model.sampling_box(), dtype=float)
     rows = []
     have = empty = 0
@@ -114,7 +115,7 @@ def oracle_crosscheck(model, seed: int) -> list[ClaimCheck]:
     states = random_valid_states(model, ORACLE_STATES, seed)
 
     if model.tag == "planewave":
-        rng = np.random.Generator(np.random.Philox(seed + 1))
+        rng = PhiloxStream(seed + 1)
         # Separations within 1e-3 of the removable tangent singularity.
         th = 0.5 * math.pi + rng.uniform(-1e-3, 1e-3, size=ORACLE_STATES)
         th[np.abs(th - 0.5 * math.pi) < 1e-9] += 1e-6

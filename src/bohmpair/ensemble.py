@@ -15,8 +15,10 @@ import numpy as np
 from .errors import ConfigurationError, InsufficientSampleError
 from .numerics import (_COMPLETED, _REASONS, BLOCK_ROWS, IntegratorConfig, TrajectoryBatch,
                        _block_count, _fork_blocks, integrate_ode, sorted_unique)
+from .prng import PhiloxStream
 
-# Counter-based generator, so samples are reproducible from the seed alone.
+# Counter-based generator, so samples are reproducible from the seed alone:
+# numpy's Philox4x64 stream, drawn by prng.PhiloxStream.
 PRNG_ID = "numpy-philox-4x64"
 
 # One-sample Kolmogorov-Smirnov critical coefficient at 99% confidence.
@@ -153,7 +155,7 @@ def sample_configurations(model, n: int, seed: int):
     bound = model.density_bound()
     if bound <= 0:
         raise ConfigurationError("density bound must be positive")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = PhiloxStream(seed)
 
     accepted: list[np.ndarray] = []
     got = 0

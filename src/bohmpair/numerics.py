@@ -99,9 +99,9 @@ class TrajectoryBatch:
     ``states`` and ``velocities`` have shape ``(len(times), size, dim)``.
     Member ``i`` holds ``lengths[i]`` samples (``int32``); past a truncation
     its states and velocities are NaN.  ``codes[i]`` (``int8``) indexes the
-    reason it stopped in ``_REASONS`` (``_COMPLETED`` if it did not), and
-    ``terminations`` names them.  The arrays are read-only.  ``work`` counts
-    what the integration did (zero for a batch that was not integrated).
+    reason it stopped in ``_REASONS`` (``_COMPLETED`` if it did not).  The
+    arrays are read-only.  ``work`` counts what the integration did (zero
+    for a batch that was not integrated).
     """
 
     times: np.ndarray
@@ -132,11 +132,6 @@ class TrajectoryBatch:
         if not self.size:
             return 0.0
         return np.count_nonzero(self.lengths == len(self.times)) / self.size
-
-    @property
-    def terminations(self) -> tuple[str, ...]:
-        """Why each member stopped, by name, built from ``codes`` on each read."""
-        return tuple(_REASONS[c] for c in self.codes.tolist())
 
     @property
     def members(self) -> Sequence[Trajectory]:

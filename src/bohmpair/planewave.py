@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateParametersError, ModelDomainError
 from .numerics import BLOCK_ROWS, bracketed_root, require_defined
+from .prng import PhiloxStream
 
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
 # is treated as a node of the wavefunction.
@@ -317,7 +318,7 @@ class PlaneWavePair:
         """Per-coordinate bounds of the normalization box."""
         return [(0.0, self.box_length)] * 2
 
-    def propose(self, rng: np.random.Generator, m: int):
+    def propose(self, rng: PhiloxStream, m: int):
         """``m`` draws uniform over the box, each of weight 1."""
         box = np.asarray(self.sampling_box(), dtype=float)
         return rng.uniform(box[:, 0], box[:, 1], size=(m, len(box))), 1.0

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelDomainError
 from .numerics import require_defined
+from .prng import PhiloxStream
 
 # Configurations closer than this to a source lie outside the support.
 SLIT_EXCLUSION = 1e-6
@@ -479,7 +480,7 @@ class SlitPair:
         L = self.box_length
         return math.sqrt(L * L + (0.5 * L + self.slit_offset) ** 2 + 0.25 * L * L)
 
-    def propose(self, rng: np.random.Generator, m: int):
+    def propose(self, rng: PhiloxStream, m: int):
         """``m`` draws from the source mixture g ~ u^2 + v^2, with
         u = 1/(r1A r2B) and v = 1/(r1B r2A).
 

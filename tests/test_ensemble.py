@@ -20,7 +20,7 @@ from bohmpair.ensemble import (CSV_BLOCK_ROWS, ENSEMBLE_CSV_COLUMNS, build_ensem
                                integrator_metadata, write_ensemble_csv, write_metadata)
 from bohmpair.errors import (ConfigurationError, DegenerateParametersError,
                              InsufficientSampleError)
-from bohmpair.numerics import IntegratorConfig
+from bohmpair.numerics import _COMPLETED, _DOMAIN, IntegratorConfig
 from bohmpair.planewave import PlaneWavePair
 from bohmpair.spherical import SLIT_EXCLUSION, SlitPair
 
@@ -193,7 +193,7 @@ class TestEvolution:
         states[0, 0] = 9.0      # the ensemble holds its own copy
         assert ens.initial_states()[0, 0] == 0.4
         assert ens.lengths.dtype == np.int32 and ens.codes.dtype == np.int8
-        assert ens.lengths.tolist() == [1, 1] and ens.terminations == ("completed",) * 2
+        assert ens.lengths.tolist() == [1, 1] and ens.codes.tolist() == [_COMPLETED] * 2
 
     def test_static_ensemble_unchanged(self):
         m = PlaneWavePair(a=1.0, b=1.0)
@@ -251,8 +251,8 @@ class TestEvolution:
         regular = [i for i in range(n) if i != NODE_MEMBER]
         assert np.all(np.isnan(ens.velocities[0, NODE_MEMBER]))
         assert np.all(np.isfinite(ens.velocities[0, regular]))
-        assert evolved.terminations[NODE_MEMBER].startswith("domain_error")
-        assert all(evolved.terminations[i] == "completed" for i in regular)
+        assert evolved.codes[NODE_MEMBER] == _DOMAIN
+        assert np.all(evolved.codes[regular] == _COMPLETED)
         assert [m.complete for m in evolved.members] == [i != NODE_MEMBER for i in range(n)]
         assert evolved.members[NODE_MEMBER].times[-1] == 0.0
         assert np.all(np.isnan(evolved.states[1:, NODE_MEMBER]))
@@ -284,7 +284,7 @@ class TestEvolution:
         again = evolve_ensemble(again, 1.0, sample_times=[0.0, 0.5, 1.0])
         assert calls["integrate_ode"] == 1
         assert np.array_equal(again.states, evolved.states, equal_nan=True)
-        assert again.terminations == evolved.terminations
+        assert np.array_equal(again.codes, evolved.codes)
 
     def test_batch_drifts_match_members(self, mild):
         # max_steps truncates most members, at different samples.

@@ -14,7 +14,8 @@ from bohmpair import numerics
 from bohmpair.analyses import UNIQUENESS_GRID, trajectory_ensemble
 from bohmpair.ensemble import sample_configurations
 from bohmpair.errors import BracketError, ModelDomainError
-from bohmpair.numerics import IntegratorConfig, bracketed_root, integrate_ode, scan_roots
+from bohmpair.numerics import (_COMPLETED, _DOMAIN, _MAX_STEPS, IntegratorConfig, bracketed_root,
+                               integrate_ode, scan_roots)
 from bohmpair.oracles import _stencil
 from bohmpair.planewave import PlaneWavePair
 from bohmpair.spherical import SlitPair
@@ -170,7 +171,7 @@ class TestPerMemberControl:
         assert np.array_equal(batch.states[:, j], alone.states[:, 0], equal_nan=True)
         assert np.array_equal(batch.velocities[:, j], alone.velocities[:, 0], equal_nan=True)
         assert batch.lengths[j] == alone.lengths[0]
-        assert batch.terminations[j] == alone.terminations[0]
+        assert batch.codes[j] == alone.codes[0]
 
     @pytest.mark.parametrize("name", sorted(MODEL_CASES))
     def test_members_against_tight_reference(self, name):
@@ -201,8 +202,8 @@ class TestPerMemberControl:
         # The second member holds every sample the field is defined at,
         # up to t = 0.5, though its first attempt past x = 1.05 starts
         # before the sample at 0.4.
-        assert flow.terminations[0] == "completed"
-        assert flow.terminations[1].startswith("domain_error")
+        assert flow.codes[0] == _COMPLETED
+        assert flow.codes[1] == _DOMAIN
         assert flow.lengths.tolist() == [11, 6]
         assert np.all(np.isnan(flow.states[6:, 1]))
         assert not np.isnan(flow.states[:, 0]).any()
@@ -275,7 +276,7 @@ class TestSampleVelocities:
         needs: it completes with that cap and stops one short of it."""
         def run(cap):
             return integrate_ode(field, y0, 0.0, t_end, IntegratorConfig(max_steps=cap), times)
-        return run(attempts).complete and run(attempts - 1).terminations == ("max_steps",)
+        return run(attempts).complete and run(attempts - 1).codes.tolist() == [_MAX_STEPS]
 
     @pytest.mark.parametrize("model, t_end", MODELS)
     def test_rk45_evaluation_count(self, model, t_end):
@@ -359,7 +360,7 @@ class TestDenseOutput:
 
         times = np.linspace(0.0, 1.0, 11)
         flow = integrate_ode(rhs, [[1.0]], 0.0, 1.0, sample_times=times)
-        assert flow.terminations == ("domain_error: field undefined",)
+        assert flow.codes.tolist() == [_DOMAIN]
         assert flow.lengths.tolist() == [5]
         assert np.all(np.isnan(flow.states[5:])) and np.all(np.isnan(flow.velocities[5:]))
         assert not np.isnan(flow.velocities[:5]).any()
@@ -406,13 +407,12 @@ class TestBlockSplit:
         args = (field, y0, 0.0, t_end, IntegratorConfig(), np.linspace(0.0, t_end, 21))
         whole = self.integrate(1, *args)
         assert whole.work.blocks == 1
-        assert not whole.complete and "completed" in whole.terminations
+        assert not whole.complete and np.any(whole.codes == _COMPLETED)
         for cpus in (2, 3):
             split = self.integrate(cpus, *args)
             for key in ("times", "states", "velocities", "lengths", "codes"):
                 assert np.array_equal(getattr(split, key), getattr(whole, key),
                                       equal_nan=True), key
-            assert split.terminations == whole.terminations
             assert split.work == replace(whole.work, blocks=cpus)
 
     @pytest.mark.parametrize("marked", [0, 11])
@@ -522,25 +522,24 @@ class TestMemberChunks:
                 np.linspace(0.0, 1.0, 6))
         whole = self.integrate(10 ** 9, 1, *args)
         assert whole.work.blocks == 1
-        assert [whole.terminations[i] for i in (2, 3, 34, 35, 63, 64)] == [
-            "max_steps", "completed", "domain_error: field undefined", "max_steps",
-            "completed", "domain_error: field undefined"]
-        # Compact bookkeeping: int32 lengths, read-only int8 codes, and the
-        # names built from them on read are the tuple the batch held before
-        # it kept codes (two stiff members, 7 and 46, complete in time).
+        assert whole.codes[[2, 3, 34, 35, 63, 64]].tolist() == [
+            _MAX_STEPS, _COMPLETED, _DOMAIN, _MAX_STEPS, _COMPLETED, _DOMAIN]
+        # Compact bookkeeping: int32 lengths and read-only int8 codes, which
+        # name each member's termination (two stiff members, 7 and 46,
+        # complete in time).
         assert whole.lengths.dtype == np.int32 and whole.codes.dtype == np.int8
         assert not whole.codes.flags.writeable
-        expected = [("completed", "domain_error: field undefined", "max_steps")[k] for k in kind]
-        expected[7] = expected[46] = "completed"
-        assert whole.terminations == tuple(expected)
-        assert [whole.member(i).termination for i in range(70)] == expected
+        expected = [(_COMPLETED, _DOMAIN, _MAX_STEPS)[k] for k in kind]
+        expected[7] = expected[46] = _COMPLETED
+        assert whole.codes.tolist() == expected
+        assert ([whole.member(i).termination for i in range(70)]
+                == [numerics._REASONS[c] for c in expected])
         for rows in (1, 3, 64, 10 ** 9):
             for cpus in (1, 2, 3):
                 chunked = self.integrate(rows, cpus, *args)
                 for key in ("times", "states", "velocities", "lengths", "codes"):
                     assert np.array_equal(getattr(chunked, key), getattr(whole, key),
                                           equal_nan=True), (rows, cpus, key)
-                assert chunked.terminations == whole.terminations
                 assert chunked.work == replace(whole.work, blocks=cpus)
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bohmpair
 
 
@@ -61,3 +63,20 @@ def test_run_loads_no_numpy_ma(tmp_path):
               "output_dir": str(tmp_path / "out")}
     code = f"import sys, bohmpair.cli as c; assert c.run(c.validate_config({config!r})) == 0"
     assert "'numpy.ma'" not in loaded_packages(code, "numpy")
+
+
+@pytest.mark.parametrize("fields", [
+    {"model": "planewave", "b": 0.2, "analyses": ["equivariance"]},
+    {"model": "spherical", "wavenumber": 1.0, "slit_offset": 0.5, "analyses": ["equivariance"]},
+    {"model": "planewave", "b": 0.2, "analyses": ["oracle_crosscheck"]},
+    {"model": "spherical", "wavenumber": 1.0, "slit_offset": 0.5,
+     "analyses": ["oracle_crosscheck"]},
+], ids=["planewave-equivariance", "spherical-equivariance", "planewave-oracle",
+        "spherical-oracle"])
+def test_run_loads_no_numpy_random(tmp_path, fields):
+    # Importing numpy's random module adds 5.3 MiB resident; the ensemble
+    # sampler, the random valid states and the oracle's near-tangent draws
+    # take their uniforms from bohmpair.prng instead.
+    config = {**fields, "n": 200, "t_end": 0.5, "output_dir": str(tmp_path / "out")}
+    code = f"import sys, bohmpair.cli as c; assert c.run(c.validate_config({config!r})) == 0"
+    assert "'numpy.random'" not in loaded_packages(code, "numpy")

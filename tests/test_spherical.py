@@ -13,6 +13,7 @@ from bohmpair.analyses import MAX_EMPTY_ROUNDS, random_valid_states
 from bohmpair.errors import ConfigurationError, ModelDomainError
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
+from bohmpair.prng import PhiloxStream
 from bohmpair.spherical import NODE_THRESHOLD, SlitPair, _gauss_legendre
 
 TWO_PI = 2.0 * math.pi
@@ -595,3 +596,4 @@ class TestColumnKernels:
             got = model.propose(np.random.Generator(np.random.Philox(seed)), m)
             want = self.row_propose(model, np.random.Generator(np.random.Philox(seed)), m)
             self.assert_same_bits(got, want)
+            self.assert_same_bits(model.propose(PhiloxStream(seed), m), got)
