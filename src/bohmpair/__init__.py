@@ -4,7 +4,7 @@ conserved-quantity oracles, seeded ensemble statistics, and a claims report."""
 __version__ = "0.1.0"
 
 from .errors import (BracketError, ConfigurationError, DegenerateParametersError,
-                     InsufficientSampleError, ModelDomainError)
+                     InsufficientSampleError)
 from .numerics import (IntegratorConfig, IntegratorWork, Trajectory, TrajectoryBatch,
                        bracketed_root, integrate_ode, scan_roots)
 from .planewave import PlaneWavePair
@@ -16,7 +16,7 @@ from .ensemble import (Ensemble, SamplerReport, build_ensemble, compare_distribu
 
 __all__ = [
     "BracketError", "ConfigurationError", "DegenerateParametersError",
-    "InsufficientSampleError", "ModelDomainError",
+    "InsufficientSampleError",
     "IntegratorConfig", "IntegratorWork", "Trajectory", "TrajectoryBatch",
     "bracketed_root", "integrate_ode", "scan_roots",
     "PlaneWavePair", "SlitPair",

@@ -232,9 +232,10 @@ def uniqueness_claims(model: PlaneWavePair) -> list[ClaimCheck]:
     monotone_condition = 4 * a * b < a * a + b * b
     ratio_condition = b < a / 3
     return [
+        # Under 4ab < a^2 + b^2 the constraint has exactly one root.
         ClaimCheck("separation_constraint_root_count",
                    "Eq. (14) at t = t0: root count of the separation constraint",
-                   "pass" if (monotone_condition and len(roots) == 1) else "measured",
+                   ("pass" if len(roots) == 1 else "fail") if monotone_condition else "measured",
                    len(roots), 1 if monotone_condition else None),
         _measured("uniqueness_monotone_condition", "post-Eq. (14): 4ab < a^2 + b^2",
                   monotone_condition),
@@ -309,14 +310,11 @@ def equivariance_claims(ens0: Ensemble, t_end: float, cfg: IntegratorConfig,
                             "prescriptions (1)-(2): members evolved without domain errors",
                             evolved.survival_fraction))
     try:
-        claims.append(_measured(
-            "evolved_distribution_ks",
-            "section 1 equivalence: P_t vs R^2_t at the final time",
-            compare_distribution(evolved, t_end)))
+        ks = compare_distribution(evolved, t_end)
     except InsufficientSampleError as exc:
-        claims.append(_measured("evolved_distribution_ks",
-                                "section 1 equivalence: P_t vs R^2_t at the final time",
-                                f"unavailable: {exc}"))
+        ks = f"unavailable: {exc}"
+    claims.append(_measured("evolved_distribution_ks",
+                            "section 1 equivalence: P_t vs R^2_t at the final time", ks))
     return claims, evolved
 
 

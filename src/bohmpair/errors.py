@@ -1,11 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ModelDomainError(ValueError):
-    """A model quantity was evaluated where it is undefined: at a node of the
-    wavefunction, at a source point, or outside the supported region."""
-
-
 class DegenerateParametersError(ValueError):
     """An operation requires unequal superposition amplitudes (a != b)."""
 

@@ -9,14 +9,14 @@ import mmap
 import os
 import pickle
 import signal
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import BinaryIO, Callable, NoReturn
 
 import numpy as np
 
-from .errors import BracketError, ModelDomainError
+from .errors import BracketError
 
 # Distance from a requested time within which TrajectoryBatch.states_at takes
 # a sample as at that time.
@@ -134,9 +134,10 @@ class TrajectoryBatch:
         return np.count_nonzero(self.lengths == len(self.times)) / self.size
 
     @property
-    def members(self) -> Sequence[Trajectory]:
-        """Read-only per-member view; each access builds a :class:`Trajectory`."""
-        return _Members(self)
+    def members(self) -> Iterator[Trajectory]:
+        """Each member in turn as a :class:`Trajectory` (:meth:`member`);
+        the benchmark's tracer walks it (``bench/tracer.py``)."""
+        return map(self.member, range(self.size))
 
     def member(self, i: int) -> Trajectory:
         """Member ``i`` as a :class:`Trajectory` of views into the arrays."""
@@ -160,32 +161,6 @@ class TrajectoryBatch:
 
     def initial_states(self) -> np.ndarray:
         return self.states[0]
-
-
-class _Members(Sequence):
-    """Sequence of a batch's members, built one by one on access."""
-
-    __slots__ = ("_batch",)
-
-    def __init__(self, batch: TrajectoryBatch) -> None:
-        self._batch = batch
-
-    def __len__(self) -> int:
-        return self._batch.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._batch.member(j) for j in range(self._batch.size)[i]]
-        return self._batch.member(i)
-
-
-def require_defined(values: np.ndarray, message: str) -> np.ndarray:
-    """``values`` unchanged, or :class:`ModelDomainError` with ``message``
-    if any of them is NaN: the raising form of a field that returns NaN rows
-    where it is undefined."""
-    if np.isnan(values).any():
-        raise ModelDomainError(message)
-    return values
 
 
 def stencil_steps(x: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateParametersError, ModelDomainError
-from .numerics import BLOCK_ROWS, bracketed_root, require_defined
+from .errors import ConfigurationError, DegenerateParametersError
+from .numerics import BLOCK_ROWS, bracketed_root
 from .prng import PhiloxStream
 
 # PlaneWavePair._density_shape (|psi|^2 relative to its maximum) below this
@@ -138,16 +138,16 @@ class PlaneWavePair:
         eta chosen so S is continuous in theta across branch cells: the
         arctangent is evaluated inside the cell of theta, as atan2 of
         c sin and cos of theta - n pi, and eta = n (or -n when c < 0).
-        Raises :class:`ModelDomainError` at a node (a = b with cos theta = 0).
+        NaN at a node (density shape below ``NODE_DENSITY_FLOOR``), as is the field.
         """
-        th = self.momentum * (np.asarray(x1, dtype=float) - np.asarray(x2))
+        delta = np.asarray(x1, dtype=float) - np.asarray(x2)
+        th = self.momentum * delta
         c = self.contrast
-        if c == 0.0 and np.any(np.abs(np.cos(th)) < 1e-12):
-            raise ModelDomainError("phase undefined at a node of the wavefunction")
         n = np.floor(th / math.pi + 0.5)
         th_cell = th - n * math.pi
         eta = n if c >= 0 else -n
-        return np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi
+        phase = np.arctan2(c * np.sin(th_cell), np.cos(th_cell)) + eta * math.pi
+        return np.where(self._density_shape(delta) >= NODE_DENSITY_FLOOR, phase, np.nan)[()]
 
     # -- guidance velocities -------------------------------------------------
 
@@ -168,12 +168,6 @@ class PlaneWavePair:
         v[~(shape >= NODE_DENSITY_FLOOR)] = np.nan
         return v
 
-    def rhs(self, t, y):
-        """Field for the integrator at one flat configuration [x1, x2] (or at
-        rows of them); raises :class:`ModelDomainError` at a node."""
-        return require_defined(self.batch_rhs(t, y),
-                               "velocity undefined at a node of the wavefunction")
-
     def batch_rhs(self, t, y):
         """Field on configuration rows: y is (m, 2), or (m * 2,) flattened
         C-order, and the result has its shape, with NaN rows at nodes."""
@@ -183,6 +177,8 @@ class PlaneWavePair:
         out[:, 0] = self.velocity_of_separation(pairs[:, 0] - pairs[:, 1])
         np.negative(out[:, 0], out=out[:, 1])
         return out.reshape(y.shape)
+
+    rhs = batch_rhs     # a name the benchmark's tracer wraps (bench/tracer.py METHODS)
 
     # -- conserved quantities ------------------------------------------------
 

@@ -25,8 +25,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelDomainError
-from .numerics import require_defined
+from .errors import ConfigurationError
 from .prng import PhiloxStream
 
 # Configurations closer than this to a source lie outside the support.
@@ -141,9 +140,9 @@ def _panel_rule(breaks: np.ndarray, order: int):
 class SlitPair:
     """Model parameters for the two-source spherical-wave pair.
 
-    ``slit_offset`` is the source half-separation d.  States closer than
-    ``SLIT_EXCLUSION`` to a source, or with a scale-aware wavefunction
-    modulus below ``NODE_THRESHOLD``, are rejected as domain errors.
+    ``slit_offset`` is the source half-separation d.  The phase and the
+    field are NaN off the support (:meth:`_supported`) and at nodes (node
+    measure below ``NODE_THRESHOLD``), the wavefunction off the support.
     The normalization over the finite box is computed the first time it
     is needed, from five face integrals of one particle's box (see
     ``_norm_estimate``), with a quadrature error bound.  A box reaching
@@ -191,14 +190,11 @@ class SlitPair:
         return ((np.asarray(r1)[..., 0] >= -1e-12) & (np.asarray(r2)[..., 0] >= -1e-12)
                 & (nearest_source(*distances) >= SLIT_EXCLUSION))
 
-    def _supported_distances(self, r1, r2):
-        """:meth:`distances_of`, raising :class:`ModelDomainError` outside the
-        support (:meth:`_supported`)."""
-        distances = self.distances_of(r1, r2)
-        if not np.all(self._supported(r1, r2, distances)):
-            raise ModelDomainError("configuration outside the x >= 0 half-space or "
-                                   f"within {SLIT_EXCLUSION} of a source point")
-        return distances
+    def _defined(self, r1, r2, distances, terms):
+        """Where the phase and the field are defined: in the support and off
+        the nodes (node measure at least ``NODE_THRESHOLD``), given the
+        :meth:`_phase_terms` of the ``distances``."""
+        return self._supported(r1, r2, distances) & (self._node_measure(terms) >= NODE_THRESHOLD)
 
     # -- wavefunction and phase ----------------------------------------------
 
@@ -209,8 +205,12 @@ class SlitPair:
                 + np.exp(1j * k * (r1b + r2a)) / (r1b * r2a))
 
     def psi_values(self, r1, r2):
-        """Spatial wavefunction phi on arrays of positions of shape (..., 3)."""
-        return self._bracket(*self._supported_distances(r1, r2)) / math.sqrt(self.norm)
+        """Spatial wavefunction phi on arrays of positions of shape (..., 3),
+        NaN outside the support (:meth:`_supported`; zero at a node)."""
+        distances = self.distances_of(r1, r2)
+        with np.errstate(divide="ignore", invalid="ignore"):    # at a source
+            psi = self._bracket(*distances) / math.sqrt(self.norm)
+        return np.where(self._supported(r1, r2, distances), psi, np.nan)[()]
 
     def node_measure_of(self, r1a, r1b, r2a, r2b):
         """Scale-aware modulus |bracket| (r1A r2B + r1B r2A) / 2 as a function
@@ -247,14 +247,14 @@ class SlitPair:
         (see :meth:`_phase_terms`), so it is defined wherever the
         wavefunction is nonzero, including where D alone vanishes.  Values
         are principal per call, to be unwrapped by continuity along sampled
-        paths.  Raises :class:`ModelDomainError` outside the support or at a
-        node (node measure below ``NODE_THRESHOLD``), where the field is
-        undefined."""
-        terms = self._phase_terms(*self._supported_distances(r1, r2))
-        if np.any(self._node_measure(terms) < NODE_THRESHOLD):
-            raise ModelDomainError("phase undefined at a node of the wavefunction")
+        paths.  NaN where :meth:`batch_rhs` is NaN: outside the support and
+        at a node (node measure below ``NODE_THRESHOLD``)."""
+        distances = self.distances_of(r1, r2)
+        with np.errstate(divide="ignore", invalid="ignore"):    # at a source
+            terms = self._phase_terms(*distances)
+            defined = self._defined(r1, r2, distances, terms)
         *_, nval, dval = terms
-        return np.arctan2(nval, dval)
+        return np.where(defined, np.arctan2(nval, dval), np.nan)[()]
 
     # -- phase derivatives and velocities --------------------------------------
 
@@ -285,12 +285,6 @@ class SlitPair:
         g2b = self._partial(k, nval, dval, rr, r1a, sin_a, cos_a, sin_b, cos_b)
         return g1a, g1b, g2a, g2b
 
-    def rhs(self, t, y):
-        """Field for the integrator at one flat configuration [r1, r2] (or at
-        rows of them); raises :class:`ModelDomainError` where it is undefined."""
-        return require_defined(self.batch_rhs(t, y), "velocity undefined outside the "
-                               "support or at a node of the wavefunction")
-
     def batch_rhs(self, t, y):
         """Field on configuration rows: y is (m, 6), or (m * 6,) flattened
         C-order, and the result has its shape, with NaN rows outside the
@@ -303,8 +297,7 @@ class SlitPair:
         # they are masked below.
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = self._phase_terms(*distances)
-            defined = (self._supported(r1, r2, distances)
-                       & (self._node_measure(terms) >= NODE_THRESHOLD))
+            defined = self._defined(r1, r2, distances, terms)
             g1a, g1b, g2a, g2b = self._distance_derivatives(*distances, terms)
             # v = gA ((r - A) / rA) + gB ((r - B) / rB), one coordinate
             # column at a time (see _source_distances).  The sources differ
@@ -321,6 +314,8 @@ class SlitPair:
                     np.add(va, vb, out=out[:, j + c])
         out[~defined] = np.nan
         return out.reshape(y.shape)
+
+    rhs = batch_rhs     # a name the benchmark's tracer wraps (bench/tracer.py METHODS)
 
     # -- decoupling constraint -------------------------------------------------
 

@@ -43,13 +43,13 @@ def test_criterion_01_plane_wave_limits():
     rng = np.random.default_rng(101)
     single = PlaneWavePair(a=1.0, b=0.0)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 2))
-    worst = float(np.max(np.abs(single.rhs(0.0, pts) - [single.momentum, -single.momentum])))
+    worst = float(np.max(np.abs(single.batch_rhs(0.0, pts) - [single.momentum, -single.momentum])))
     ok = worst < 1e-12
 
     static = PlaneWavePair(a=1.0, b=1.0)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 2))
     theta = static.momentum * (pts[:, 0] - pts[:, 1])
-    static_ok = bool(np.all(static.rhs(0.0, pts[np.abs(np.cos(theta)) >= 1e-6]) == 0.0))
+    static_ok = bool(np.all(static.batch_rhs(0.0, pts[np.abs(np.cos(theta)) >= 1e-6]) == 0.0))
     report(1, ok and static_ok,
            f"b=0 max |v - (p, -p)| = {worst:.3e} < 1e-12; a=b exactly static: {static_ok}")
 
@@ -68,7 +68,7 @@ def test_criterion_02_velocity_oracle_agreement():
 
     sph = SlitPair(wavenumber=5.0, slit_offset=0.5)
     states3 = random_valid_states(sph, 1000, seed=204)
-    analytic = sph.rhs(0.0, states3)
+    analytic = sph.batch_rhs(0.0, states3)
     dev_sph = float(np.max(np.abs(analytic - velocity_from_psi(sph, states3))))
 
     ok = dev_pw < 1e-6 and dev_sph < 1e-6
@@ -181,7 +181,7 @@ def test_criterion_08_mirror_manifold():
 def test_criterion_09_chain_rule_gradient():
     model = SlitPair(wavenumber=5.0, slit_offset=0.5)
     states = random_valid_states(model, 1000, seed=900)
-    assembled = model.rhs(0.0, states)
+    assembled = model.batch_rhs(0.0, states)
     fd = phase_gradient(model, states)
     dev = float(np.max(np.abs(assembled - fd)))
     ok = dev < 1e-6

@@ -12,6 +12,7 @@ from dataclasses import fields
 import pytest
 
 import bohmpair.cli as cli
+from bohmpair import analyses
 from bohmpair.analyses import ClaimCheck
 from bohmpair.errors import ConfigurationError
 from bohmpair.planewave import PlaneWavePair
@@ -300,6 +301,19 @@ class TestMain:
                   json.loads((out / "claims_report.json").read_text())}
         assert claims["density_forms_agree_single_wave"]["status"] == "pass"
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_extra_root_under_monotone_condition_fails(self, tmp_path, monkeypatch):
+        # 4ab < a^2 + b^2 at (1, 0.2), where the constraint has exactly one
+        # root: a scan that finds two fails the claim and the run.
+        monkeypatch.setattr(analyses, "scan_roots", lambda *args: ((-0.5, 0.5), True))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--a", "1", "--b", "0.2", "--analysis", "uniqueness",
+                         "--output-dir", str(out)]) == 2
+        claims = {c["claim_id"]: c for c in
+                  json.loads((out / "claims_report.json").read_text())}
+        count = claims["separation_constraint_root_count"]
+        assert (count["status"], count["value"], count["tolerance"]) == ("fail", 2, 1)
+        assert [c["status"] for c in claims.values()].count("fail") == 1
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--b", "-0.5", "--output-dir", str(tmp_path)])

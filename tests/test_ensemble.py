@@ -234,16 +234,18 @@ class TestEvolution:
         with pytest.raises(ValueError):
             evolved.initial_states()[0, 0] = 1.0
         with pytest.raises(ValueError):
-            evolved.members[0].states[0, 0] = 1.0
+            evolved.member(0).states[0, 0] = 1.0
 
     def test_members_view(self, mild):
         evolved = evolve_ensemble(build_ensemble(mild, 5, seed=31), 1.0)
-        members = evolved.members
-        assert len(members) == 5 and len(list(members)) == 5
-        assert np.array_equal(members[-1].states, evolved.states[:, 4])
-        assert [len(m) for m in members[1:3]] == [2, 2]
+        members = list(evolved.members)
+        assert evolved.size == 5 and len(members) == 5
+        assert np.array_equal(evolved.member(-1).states, evolved.states[:, 4])
+        assert [len(evolved.member(i)) for i in (1, 2)] == [2, 2]
+        assert all(np.array_equal(m.states, evolved.member(i).states)
+                   for i, m in enumerate(members))
         with pytest.raises(IndexError):
-            members[5]
+            evolved.member(5)
 
     def test_failing_member_truncated_alone(self, node_ensembles, monkeypatch):
         ens, evolved = node_ensembles
@@ -254,7 +256,7 @@ class TestEvolution:
         assert evolved.codes[NODE_MEMBER] == _DOMAIN
         assert np.all(evolved.codes[regular] == _COMPLETED)
         assert [m.complete for m in evolved.members] == [i != NODE_MEMBER for i in range(n)]
-        assert evolved.members[NODE_MEMBER].times[-1] == 0.0
+        assert evolved.member(NODE_MEMBER).times[-1] == 0.0
         assert np.all(np.isnan(evolved.states[1:, NODE_MEMBER]))
         assert np.array_equal(evolved.states_at(1.0), ens.initial_states()[regular])
         assert evolved.survival_fraction == (n - 1) / n
@@ -292,7 +294,7 @@ class TestEvolution:
         evolved = evolve_ensemble(ens, 3.0, IntegratorConfig(max_steps=60),
                                   sample_times=np.linspace(0.0, 3.0, 31))
         assert 0 < evolved.survival_fraction < 1
-        members = evolved.members
+        members = list(evolved.members)
         printed = 0.0
         for m in members:
             deltas = m.states[:, 0] - m.states[:, 1]
@@ -308,7 +310,7 @@ class TestEvolution:
     def test_members_carry_velocities(self, mild):
         ens = build_ensemble(mild, 10, seed=31)
         evolved = evolve_ensemble(ens, 1.0)
-        member = evolved.members[0]
+        member = evolved.member(0)
         v1 = mild.velocity_of_separation(member.states[-1, 0] - member.states[-1, 1])
         assert member.velocities[-1, 0] == pytest.approx(v1, rel=1e-12)
 
@@ -405,7 +407,7 @@ class TestSerialization:
         with open(p1) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50 * 3
-        first = evolved.members[0]
+        first = evolved.member(0)
         got = [float(r["x1"]) for r in rows if r["member_id"] == "0"]
         assert got == [float(v) for v in first.states[:, 0]]  # exact round trip
         assert all(r["y1"] == "" for r in rows[:5])

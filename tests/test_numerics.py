@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from bohmpair import numerics
 from bohmpair.analyses import UNIQUENESS_GRID, trajectory_ensemble
 from bohmpair.ensemble import sample_configurations
-from bohmpair.errors import BracketError, ModelDomainError
+from bohmpair.errors import BracketError
 from bohmpair.numerics import (_COMPLETED, _DOMAIN, _MAX_STEPS, IntegratorConfig, bracketed_root,
                                integrate_ode, scan_roots)
 from bohmpair.oracles import _stencil
@@ -38,12 +38,15 @@ class TestStencil:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
     def test_stencil_failure_propagates(self):
+        class Outside(Exception):
+            pass
+
         def f(p):
             if np.any(p[:, 0] > 1.0):
-                raise ModelDomainError("outside")
+                raise Outside
             return p[:, 0]
 
-        with pytest.raises(ModelDomainError):
+        with pytest.raises(Outside):
             _stencil(f, [[1.0]])
 
 
@@ -180,7 +183,7 @@ class TestPerMemberControl:
         flow = integrate_ode(model.batch_rhs, y0, 0.0, 3.0, sample_times=[0.0, 3.0])
         assert flow.complete
         for row, end in zip(y0, flow.states[-1]):
-            sol = solve_ivp(model.rhs, (0.0, 3.0), row, method="DOP853",
+            sol = solve_ivp(model.batch_rhs, (0.0, 3.0), row, method="DOP853",
                             rtol=1e-13, atol=1e-15)
             assert np.max(np.abs(end - sol.y[:, -1])) < 1e-6
 

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from bohmpair import planewave
 from bohmpair.analyses import UNIQUENESS_GRID, uniqueness_claims
-from bohmpair.errors import ConfigurationError, DegenerateParametersError, ModelDomainError
+from bohmpair.errors import ConfigurationError, DegenerateParametersError
 from bohmpair.numerics import Trajectory, bracketed_root, integrate_ode, scan_roots
 from bohmpair.oracles import phase_gradient, velocity_from_psi
 from bohmpair.planewave import NODE_DENSITY_FLOOR, PlaneWavePair
@@ -243,20 +243,19 @@ class TestPhase:
         assert np.max(np.abs(values - reference - offset)) < 1e-9
 
     def test_node_rejected(self):
+        # The phase is NaN at a node, and only there.
         m = PlaneWavePair(a=1.0, b=1.0)
-        with pytest.raises(ModelDomainError):
-            m.phase_values(x_at_theta(m, math.pi / 2), 0.0)
-        # One node among the rows rejects the call.
-        with pytest.raises(ModelDomainError):
-            m.phase_values(x_at_theta(m, [0.3, math.pi / 2, 1.0]), 0.0)
-        assert np.all(np.isfinite(m.phase_values(x_at_theta(m, [0.3, 1.0]), 0.0)))
+        assert np.isnan(m.phase_values(x_at_theta(m, math.pi / 2), 0.0))
+        values = m.phase_values(x_at_theta(m, [0.3, math.pi / 2, 1.0]), 0.0)
+        assert np.isnan(values).tolist() == [False, True, False]
+        assert np.array_equal(values[[0, 2]], m.phase_values(x_at_theta(m, [0.3, 1.0]), 0.0))
 
 
 class TestVelocities:
     def test_single_wave_exact(self):
         m = PlaneWavePair(a=1.0, b=0.0, momentum=1.3)
         rows = np.random.default_rng(3).uniform(-10, 10, size=(200, 2))
-        v = m.rhs(0.0, rows)
+        v = m.batch_rhs(0.0, rows)
         assert np.max(np.abs(v[:, 0] - m.momentum)) < 1e-12
         assert np.array_equal(v[:, 1], -v[:, 0])
 
@@ -264,10 +263,10 @@ class TestVelocities:
         m = PlaneWavePair(a=1.0, b=1.0)
         rows = np.random.default_rng(4).uniform(-10, 10, size=(200, 2))
         rows = rows[np.abs(np.cos(m.momentum * (rows[:, 0] - rows[:, 1]))) >= 1e-6]
-        assert np.all(m.rhs(0.0, rows) == 0.0)
+        assert np.all(m.batch_rhs(0.0, rows) == 0.0)
 
     def test_removable_singularity_value(self, lopsided):
-        v1, v2 = lopsided.rhs(0.0, np.array([x_at_theta(lopsided, math.pi / 2), 0.0]))
+        v1, v2 = lopsided.batch_rhs(0.0, np.array([x_at_theta(lopsided, math.pi / 2), 0.0]))
         assert abs(v1 - 3.0) < 1e-12
         assert v2 == -v1
 
@@ -275,7 +274,7 @@ class TestVelocities:
         x1 = x_at_theta(lopsided, math.pi / 2 + np.array([1e-3, -1e-3, 2e-4]))
         points = np.column_stack([x1, np.zeros_like(x1)])
         oracle = velocity_from_psi(lopsided, points)
-        assert np.max(np.abs(oracle - lopsided.rhs(0.0, points))) < 1e-6
+        assert np.max(np.abs(oracle - lopsided.batch_rhs(0.0, points))) < 1e-6
 
     def test_oracle_agreement_random_states_and_params(self):
         rng = np.random.default_rng(12)
@@ -295,24 +294,23 @@ class TestVelocities:
         # Both velocities recovered separately from d(phase)/dx1 and d(phase)/dx2.
         rows = np.random.default_rng(13).uniform(-3, 3, size=(40, 2))
         grad = phase_gradient(mild, rows)
-        assert np.max(np.abs(grad - mild.rhs(0.0, rows))) < 1e-6
+        assert np.max(np.abs(grad - mild.batch_rhs(0.0, rows))) < 1e-6
 
     def test_translation_invariance_exact(self, mild):
         # Dyadic coordinates keep (x1+s) - (x2+s) bitwise equal to x1 - x2.
         base = np.array([(0.25, -1.5), (3.125, 0.625), (-2.0, 0.5)])
-        v = mild.rhs(0.0, base)
+        v = mild.batch_rhs(0.0, base)
         for shift in (0.5, 4.0, -128.0):
-            assert np.array_equal(mild.rhs(0.0, base + shift), v)
+            assert np.array_equal(mild.batch_rhs(0.0, base + shift), v)
 
     def test_sum_is_zero_bitwise(self, mild):
-        v = mild.rhs(0.0, np.random.default_rng(14).uniform(-5, 5, size=(100, 2)))
+        v = mild.batch_rhs(0.0, np.random.default_rng(14).uniform(-5, 5, size=(100, 2)))
         assert np.all(v[:, 0] + v[:, 1] == 0.0)
 
     def test_node_rejected(self):
+        # The field is NaN at a node, one configuration or one row of many.
         m = PlaneWavePair(a=0.7, b=0.7)
-        with pytest.raises(ModelDomainError):
-            m.rhs(0.0, np.array([x_at_theta(m, math.pi / 2), 0.0]))
-        # The row form marks the node with NaN instead of raising.
+        assert np.isnan(m.batch_rhs(0.0, np.array([x_at_theta(m, math.pi / 2), 0.0]))).all()
         v = m.batch_rhs(0.0, np.array([[x_at_theta(m, math.pi / 2), 0.0], [0.3, 0.0]]))
         assert np.isnan(v[0]).all() and np.array_equal(v[1], [0.0, 0.0])
 
@@ -438,7 +436,7 @@ class TestConservedQuantities:
         # The phase-gradient oracle reproduces the velocities v1, v2 (the
         # momenta, at m = 1) at the reference point.
         grad = phase_gradient(lopsided, [[0.3, 0.1]])[0]
-        v1, v2 = lopsided.rhs(0.0, np.array([0.3, 0.1]))
+        v1, v2 = lopsided.batch_rhs(0.0, np.array([0.3, 0.1]))
         assert abs(grad[0] - v1) < 1e-6
         assert abs(grad[1] - v2) < 1e-6
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohmpair.analyses import MAX_EMPTY_ROUNDS, random_valid_states
-from bohmpair.errors import ConfigurationError, ModelDomainError
+from bohmpair.errors import ConfigurationError
 from bohmpair.numerics import IntegratorConfig, integrate_ode
 from bohmpair.oracles import _stencil, phase_gradient, velocity_from_psi
 from bohmpair.prng import PhiloxStream
@@ -89,10 +89,14 @@ class TestParamsAndGeometry:
 
     @staticmethod
     def assert_rejected(model, y):
-        for quantity in (psi, phase, lambda model, y: model.rhs(0.0, y)):
-            with pytest.raises(ModelDomainError):
-                quantity(model, y)
+        # NaN alone and as one row of several, beside a row that is defined.
+        assert cmath.isnan(psi(model, y)) and math.isnan(phase(model, y))
         assert np.isnan(model.batch_rhs(0.0, y)).all()
+        rows = np.stack([row((1.0, 0.3, 0.0), (1.2, -0.8, 0.4)), y])
+        for values in (model.psi_values(rows[:, :3], rows[:, 3:]),
+                       model.phase_values(rows[:, :3], rows[:, 3:])):
+            assert np.isnan(values).tolist() == [False, True]
+        assert np.isnan(model.batch_rhs(0.0, rows)).tolist() == [[False] * 6, [True] * 6]
 
     def test_half_space_enforced(self, model):
         self.assert_rejected(model, row((-0.5, 0.0, 0.0), (1.0, 0.0, 0.0)))
@@ -122,15 +126,13 @@ class TestPsi:
     def test_node_configuration_detected(self, model):
         s = node_state(model)
         assert model.node_measure_of(*distances(model, s)) < 1e-12
-        with pytest.raises(ModelDomainError):
-            model.rhs(0.0, s)
-        with pytest.raises(ModelDomainError):
-            phase(model, s)
-        # One node among the rows rejects the call; the row field marks it NaN.
+        assert np.isnan(model.batch_rhs(0.0, s)).all() and math.isnan(phase(model, s))
+        # A node among the rows is NaN in the field and the phase, and only
+        # there; the wavefunction is defined (near zero) at it.
         rows = np.stack([row((1.0, 0.3, 0.0), (1.2, -0.8, 0.4)), s])
-        with pytest.raises(ModelDomainError):
-            model.phase_values(rows[:, :3], rows[:, 3:])
+        assert np.isnan(model.phase_values(rows[:, :3], rows[:, 3:])).tolist() == [False, True]
         assert np.isnan(model.batch_rhs(0.0, rows)).tolist() == [[False] * 6, [True] * 6]
+        assert abs(psi(model, s)) < 1e-12 * abs(psi(model, rows[0]))
 
     def test_generic_state_not_flagged(self, model):
         s = row((1.0, 0.3, 0.0), (1.2, -0.8, 0.4))
@@ -321,13 +323,13 @@ class TestDistanceDerivatives:
 class TestVelocities:
     def test_oracle_agreement(self, model):
         states = random_valid_states(model, 400, seed=19)
-        analytic = model.rhs(0.0, states)
+        analytic = model.batch_rhs(0.0, states)
         oracle = velocity_from_psi(model, states)
         assert np.max(np.abs(analytic - oracle)) < 1e-6
 
     def test_chain_rule_gradient_matches_phase_differences(self, model):
         states = random_valid_states(model, 400, seed=23)
-        analytic = model.rhs(0.0, states)
+        analytic = model.batch_rhs(0.0, states)
         fd = phase_gradient(model, states)
         assert np.max(np.abs(analytic - fd)) < 1e-6
 
@@ -335,26 +337,27 @@ class TestVelocities:
         rng = np.random.default_rng(29)
         rows = np.array([row(rng.uniform([0.1, -2, -2], [3, 2, 2]),
                              rng.uniform([0.1, -2, -2], [3, 2, 2])) for _ in range(25)])
-        v = model.rhs(0.0, rows)
-        assert np.array_equal(model.rhs(0.0, np.roll(rows, 3, axis=1)), np.roll(v, 3, axis=1))
+        v = model.batch_rhs(0.0, rows)
+        assert np.array_equal(model.batch_rhs(0.0, np.roll(rows, 3, axis=1)),
+                              np.roll(v, 3, axis=1))
 
     def test_reflection_symmetry_exact(self, model):
         flip = np.array([1.0, -1.0, 1.0] * 2)
         rng = np.random.default_rng(37)
         rows = np.array([row(rng.uniform([0.1, -2, -2], [3, 2, 2]),
                              rng.uniform([0.1, -2, -2], [3, 2, 2])) for _ in range(25)])
-        assert np.array_equal(model.rhs(0.0, rows * flip), model.rhs(0.0, rows) * flip)
+        assert np.array_equal(model.batch_rhs(0.0, rows * flip), model.batch_rhs(0.0, rows) * flip)
 
     def test_mirror_map_commutes_exactly(self, model):
         # The mirror map reflects both y coordinates and interchanges the
         # particles; the field commutes with it bitwise.
         flip = np.array([1.0, -1.0, 1.0] * 2)
         s = row((1.4, 0.8, -0.6), (0.5, -1.1, 0.9))
-        v = model.rhs(0.0, s)
-        assert np.array_equal(model.rhs(0.0, np.roll(s, 3) * flip), np.roll(v, 3) * flip)
+        v = model.batch_rhs(0.0, s)
+        assert np.array_equal(model.batch_rhs(0.0, np.roll(s, 3) * flip), np.roll(v, 3) * flip)
 
     def test_on_axis_y_velocities_vanish(self, model):
-        v = model.rhs(0.0, row((1.3, 0.0, 0.0), (0.8, 0.0, 0.0)))
+        v = model.batch_rhs(0.0, row((1.3, 0.0, 0.0), (0.8, 0.0, 0.0)))
         assert v[1] == 0.0 and v[4] == 0.0
         assert v[1] == -v[4]
 
